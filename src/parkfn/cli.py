@@ -24,11 +24,14 @@ class UsageError(Exception):
 
 
 def parse_seed(text: str) -> int:
-    """Seeds accepted as decimal or 0x-hex."""
+    """Seeds accepted as decimal or 0x-hex, in [0, 2^64)."""
     try:
-        return int(text, 16) if text.lower().startswith("0x") else int(text)
+        seed = int(text, 16) if text.lower().startswith("0x") else int(text)
     except ValueError as exc:
         raise UsageError(f"invalid seed {text!r}") from exc
+    if not 0 <= seed < 1 << 64:
+        raise UsageError(f"seed {text!r} outside [0, 2^64)")
+    return seed
 
 
 def parse_function(text: str, m: Optional[int] = None) -> PrefSequence:
@@ -213,10 +216,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
     params = {}
     if args.x is not None:
         params["x"] = args.x
+    if not args.step > 0:
+        raise UsageError(f"--step must be positive, got {args.step}")
     handle = limits.distribution_handle(args.dist, **params)
     rows = []
     if handle.kind == "pmf":
-        for j in range(max(0, int(args.min)), int(args.max) + 1):
+        for j in range(max(handle.support_min, int(args.min)), int(args.max) + 1):
             rows.append((j, handle.evaluate(j)))
     else:
         t = args.min

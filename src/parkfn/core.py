@@ -172,11 +172,14 @@ def queue_profile(pf: Sequence[int]) -> tuple[int, ...]:
     """Profile y_k = #{i : pi_i <= k} - k for k = 0..n.
 
     Nonnegative with y_0 = y_n = 0 exactly when pf is a parking function.
+    Values outside [1, n] raise ValueError.
     """
     values = tuple(pf)
     n = len(values)
     counts = [0] * (n + 1)
     for v in values:
+        if not 1 <= v <= n:
+            raise ValueError(f"value {v} outside [1, {n}]")
         counts[v] += 1
     profile = [0] * (n + 1)
     running = 0

@@ -11,76 +11,98 @@ from __future__ import annotations
 import math
 import statistics as pystats
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from itertools import chain, islice
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import stats as st
 from .core import is_parking_function, park, queue_profile
 from .enumeration import all_functions, count_pf, enumerate_pf
-from .sample import _sample_pf_array, split_stream
+from .sample import draw_block, queue_profiles, row_counts, shift_block
 
 ENSEMBLES = ("pf", "fn", "fn1")
+# Elements per block of functions: rows are drawn, shifted and scored a block
+# at a time.  Results do not depend on it; it bounds the memory of a block.
+BLOCK_ELEMENTS = 1 << 16
 
 
 # --- statistics registry --------------------------------------------------
+#
+# Each statistic is one kernel over a block of functions: an int64 array of
+# shape (rows, n), one function per row, with codomain bound m.  A kernel
+# returns one Python value per row (int, float or tuple of ints; never a
+# numpy scalar, which would serialize as a string).
 
-def _stat_first(values, n, m):
-    return int(values[0])
-
-
-def _stat_area(values, n, m):
-    return n * (n + 1) // 2 - int(sum(values))
-
-
-def _stat_scaled_area(values, n, m):
-    return (n * n / 2 - int(sum(values))) / n**1.5
+def _stat_first(block, n, m):
+    return block[:, 0].tolist()
 
 
-def _stat_lucky(values, n, m):
-    return st.lucky(tuple(int(v) for v in values))
+def _stat_area(block, n, m):
+    return (n * (n + 1) // 2 - block.sum(axis=1)).tolist()
 
 
-def _stat_repeats(values, n, m):
-    v = np.asarray(values)
-    return int(np.count_nonzero(v[1:] == v[:-1]))
+def _stat_scaled_area(block, n, m):
+    return ((n * n / 2 - block.sum(axis=1)) / n**1.5).tolist()
 
 
-def _stat_ones(values, n, m):
-    return int(np.count_nonzero(np.asarray(values) == 1))
+def _stat_lucky(block, n, m):
+    return [st.lucky(row) for row in block.tolist()]
 
 
-def _stat_descents(values, n, m):
-    v = np.asarray(values)
-    return int(np.count_nonzero(v[1:] < v[:-1]))
+def _stat_repeats(block, n, m):
+    return np.count_nonzero(block[:, 1:] == block[:, :-1], axis=1).tolist()
 
 
-def _stat_descent_pattern(values, n, m):
-    v = np.asarray(values)
-    return tuple(int(b) for b in (v[1:] < v[:-1]))
+def _stat_ones(block, n, m):
+    return np.count_nonzero(block == 1, axis=1).tolist()
 
 
-def _stat_species(values, n, m):
-    return st.species(tuple(int(v) for v in values), m=m)
+def _stat_descents(block, n, m):
+    return np.count_nonzero(block[:, 1:] < block[:, :-1], axis=1).tolist()
 
 
-def _stat_inversions(values, n, m):
-    return st.inversions(tuple(int(v) for v in values))
+def _stat_descent_pattern(block, n, m):
+    drops = (block[:, 1:] < block[:, :-1]).view(np.int8)
+    return [tuple(row) for row in drops.tolist()]
 
 
-def _stat_max_discrepancy(values, n, m):
-    counts = np.bincount(np.asarray(values), minlength=n + 1)
-    profile = np.cumsum(counts[1:]) - np.arange(1, len(counts))
-    return int(profile.max(initial=0))
+def _stat_species(block, n, m):
+    # mu_r = number of values in [1, m] occurring exactly r times
+    mu = row_counts(row_counts(block, m + 1)[:, 1:], n + 1)
+    return [tuple(row) for row in mu.tolist()]
 
 
-def _stat_scaled_max_discrepancy(values, n, m):
-    return _stat_max_discrepancy(values, n, m) / math.sqrt(n)
+def _stat_inversions(block, n, m):
+    # Pairs at distance d are compared for all rows at once: memory stays at
+    # one block, the work is O(n^2) per row.
+    total = np.zeros(block.shape[0], dtype=np.int64)
+    for d in range(1, n):
+        total += np.count_nonzero(block[:, :-d] > block[:, d:], axis=1)
+    return total.tolist()
 
 
-def _stat_kmax(values, n, m):
-    decomp = st.max_first_coordinate(tuple(int(v) for v in values[1:]))
-    return 0 if decomp is None else decomp.k
+def _max_discrepancy(block, m):
+    # max(0, max_k #{i : f_i <= k} - k) over k = 1..m
+    return np.maximum(queue_profiles(block, m).max(axis=1), 0)
+
+
+def _stat_max_discrepancy(block, n, m):
+    return _max_discrepancy(block, m).tolist()
+
+
+def _stat_scaled_max_discrepancy(block, n, m):
+    return (_max_discrepancy(block, m) / math.sqrt(n)).tolist()
+
+
+def _stat_kmax(block, n, m):
+    # st.max_first_coordinate of each suffix f_2..f_n, 0 where none exists:
+    # g(i) = #{suffix <= i} - i must stay >= -1 (a suffix value n + 1 makes
+    # g(n) <= -2), and k is the first i with g(i) = -1 (n if there is none).
+    g = queue_profiles(block[:, 1:], m)[:, :n]
+    at_floor = g == -1
+    k = np.where(at_floor.any(axis=1), at_floor.argmax(axis=1) + 1, n)
+    return np.where(g.min(axis=1) >= -1, k, 0).tolist()
 
 
 STATISTICS: dict[str, Callable] = {
@@ -101,10 +123,16 @@ STATISTICS: dict[str, Callable] = {
 
 
 def longest_run_statistic(relation: str) -> Callable:
-    def fn(values, n, m):
-        return st.longest_run(tuple(int(v) for v in values), relation)
+    def kernel(block, n, m):
+        return [st.longest_run(row, relation) for row in block.tolist()]
 
-    return fn
+    return kernel
+
+
+def statistic_kernel(statistic: str, relation: str = "<") -> Callable:
+    if statistic == "longest-run":
+        return longest_run_statistic(relation)
+    return STATISTICS[statistic]
 
 
 # --- experiment harness ---------------------------------------------------
@@ -190,23 +218,29 @@ class Histogram:
         }
 
 
+def _codomain(ensemble: str, n: int) -> int:
+    return n + 1 if ensemble == "fn1" else n
+
+
+def _block_rows(n: int) -> int:
+    return max(1, BLOCK_ELEMENTS // n)
+
+
 def run_experiment(config: ExperimentConfig) -> Histogram:
     """Sample `count` functions, one stream per sample index, and histogram
     the named statistic.  Deterministic and worker-count independent."""
-    if config.statistic == "longest-run":
-        stat_fn = longest_run_statistic(config.relation)
-    else:
-        stat_fn = STATISTICS[config.statistic]
+    kernel = statistic_kernel(config.statistic, config.relation)
     n = config.n
-    m = {"pf": n, "fn": n, "fn1": n + 1}[config.ensemble]
-    values = []
-    for i in range(config.count):
-        rng = split_stream(config.seed, i)
+    m = _codomain(config.ensemble, n)
+    step = _block_rows(n)
+    values: list = []
+    for start in range(0, config.count, step):
+        stop = min(start + step, config.count)
         if config.ensemble == "pf":
-            sample = _sample_pf_array(n, rng)
+            block = shift_block(draw_block(config.seed, start, stop, n, n + 1), n)
         else:
-            sample = np.asarray(rng.integers(1, m, size=n))
-        values.append(stat_fn(sample, n, m))
+            block = draw_block(config.seed, start, stop, n, m)
+        values.extend(kernel(block, n, m))
     return Histogram.from_values(
         values,
         n=n,
@@ -221,19 +255,20 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
                          relation: str = "<", limit: int = 8) -> Histogram:
     """Exact histogram of a statistic over all of PF_n or an all-functions
     ensemble; counts are exact integers."""
-    if statistic == "longest-run":
-        stat_fn = longest_run_statistic(relation)
-    else:
-        stat_fn = STATISTICS[statistic]
-    m = {"pf": n, "fn": n, "fn1": n + 1}[ensemble]
+    kernel = statistic_kernel(statistic, relation)
+    m = _codomain(ensemble, n)
     if ensemble == "pf":
-        source: Iterable = enumerate_pf(n, limit=limit)
+        source: Iterator = enumerate_pf(n, limit=limit)
     else:
         source = all_functions(n, m)
+    step = _block_rows(n)
     bins: dict[Hashable, int] = {}
-    for f in source:
-        v = stat_fn(f, n, m)
-        bins[v] = bins.get(v, 0) + 1
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(source, step)), dtype=np.int64)
+        if not flat.size:
+            break
+        for v in kernel(flat.reshape(-1, n), n, m):
+            bins[v] = bins.get(v, 0) + 1
     return Histogram(
         n=n, statistic=statistic, ensemble=ensemble, seed=None, count="exhaustive", bins=bins
     )

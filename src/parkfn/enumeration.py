@@ -65,6 +65,8 @@ def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFun
 
 def count_pf(n: int) -> int:
     """|PF_n| = (n+1)^(n-1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return (n + 1) ** (n - 1)
 
 

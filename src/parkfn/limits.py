@@ -198,13 +198,14 @@ class DistributionHandle:
     parameters: tuple[tuple[str, float], ...]
     evaluate: Callable[[float], float]
     kind: str  # "pmf" or "cdf" or "pdf"
+    support_min: int = 0  # smallest argument of a pmf's support
 
 
 def distribution_handle(name: str, **params: float) -> DistributionHandle:
     """Look up a distribution by name: borel, maxwell(x), excursion-max,
     bridge-max, airy-area, poisson(lam), gaussian."""
     if name == "borel":
-        return DistributionHandle(name, (), lambda j: borel_pmf(int(j)), "pmf")
+        return DistributionHandle(name, (), lambda j: borel_pmf(int(j)), "pmf", support_min=1)
     if name == "maxwell":
         x = params["x"]
         return DistributionHandle(

@@ -15,7 +15,20 @@ import numpy as np
 
 from .core import ParkingFunction, PrefSequence
 
-_MASK64 = (1 << 64) - 1
+_U64 = 1 << 64
+_ZEROS = (0, 0, 0, 0)
+
+
+def _philox_state(seed: int, index: int) -> dict:
+    """Philox state of stream `index` under `seed`: key words [index, seed],
+    counter 0, empty output buffer.  Both must lie in [0, 2^64); values
+    outside would alias another stream."""
+    if not 0 <= seed < _U64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    if not 0 <= index < _U64:
+        raise ValueError(f"stream index must be in [0, 2^64), got {index}")
+    return {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": (index, seed)},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 @dataclass
@@ -31,10 +44,9 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
-        key = (self.seed & _MASK64) << 64 | (self.stream_index & _MASK64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        bitgen = np.random.Philox(0)
+        bitgen.state = _philox_state(self.seed, self.stream_index)
+        self._gen = np.random.Generator(bitgen)
 
     def integers(self, low: int, high: int, size=None):
         """Uniform integers on the inclusive range [low, high]."""
@@ -95,13 +107,54 @@ def sample_parking_function(n: int, rng: RngStream) -> ParkingFunction:
 
 
 def _sample_pf_array(n: int, rng: RngStream) -> np.ndarray:
-    # Vectorized draw + shift; hot path for the experiment harness.
     if n < 1:
         raise ValueError("n must be >= 1")
+    return shift_block(rng.integers(1, n + 1, size=(1, n)), n)[0]
+
+
+def draw_block(seed: int, start: int, stop: int, n: int, high: int) -> np.ndarray:
+    """Rows start..stop-1 of an experiment: row r is
+    `RngStream(seed, start + r).integers(1, high, size=n)`.
+
+    One bit generator serves the block; each row re-keys it by assigning its
+    state, which costs far less than constructing a generator per row.
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    if stop - start == 1:
+        bitgen.state = _philox_state(seed, start)
+        return gen.integers(1, high + 1, size=(1, n))
+    block = np.empty((stop - start, n), dtype=np.int64)
+    for r, i in enumerate(range(start, stop)):
+        bitgen.state = _philox_state(seed, i)
+        block[r] = gen.integers(1, high + 1, size=n)
+    return block
+
+
+def row_counts(block: np.ndarray, width: int) -> np.ndarray:
+    """counts[r, v] = occurrences of value v in row r, for values in [0, width)."""
+    rows = block.shape[0]
+    if rows == 1:  # no offset copy of a long row
+        return np.bincount(block[0], minlength=width).reshape(1, width)
+    flat = block + (np.arange(rows) * width)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * width).reshape(rows, width)
+
+
+def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
+    """profiles[r, k-1] = #{i : block[r, i] <= k} - k for k = 1..top, for
+    values in [1, top]; `core.queue_profile` of each row, without y_0."""
+    profiles = row_counts(block, top + 1)[:, 1:]
+    profiles -= 1
+    return np.cumsum(profiles, axis=1, out=profiles)
+
+
+def shift_block(block: np.ndarray, n: int) -> np.ndarray:
+    """Apply `find_valid_shift` and `shift_sequence` to every row of a block
+    of functions [n] -> [n+1], in place; returns the block."""
     mod = n + 1
-    values = np.asarray(rng.integers(1, mod, size=n))
-    counts = np.bincount(values, minlength=mod + 1)
-    partial = np.cumsum(counts[1:] - 1)
-    j_star = int(np.argmin(partial)) + 1  # argmin takes the first minimum
-    k = (mod - j_star) % mod
-    return (values + k - 1) % mod + 1
+    # the valid rotation starts just after the first minimum of the profile
+    k = (mod - 1 - np.argmin(queue_profiles(block, mod), axis=1)) % mod
+    block += (k - 1)[:, None]
+    block %= mod
+    block += 1
+    return block

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +25,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(*argv, timeout=60):
+    """`parkfn` in a fresh interpreter, so that a hang fails by timeout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "parkfn.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def test_parse_seed():
     assert parse_seed("42") == 42
     assert parse_seed("0xff") == 255
-    with pytest.raises(UsageError):
-        parse_seed("banana")
+    assert parse_seed(str(2**64 - 1)) == 2**64 - 1
+    for text in ("banana", "-1", str(2**64), hex(2**64)):
+        with pytest.raises(UsageError):
+            parse_seed(text)
 
 
 def test_parse_function():
@@ -158,6 +172,27 @@ def test_dist_borel_table(capsys):
     ]
     assert [r[0] for r in rows] == ["1", "2", "3", "4", "5"]
     assert float(rows[0][1]) == pytest.approx(0.36787944117144233)
+
+
+def test_dist_borel_default_range_starts_at_support():
+    proc = run_cli_process("dist", "--dist", "borel", "--max", "3")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = [line.split(",")[0] for line in proc.stdout.splitlines()
+            if line and not line.startswith("#")]
+    assert rows == ["argument", "1", "2", "3"]
+
+
+def test_dist_rejects_nonpositive_step():
+    for step in ("0", "-0.1", "nan"):
+        proc = run_cli_process("dist", "--dist", "excursion-max", "--step", step)
+        assert proc.returncode == EXIT_USAGE
+        assert "--step" in proc.stderr
+
+
+def test_sample_rejects_out_of_range_seed(capsys):
+    for seed in ("-1", str(2**64)):
+        code, _, err = run_cli(capsys, "sample", "--n", "3", "--stat", "first", "--seed", seed)
+        assert code == EXIT_USAGE and "seed" in err
 
 
 def test_dist_maxwell_requires_x(capsys):

@@ -78,6 +78,9 @@ def test_queue_profile_values():
     assert queue_profile((1, 3, 5, 3, 1)) == (0, 1, 0, 1, 0, 0)
     assert queue_profile((1, 1, 1)) == (0, 2, 1, 0)
     assert queue_profile((1, 2, 3)) == (0, 0, 0, 0)
+    for outside in ((1, 5), (0, 1), (3, 1)):
+        with pytest.raises(ValueError):
+            queue_profile(outside)
 
 
 def test_queue_profile_nonnegative_iff_parking():

@@ -4,7 +4,9 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st_h
 
 from parkfn import (
     Chain,
@@ -13,14 +15,18 @@ from parkfn import (
     Histogram,
     exact_equidistribution,
     exhaustive_histogram,
+    is_parking_function,
     joint_coordinate_bound_check,
     ks_distance_to_limit,
     run_experiment,
     tv_distance,
     weak_peak_check,
 )
+from parkfn import stats
+from parkfn.core import inconvenience
 from parkfn.enumeration import count_pf, enumerate_pf
-from parkfn.ensemble import STATISTICS
+from parkfn.ensemble import STATISTICS, longest_run_statistic
+from parkfn.sample import shift_block
 from parkfn.stats import (
     descents,
     inversions,
@@ -74,9 +80,76 @@ def test_registry_statistics_match_reference_functions():
         "scaled-area": scaled_area,
     }
     for n in range(1, 6):
-        for pf in enumerate_pf(n):
-            for name, ref in reference.items():
-                assert STATISTICS[name](pf, n, n) == ref(pf)
+        pfs = list(enumerate_pf(n))
+        block = np.array(pfs, dtype=np.int64)
+        for name, ref in reference.items():
+            assert STATISTICS[name](block, n, n) == [ref(pf) for pf in pfs]
+
+
+def _max_discrepancy_by_definition(f):
+    # max over k in [0, n] of #{i : f_i <= k} - k; values n + 1 (fn1) never count
+    return max(sum(1 for v in f if v <= k) - k for k in range(len(f) + 1))
+
+
+def _kmax_by_definition(f):
+    decomp = stats.max_first_coordinate(f[1:])
+    return 0 if decomp is None else decomp.k
+
+
+SCALAR_DEFINITIONS = {
+    "first": lambda f, n, m: f[0],
+    "area": lambda f, n, m: inconvenience(f),
+    "scaled-area": lambda f, n, m: scaled_area(f),
+    "repeats": lambda f, n, m: repeats(f),
+    "ones": lambda f, n, m: ones(f),
+    "descents": lambda f, n, m: descents(f),
+    "descent-pattern": lambda f, n, m: stats.descent_pattern(f),
+    "species": lambda f, n, m: stats.species(f, m=m),
+    "inversions": lambda f, n, m: inversions(f),
+    "max-discrepancy": lambda f, n, m: _max_discrepancy_by_definition(f),
+    "scaled-max-discrepancy": lambda f, n, m: _max_discrepancy_by_definition(f) / math.sqrt(n),
+    "kmax": lambda f, n, m: _kmax_by_definition(f),
+}
+
+
+def _python_value(v):
+    # kernels return plain Python values: numpy scalars would serialize as strings
+    if isinstance(v, tuple):
+        return all(type(x) is int for x in v)
+    return type(v) in (int, float)
+
+
+@st_h.composite
+def function_blocks(draw):
+    """(funcs, n, m): up to 6 functions [n] -> [m], m = n or n + 1, with small
+    n so that ties and the value n + 1 are common."""
+    n = draw(st_h.integers(1, 9))
+    m = draw(st_h.sampled_from((n, n + 1)))
+    row = st_h.lists(st_h.integers(1, m), min_size=n, max_size=n)
+    return draw(st_h.lists(row, min_size=1, max_size=6)), n, m
+
+
+@given(function_blocks())
+def test_kernels_match_scalar_definitions(case):
+    funcs, n, m = case
+    block = np.array(funcs, dtype=np.int64)
+    for name, scalar in SCALAR_DEFINITIONS.items():
+        got = STATISTICS[name](block, n, m)
+        assert got == [scalar(tuple(f), n, m) for f in funcs], name
+        assert all(_python_value(v) for v in got), name
+    for relation in ("<", "<=", ">", ">="):
+        got = longest_run_statistic(relation)(block, n, m)
+        assert got == [stats.longest_run(f, relation) for f in funcs]
+
+
+@given(function_blocks())
+def test_lucky_kernel_matches_parking_process(case):
+    funcs, n, _m = case
+    block = shift_block(np.array(funcs, dtype=np.int64), n)
+    assert STATISTICS["lucky"](block, n, n) == [lucky(f) for f in block.tolist()]
+    if not all(is_parking_function(f) for f in funcs):
+        with pytest.raises(ValueError):
+            STATISTICS["lucky"](np.array(funcs, dtype=np.int64), n, n)
 
 
 def test_exhaustive_histogram_area():

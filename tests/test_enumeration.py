@@ -47,6 +47,12 @@ def test_enumerate_capacity_guard():
         list(enumerate_pf(0))
 
 
+def test_count_pf_rejects_empty_size():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            count_pf(n)
+
+
 def test_count_first_matches_census():
     for n in range(1, 7):
         census = Counter(pf[0] for pf in enumerate_pf(n))

@@ -16,7 +16,7 @@ from parkfn import (
     split_stream,
 )
 from parkfn.enumeration import all_functions, count_pf
-from parkfn.sample import _sample_pf_array
+from parkfn.sample import _sample_pf_array, draw_block, shift_block
 
 
 def test_stream_is_reproducible():
@@ -39,6 +39,18 @@ def test_integers_bounds_are_inclusive():
 def test_negative_stream_index_rejected():
     with pytest.raises(ValueError):
         RngStream(seed=0, stream_index=-1)
+
+
+def test_out_of_range_keys_rejected():
+    # Masking to 64 bits would alias seed -1 with seed 2^64 - 1.
+    RngStream(seed=2**64 - 1, stream_index=2**64 - 1)
+    for seed, index in ((-1, 0), (2**64, 0), (0, 2**64)):
+        with pytest.raises(ValueError):
+            RngStream(seed=seed, stream_index=index)
+    with pytest.raises(ValueError):
+        draw_block(-1, 0, 2, 3, 4)
+    with pytest.raises(ValueError):
+        draw_block(0, 2**64 - 1, 2**64 + 1, 3, 4)
 
 
 def test_sample_uniform_function_range():
@@ -124,3 +136,34 @@ def test_find_valid_shift_property(values):
     k = find_valid_shift(f, n)
     assert 0 <= k <= n
     assert is_parking_function(shift_sequence(f, k, n), n)
+
+
+_U64 = st_h.integers(min_value=0, max_value=2**64 - 1)
+
+
+@given(_U64, st_h.integers(min_value=0, max_value=2**64 - 8), st_h.integers(1, 7),
+       st_h.integers(1, 12), st_h.integers(1, 13))
+def test_draw_block_rows_are_streams(seed, start, rows, n, high):
+    block = draw_block(seed, start, start + rows, n, high)
+    assert block.shape == (rows, n) and block.dtype == np.int64
+    for r in range(rows):
+        expected = RngStream(seed, start + r).integers(1, high, size=n)
+        assert block[r].tolist() == expected.tolist()
+
+
+@given(_U64, st_h.lists(st_h.integers(1, 5), min_size=1, max_size=4), st_h.integers(1, 30))
+def test_draw_block_is_independent_of_block_size(seed, pieces, n):
+    bounds = np.cumsum([0] + pieces).tolist()
+    whole = draw_block(seed, 0, bounds[-1], n, n + 1)
+    stacked = np.vstack([draw_block(seed, a, b, n, n + 1) for a, b in zip(bounds, bounds[1:])])
+    assert np.array_equal(whole, stacked)
+
+
+@given(st_h.data(), st_h.integers(1, 9), st_h.integers(1, 6))
+def test_shift_block_matches_scalar_shift(data, n, rows):
+    funcs = data.draw(st_h.lists(st_h.lists(st_h.integers(1, n + 1), min_size=n, max_size=n),
+                                 min_size=rows, max_size=rows))
+    shifted = shift_block(np.array(funcs, dtype=np.int64), n)
+    for f, row in zip(funcs, shifted.tolist()):
+        assert tuple(row) == shift_sequence(f, find_valid_shift(f, n), n)
+        assert is_parking_function(row, n)
