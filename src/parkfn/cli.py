@@ -6,13 +6,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import __version__, ensemble, enumeration, limits
 from . import stats as st
 from .core import PrefSequence, dyck_encode, inconvenience, is_parking_function, park, queue_profile
-from .sample import sample_parking_function, sample_uniform_function, split_stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,31 +64,32 @@ def _metadata(args: argparse.Namespace, **extra) -> dict:
     return meta
 
 
-def _open_out(args: argparse.Namespace) -> TextIO:
+@contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The --out file, closed on exit even when writing fails, or stdout."""
     if getattr(args, "out", None):
-        return open(args.out, "w")
-    return sys.stdout
+        with open(args.out, "w") as out:
+            yield out
+    else:
+        yield sys.stdout
+
+
+def _emit_json(args: argparse.Namespace, payload: dict) -> None:
+    with _output(args) as out:
+        json.dump(payload, out, indent=2, default=str)
+        out.write("\n")
 
 
 def _emit_rows(args: argparse.Namespace, header: Sequence[str],
                rows: Sequence[Sequence], meta: dict) -> None:
-    out = _open_out(args)
-    try:
-        if args.format == "json":
-            payload = dict(meta)
-            payload["columns"] = list(header)
-            payload["rows"] = [list(r) for r in rows]
-            json.dump(payload, out, indent=2, default=str)
-            out.write("\n")
-        else:
-            for key, value in sorted(meta.items()):
-                out.write(f"# {key}={value}\n")
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(str(x) for x in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if args.format == "json":
+        return _emit_json(args, {**meta, "columns": list(header), "rows": [list(r) for r in rows]})
+    with _output(args) as out:
+        for key, value in sorted(meta.items()):
+            out.write(f"# {key}={value}\n")
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(str(x) for x in row) + "\n")
 
 
 # --- subcommands ----------------------------------------------------------
@@ -99,18 +100,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.stat:
         config = ensemble.ExperimentConfig(
             n=n, count=args.count, seed=seed, ensemble=args.ensemble,
-            statistic=args.stat, relation=args.relation, workers=args.workers,
+            statistic=args.stat, relation=args.relation,
         )
         hist = ensemble.run_experiment(config)
         meta = _metadata(args, seed=seed, statistic=args.stat)
         if args.format == "json":
-            out = _open_out(args)
-            payload = hist.to_json_dict()
-            payload["tool_version"] = __version__
-            json.dump(payload, out, indent=2, default=str)
-            out.write("\n")
-            if out is not sys.stdout:
-                out.close()
+            _emit_json(args, {**hist.to_json_dict(), "tool_version": __version__})
         else:
             rows = sorted(hist.bins.items(), key=lambda kv: str(kv[0]))
             _emit_rows(args, ("value", "count"),
@@ -118,33 +113,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
                         for v, c in rows], meta)
         return EXIT_OK
     # raw functions, one per line
-    rows = []
-    for i in range(args.count):
-        rng = split_stream(seed, i)
-        if args.ensemble == "pf":
-            f = sample_parking_function(n, rng)
-            values = tuple(f)
-        else:
-            m = n if args.ensemble == "fn" else n + 1
-            values = sample_uniform_function(n, m, rng).values
-        rows.append((i, ",".join(map(str, values))))
+    functions = [",".join(map(str, f))
+                 for block in ensemble.sample_blocks(n, args.count, seed, args.ensemble)
+                 for f in block.tolist()]
     meta = _metadata(args, seed=seed)
-    out = _open_out(args)
-    try:
-        if args.format == "json":
-            payload = dict(meta)
-            payload["functions"] = [r[1] for r in rows]
-            json.dump(payload, out, indent=2)
-            out.write("\n")
-        else:
-            for key, value in sorted(meta.items()):
-                out.write(f"# {key}={value}\n")
-            out.write("index,function\n")
-            for i, text in rows:
-                out.write(f'{i},"{text}"\n')
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if args.format == "json":
+        _emit_json(args, {**meta, "functions": functions})
+    else:
+        _emit_rows(args, ("index", "function"),
+                   [(i, f'"{text}"') for i, text in enumerate(functions)], meta)
     return EXIT_OK
 
 
@@ -187,13 +164,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "longest-run": st.longest_run(values, args.relation),
         "species": list(st.species(values, m=seq.m)),
     })
-    out = _open_out(args)
-    try:
-        json.dump(result, out, indent=2)
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _emit_json(args, result)
     return EXIT_OK
 
 
@@ -290,15 +261,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
 
-    for n in range(1, n_max + 1):
-        observed = sum(1 for _ in enumeration.enumerate_pf(n, limit=n_max))
+    # one pass over PF_n per n gives both the count and the first-coordinate census
+    censuses = {n: ensemble.exhaustive_histogram(n, "first", limit=n_max).bins
+                 for n in range(1, n_max + 1)}
+    for n, census in censuses.items():
+        observed = sum(census.values())
         expected = enumeration.count_pf(n)
         check(f"count_pf({n}) = {expected}", observed == expected,
               f"module=enumerate op=count_pf n={n} expected={expected} actual={observed}")
-    for n in range(1, n_max + 1):
-        census: dict[int, int] = {}
-        for pf in enumeration.enumerate_pf(n, limit=n_max):
-            census[pf[0]] = census.get(pf[0], 0) + 1
+    for n, census in censuses.items():
         ok = all(enumeration.count_first(n, k) == census.get(k, 0) for k in range(1, n + 1))
         check(f"count_first census n={n}", ok,
               f"module=enumerate op=count_first n={n} expected={[enumeration.count_first(n, k) for k in range(1, n + 1)]} actual={census}")
@@ -354,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Random parking functions: sampling, statistics, exact "
                     "enumeration, limit laws, and ensemble comparisons.",
         epilog="Seeds are accepted as decimal or 0x-hex.  Sample i of an "
-               "experiment always uses stream index i, so results are "
-               "bit-identical regardless of --workers.",
+               "experiment always uses stream index i, so a seed fixes the "
+               "results bit for bit.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -373,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="histogram this statistic instead of emitting functions")
     p.add_argument("--ensemble", choices=ensemble.ENSEMBLES, default="pf")
     p.add_argument("--relation", choices=("<", "<=", ">", ">="), default="<")
-    p.add_argument("--workers", type=int, default=1, help="hint; cannot change results")
     common(p)
     p.set_defaults(fn=cmd_sample)
 

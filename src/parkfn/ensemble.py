@@ -17,7 +17,6 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import stats as st
-from .core import is_parking_function, park, queue_profile
 from .enumeration import all_functions, count_pf, enumerate_pf
 from .sample import draw_block, queue_profiles, row_counts, shift_block
 
@@ -62,9 +61,11 @@ def _stat_descents(block, n, m):
     return np.count_nonzero(block[:, 1:] < block[:, :-1], axis=1).tolist()
 
 
-def _stat_descent_pattern(block, n, m):
-    drops = (block[:, 1:] < block[:, :-1]).view(np.int8)
-    return [tuple(row) for row in drops.tolist()]
+def descent_pattern_statistic(relation: str) -> Callable:
+    """Kernel of `st.descent_pattern`: X_i = 1 iff f_{i+1} rel f_i."""
+    op = st._RELATIONS[relation]
+    return lambda block, n, m: [
+        tuple(row) for row in op(block[:, 1:], block[:, :-1]).view(np.int8).tolist()]
 
 
 def _stat_species(block, n, m):
@@ -113,7 +114,7 @@ STATISTICS: dict[str, Callable] = {
     "repeats": _stat_repeats,
     "ones": _stat_ones,
     "descents": _stat_descents,
-    "descent-pattern": _stat_descent_pattern,
+    "descent-pattern": descent_pattern_statistic("<"),
     "species": _stat_species,
     "inversions": _stat_inversions,
     "max-discrepancy": _stat_max_discrepancy,
@@ -145,7 +146,6 @@ class ExperimentConfig:
     ensemble: str = "pf"
     statistic: str = "first"
     relation: str = "<"  # used by longest-run only
-    workers: int = 1  # hint; cannot change results
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.count < 1:
@@ -223,23 +223,33 @@ def _codomain(ensemble: str, n: int) -> int:
 
 
 def _block_rows(n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return max(1, BLOCK_ELEMENTS // n)
+
+
+def sample_blocks(n: int, count: int, seed: int, ensemble: str = "pf") -> Iterator[np.ndarray]:
+    """Samples 0..count-1 of an experiment, a block of rows at a time: sample
+    i is drawn from stream i and, on pf, shifted into PF_n.  All blocks share
+    one buffer (large-n rows reuse its pages), so use each before the next."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    step = _block_rows(n)
+    high = n + 1 if ensemble == "pf" else _codomain(ensemble, n)
+    buffer = np.empty((min(step, count), n), dtype=np.int64)
+    for start in range(0, count, step):
+        block = draw_block(seed, start, min(start + step, count), n, high, out=buffer)
+        yield shift_block(block, n) if ensemble == "pf" else block
 
 
 def run_experiment(config: ExperimentConfig) -> Histogram:
     """Sample `count` functions, one stream per sample index, and histogram
-    the named statistic.  Deterministic and worker-count independent."""
+    the named statistic.  Deterministic for a given seed."""
     kernel = statistic_kernel(config.statistic, config.relation)
     n = config.n
     m = _codomain(config.ensemble, n)
-    step = _block_rows(n)
     values: list = []
-    for start in range(0, config.count, step):
-        stop = min(start + step, config.count)
-        if config.ensemble == "pf":
-            block = shift_block(draw_block(config.seed, start, stop, n, n + 1), n)
-        else:
-            block = draw_block(config.seed, start, stop, n, m)
+    for block in sample_blocks(n, config.count, config.seed, config.ensemble):
         values.extend(kernel(block, n, m))
     return Histogram.from_values(
         values,
@@ -257,21 +267,29 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
     ensemble; counts are exact integers."""
     kernel = statistic_kernel(statistic, relation)
     m = _codomain(ensemble, n)
-    if ensemble == "pf":
-        source: Iterator = enumerate_pf(n, limit=limit)
-    else:
-        source = all_functions(n, m)
+    source = enumerate_pf(n, limit=limit) if ensemble == "pf" else all_functions(n, m)
+    return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
+                     count="exhaustive", bins=_census(kernel, source, n, m))
+
+
+def _blocks(source: Iterator[Sequence[int]], n: int) -> Iterator[np.ndarray]:
+    """The functions of an enumerated source as int64 blocks of at most
+    BLOCK_ELEMENTS values, one function per row."""
     step = _block_rows(n)
-    bins: dict[Hashable, int] = {}
     while True:
         flat = np.fromiter(chain.from_iterable(islice(source, step)), dtype=np.int64)
         if not flat.size:
-            break
-        for v in kernel(flat.reshape(-1, n), n, m):
+            return
+        yield flat.reshape(-1, n)
+
+
+def _census(kernel: Callable, source: Iterator, n: int, m: int) -> dict[Hashable, int]:
+    """Exact count of each kernel value over every function of a source."""
+    bins: dict[Hashable, int] = {}
+    for block in _blocks(source, n):
+        for v in kernel(block, n, m):
             bins[v] = bins.get(v, 0) + 1
-    return Histogram(
-        n=n, statistic=statistic, ensemble=ensemble, seed=None, count="exhaustive", bins=bins
-    )
+    return bins
 
 
 # --- distances ------------------------------------------------------------
@@ -287,14 +305,17 @@ def tv_distance(p, q) -> float:
 
 
 def ks_distance_to_limit(histogram: Histogram, limit_cdf: Callable[[float], float]) -> float:
-    """sup over the histogram support of |empirical CDF - limit CDF|."""
+    """sup_t |empirical CDF - limit CDF| for a continuous limit CDF: at each
+    support point v, F(v) is compared with F_emp(v-) and with F_emp(v)."""
     items = sorted((float(v), c) for v, c in histogram.bins.items())
     total = sum(c for _v, c in items)
     running = 0
     worst = 0.0
     for v, c in items:
+        cdf = limit_cdf(v)
+        worst = max(worst, abs(running / total - cdf))
         running += c
-        worst = max(worst, abs(running / total - limit_cdf(v)))
+        worst = max(worst, abs(running / total - cdf))
     return worst
 
 
@@ -308,41 +329,50 @@ class EquidistributionReport:
     witness: Optional[Hashable]  # first violating feature value, if any
 
 
-def _feature_fn(feature: str, relation: str = "<",
-                poset: Optional[st.ChainPoset] = None,
-                position: int = 2) -> Callable[[tuple[int, ...], int], Hashable]:
-    """Feature evaluators shared by both ensembles.  Comparisons only depend
-    on relative values, so the same callable serves PF_n and the extended
-    ensemble; species is always taken with n+1 boxes."""
-    if feature == "descent-pattern":
-        return lambda f, n: st.descent_pattern(f, "<")
-    if feature == "equality-pattern":
-        return lambda f, n: st.descent_pattern(f, "=")
-    if feature == "weak-descent-pattern":
-        return lambda f, n: st.descent_pattern(f, "<=")
-    if feature == "species":
-        return lambda f, n: st.species(f, m=n + 1)
-    if feature == "inversions":
-        return lambda f, n: st.inversions(f)
-    if feature == "longest-run":
-        return lambda f, n: st.longest_run(f, relation)
+def _chains_hold(block: np.ndarray, chains: Sequence[st.Chain]) -> np.ndarray:
+    """Row mask: every chain's relation holds along its consecutive positions."""
+    holds = np.ones(block.shape[0], dtype=bool)
+    for chain in chains:
+        op = st._RELATIONS[chain.relation]
+        for a, b in zip(chain.positions, chain.positions[1:]):
+            holds &= op(block[:, a - 1], block[:, b - 1])
+    return holds
+
+
+def _feature_kernel(feature: str, n: int, relation: str = "<",
+                    poset: Optional[st.ChainPoset] = None,
+                    position: int = 2) -> Callable:
+    """The kernel of a feature on functions [n] -> [n+1].  Comparisons only
+    depend on relative values, so the same kernel serves PF_n and the
+    extended ensemble; both are scored with codomain n + 1."""
+    if feature in ("descent-pattern", "species", "inversions", "longest-run"):
+        return statistic_kernel(feature, relation)
+    pattern = {"equality-pattern": "=", "weak-descent-pattern": "<="}.get(feature)
+    if pattern:
+        return descent_pattern_statistic(pattern)
+    # Negative controls (they distinguish the ensembles): all features below but chain-poset.
+    if feature == "forced-gap":
+        if n < 2:
+            raise ValueError("forced-gap needs n >= 2")
+        return lambda block, n, m: (block[:, 0] < block[:, 1] - 1).tolist()
+    i = position
+    if feature in ("strict-peak", "mixed-chain") and not 2 <= i <= n - 1:
+        raise ValueError(f"{feature} position must be in [2, n-1], got {i}")
     if feature == "chain-poset":
         if poset is None:
             raise ValueError("chain-poset feature needs a poset")
-        return lambda f, n: st.chain_monotone(f, poset)
-    # Negative controls: predicates known to distinguish the ensembles.
-    if feature == "strict-peak":
-        i = position
-        return lambda f, n: f[i - 2] < f[i - 1] > f[i]
-    if feature == "mixed-chain":
-        i = position
-        return lambda f, n: f[i - 2] <= f[i - 1] < f[i]
-    if feature == "forced-gap":
-        return lambda f, n: f[0] < f[1] - 1
-    if feature == "non-disjoint-chain":
-        # Chains 1<2<3 and 4<2<5 sharing position 2 (needs n >= 5).
-        return lambda f, n: f[0] < f[1] < f[2] and f[3] < f[1] and f[1] < f[4]
-    raise ValueError(f"unknown feature {feature!r}")
+        chains = poset.chains
+    elif feature == "strict-peak":  # f_{i-1} < f_i > f_{i+1}
+        chains = (st.Chain((i - 1, i), "<"), st.Chain((i, i + 1), ">"))
+    elif feature == "mixed-chain":  # f_{i-1} <= f_i < f_{i+1}
+        chains = (st.Chain((i - 1, i), "<="), st.Chain((i, i + 1), "<"))
+    elif feature == "non-disjoint-chain":  # 1<2<3 and 4<2<5 share position 2
+        chains = (st.Chain((1, 2, 3), "<"), st.Chain((4, 2, 5), "<"))
+    else:
+        raise ValueError(f"unknown feature {feature!r}")
+    if max((p for c in chains for p in c.positions), default=0) > n:
+        raise ValueError(f"{feature} reads a position beyond n = {n}")
+    return lambda block, n, m: _chains_hold(block, chains).tolist()
 
 
 def exact_equidistribution(n: int, feature: str, relation: str = "<",
@@ -350,17 +380,10 @@ def exact_equidistribution(n: int, feature: str, relation: str = "<",
                            position: int = 2, limit: int = 8) -> EquidistributionReport:
     """Brute-force joint feature distribution over PF_n versus all functions
     [n] -> [n+1]; equality must hold exactly after scaling by n+1."""
-    fn = _feature_fn(feature, relation=relation, poset=poset, position=position)
-    pf_counts: dict[Hashable, int] = {}
-    for pf in enumerate_pf(n, limit=limit):
-        v = fn(pf, n)
-        pf_counts[v] = pf_counts.get(v, 0) + 1
-    f_counts: dict[Hashable, int] = {}
-    for f in all_functions(n, n + 1):
-        v = fn(f, n)
-        f_counts[v] = f_counts.get(v, 0) + 1
-    support = sorted(set(pf_counts) | set(f_counts), key=str)
-    for v in support:
+    kernel = _feature_kernel(feature, n, relation=relation, poset=poset, position=position)
+    pf_counts = _census(kernel, enumerate_pf(n, limit=limit), n, n + 1)
+    f_counts = _census(kernel, all_functions(n, n + 1), n, n + 1)
+    for v in sorted(set(pf_counts) | set(f_counts), key=str):
         if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0):
             return EquidistributionReport(n=n, feature=feature, equal=False, witness=v)
     return EquidistributionReport(n=n, feature=feature, equal=True, witness=None)
@@ -381,19 +404,13 @@ def weak_peak_check(n: int, i: int, limit: int = 8) -> WeakPeakReport:
     #(weak peak) = #(f_{i-1} < f_i) - #(f_{i-1} < f_i < f_{i+1})."""
     if not 2 <= i <= n - 1:
         raise ValueError("peak position must be in [2, n-1]")
-    p1 = st.ChainPoset((st.Chain((i - 1, i), "<"),))
-    p2 = st.ChainPoset((st.Chain((i - 1, i, i + 1), "<"),))
+    rise = st.Chain((i - 1, i), "<")
+    conditions = ((rise,), (st.Chain((i - 1, i, i + 1), "<"),),
+                  (rise, st.Chain((i, i + 1), ">=")))
 
-    def census(source) -> tuple[int, int, int]:
-        n1 = n2 = direct = 0
-        for f in source:
-            if st.chain_monotone(f, p1):
-                n1 += 1
-            if st.chain_monotone(f, p2):
-                n2 += 1
-            if f[i - 2] < f[i - 1] >= f[i]:
-                direct += 1
-        return n1, n2, direct
+    def census(source) -> list[int]:
+        return sum(np.array([np.count_nonzero(_chains_hold(block, c)) for c in conditions])
+                   for block in _blocks(source, n)).tolist()
 
     pf1, pf2, pf_direct = census(enumerate_pf(n, limit=limit))
     f1, f2, f_direct = census(all_functions(n, n + 1))
@@ -422,8 +439,8 @@ def joint_coordinate_bound_check(n: int, k: int, limit: int = 8) -> JointBoundRe
     total = count_pf(n)
     # joint counts over the first k coordinates (PF_n is permutation-symmetric)
     counts = np.zeros((n,) * k, dtype=np.int64)
-    for pf in enumerate_pf(n, limit=limit):
-        counts[tuple(v - 1 for v in pf[:k])] += 1
+    for block in _blocks(enumerate_pf(n, limit=limit), n):
+        np.add.at(counts, tuple(block[:, :k].T - 1), 1)
     # CDF by cumulative sums along each axis
     cdf = counts.astype(np.float64)
     for axis in range(k):

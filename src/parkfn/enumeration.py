@@ -11,8 +11,6 @@ from itertools import product
 from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
-from sympy.utilities.iterables import multiset_permutations
-
 from .core import ParkingFunction
 from .stats import descent_pattern
 
@@ -48,6 +46,25 @@ def _sorted_profiles(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend(0, 1)
 
 
+def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct permutation of a multiset once, in lexicographic order:
+    at the last ascent a[i] < a[i+1], swap a[i] with the last entry above it
+    and reverse the tail after position i."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
 def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
     """Yield each parking function of size n exactly once.
 
@@ -60,7 +77,7 @@ def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFun
         raise CapacityError(f"n={n} exceeds enumeration limit {limit}; raise `limit` to opt in")
     for profile in _sorted_profiles(n):
         for perm in multiset_permutations(profile):
-            yield ParkingFunction._trusted(tuple(perm))
+            yield ParkingFunction._trusted(perm)
 
 
 def count_pf(n: int) -> int:
@@ -125,35 +142,28 @@ def k_pi_law(n: int, k: int) -> Fraction:
 
 # --- generating functions -------------------------------------------------
 
-def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return _poly_trim(out)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 GF_STATISTICS = ("repeats", "lucky", "ones")
 
 
 def gf_statistic(n: int, statistic: str, limit: int = DEFAULT_ENUM_LIMIT) -> tuple[int, ...]:
-    """Exact polynomial sum_{pi in PF_n} q^{stat(pi)} by brute force."""
+    """Exact polynomial sum_{pi in PF_n} q^{stat(pi)}, from the exhaustive histogram."""
     if statistic not in GF_STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    from . import stats as _stats
+    from .ensemble import exhaustive_histogram
 
-    fn = {"repeats": _stats.repeats, "lucky": _stats.lucky, "ones": _stats.ones}[statistic]
-    coeffs = [0] * (n + 1)
-    for pf in enumerate_pf(n, limit=limit):
-        coeffs[fn(pf)] += 1
-    return _poly_trim(coeffs)
+    bins = exhaustive_histogram(n, statistic, limit=limit).bins
+    return tuple(bins.get(k, 0) for k in range(max(bins) + 1))
 
 
 def gf_closed_form(n: int, statistic: str) -> tuple[int, ...]:

@@ -2,8 +2,8 @@
 
 Uniformity over parking functions is exact: draw f uniform on [1, n+1]^n and
 apply the unique cyclic shift (Pollak / cycle lemma) that lands in PF_n.
-Streams are counter-based (Philox) so results are bit-reproducible and
-independent of worker count.
+Streams are counter-based (Philox) so results are bit-reproducible for a
+given seed.
 """
 
 from __future__ import annotations
@@ -112,19 +112,17 @@ def _sample_pf_array(n: int, rng: RngStream) -> np.ndarray:
     return shift_block(rng.integers(1, n + 1, size=(1, n)), n)[0]
 
 
-def draw_block(seed: int, start: int, stop: int, n: int, high: int) -> np.ndarray:
-    """Rows start..stop-1 of an experiment: row r is
-    `RngStream(seed, start + r).integers(1, high, size=n)`.
+def draw_block(seed: int, start: int, stop: int, n: int, high: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Rows start..stop-1 of an experiment, in the first rows of `out` if it
+    is given: row r is `RngStream(seed, start + r).integers(1, high, size=n)`.
 
     One bit generator serves the block; each row re-keys it by assigning its
     state, which costs far less than constructing a generator per row.
     """
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    if stop - start == 1:
-        bitgen.state = _philox_state(seed, start)
-        return gen.integers(1, high + 1, size=(1, n))
-    block = np.empty((stop - start, n), dtype=np.int64)
+    block = np.empty((stop - start, n), dtype=np.int64) if out is None else out[:stop - start]
     for r, i in enumerate(range(start, stop)):
         bitgen.state = _philox_state(seed, i)
         block[r] = gen.integers(1, high + 1, size=n)

@@ -172,6 +172,8 @@ class Chain:
             raise ValueError("chains need at least 2 positions")
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("chain positions must be distinct")
+        if min(self.positions) < 1:
+            raise ValueError("chain positions are 1-based")
 
 
 @dataclass(frozen=True)

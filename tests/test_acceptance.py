@@ -284,7 +284,7 @@ def test_criterion_11_scaled_area_mean_vs_limit(mc, capfd):
     strict=True,
     reason="the scaled max-discrepancy law at n=200 sits below its limit by "
     "the same O(1/sqrt(n)) scale (empirical mean 1.128 vs sqrt(pi/2)=1.253), "
-    "giving KS ~ 0.235; the 0.05 tolerance is only reachable at much larger n",
+    "giving KS ~ 0.2445; the 0.05 tolerance is only reachable at much larger n",
 )
 def test_criterion_11_max_discrepancy_ks_tolerance(mc, capfd):
     ks_m = pk.ks_distance_to_limit(mc["maxdisc200"], max_discrepancy_cdf)

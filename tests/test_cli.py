@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from parkfn import count_first, count_pf, exact_mean_first, is_parking_function
+from parkfn import (
+    count_first,
+    count_pf,
+    exact_mean_first,
+    is_parking_function,
+    sample_parking_function,
+    sample_uniform_function,
+    split_stream,
+)
+from parkfn import cli
 from parkfn.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -62,9 +71,11 @@ def test_sample_raw_is_seeded_and_valid(capsys):
     lines = [l for l in out1.splitlines() if l and not l.startswith("#")]
     assert lines[0] == "index,function"
     for line in lines[1:]:
-        _idx, text = line.split(",", 1)
+        idx, text = line.split(",", 1)
         values = tuple(int(v) for v in text.strip('"').split(","))
         assert is_parking_function(values, 6)
+        # row i is sample i of stream i, as the one-sample API draws it
+        assert values == tuple(sample_parking_function(6, split_stream(9, int(idx))))
 
 
 def test_sample_hex_seed_equivalence(capsys):
@@ -94,8 +105,9 @@ def test_sample_fn_ensemble(capsys):
     for line in out.splitlines():
         if line.startswith("#") or line.startswith("index"):
             continue
-        values = tuple(int(v) for v in line.split(",", 1)[1].strip('"').split(","))
-        assert all(1 <= v <= 4 for v in values)
+        idx, text = line.split(",", 1)
+        values = tuple(int(v) for v in text.strip('"').split(","))
+        assert values == sample_uniform_function(3, 4, split_stream(2, int(idx))).values
 
 
 def test_stats_subcommand(capsys):
@@ -246,6 +258,36 @@ def test_out_file_writing(tmp_path, capsys):
     assert out == ""
     content = target.read_text()
     assert "value,count" in content
+
+
+def test_out_file_closed_when_writing_fails(tmp_path, capsys, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def failing_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    code, _, err = run_cli(
+        capsys, "sample", "--n", "4", "--count", "10", "--stat", "first",
+        "--format", "json", "--out", str(tmp_path / "hist.json"),
+    )
+    assert code == EXIT_USAGE and "disk full" in err
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_cli_import_leaves_sympy_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, parkfn.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

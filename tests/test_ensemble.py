@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,8 +26,13 @@ from parkfn import (
 from parkfn import stats
 from parkfn.core import inconvenience
 from parkfn.enumeration import count_pf, enumerate_pf
-from parkfn.ensemble import STATISTICS, longest_run_statistic
-from parkfn.sample import shift_block
+from parkfn.ensemble import STATISTICS, _feature_kernel, longest_run_statistic, sample_blocks
+from parkfn.sample import (
+    sample_parking_function,
+    sample_uniform_function,
+    shift_block,
+    split_stream,
+)
 from parkfn.stats import (
     descents,
     inversions,
@@ -60,12 +66,19 @@ def test_run_experiment_deterministic_and_total():
     )
 
 
-def test_run_experiment_worker_hint_is_inert():
-    base = run_experiment(ExperimentConfig(n=8, count=100, seed=3, statistic="first"))
-    hinted = run_experiment(
-        ExperimentConfig(n=8, count=100, seed=3, statistic="first", workers=8)
-    )
-    assert base.bins == hinted.bins
+def test_sample_blocks_match_one_sample_api():
+    # several blocks through the one shared buffer, the last one partial
+    # (65 rows a block at n = 1000), and one-row blocks at n = 40000
+    for n, count in ((1000, 150), (40_000, 3)):
+        rows = [r for block in sample_blocks(n, count, 5, "pf") for r in block.tolist()]
+        assert rows == [list(sample_parking_function(n, split_stream(5, i)))
+                        for i in range(count)]
+        rows = [r for block in sample_blocks(n, count, 5, "fn1") for r in block.tolist()]
+        assert rows == [list(sample_uniform_function(n, n + 1, split_stream(5, i)).values)
+                        for i in range(count)]
+    assert list(sample_blocks(4, 0, 5)) == []
+    with pytest.raises(ValueError):
+        list(sample_blocks(4, -1, 5))
 
 
 def test_registry_statistics_match_reference_functions():
@@ -152,6 +165,103 @@ def test_lucky_kernel_matches_parking_process(case):
             STATISTICS["lucky"](np.array(funcs, dtype=np.int64), n, n)
 
 
+def _scalar_feature(feature, f, n, relation="<", poset=None, position=2):
+    """A feature of one function [n] -> [n+1], from its scalar definition."""
+    i = position
+    if feature in ("descent-pattern", "equality-pattern", "weak-descent-pattern"):
+        rel = {"descent-pattern": "<", "equality-pattern": "=",
+               "weak-descent-pattern": "<="}[feature]
+        return stats.descent_pattern(f, rel)
+    if feature == "species":
+        return stats.species(f, m=n + 1)
+    if feature == "inversions":
+        return inversions(f)
+    if feature == "longest-run":
+        return stats.longest_run(f, relation)
+    if feature == "chain-poset":
+        return stats.chain_monotone(f, poset)
+    if feature == "strict-peak":
+        return f[i - 2] < f[i - 1] > f[i]
+    if feature == "mixed-chain":
+        return f[i - 2] <= f[i - 1] < f[i]
+    if feature == "forced-gap":
+        return f[0] < f[1] - 1
+    if feature == "non-disjoint-chain":
+        return f[0] < f[1] < f[2] and f[3] < f[1] and f[1] < f[4]
+    raise AssertionError(feature)
+
+
+def _feature_cases(n, posets):
+    """(feature, keyword arguments) for every feature that applies at size n."""
+    cases = [(feature, {}) for feature in ("descent-pattern", "equality-pattern",
+                                           "weak-descent-pattern", "species", "inversions")]
+    cases += [("longest-run", {"relation": r}) for r in ("<", "<=", ">", ">=")]
+    cases += [("chain-poset", {"poset": p}) for p in posets
+              if max(p.positions, default=0) <= n]
+    cases += [(feature, {"position": i}) for feature in ("strict-peak", "mixed-chain")
+              for i in range(2, n)]
+    if n >= 2:
+        cases.append(("forced-gap", {}))
+    if n >= 5:
+        cases.append(("non-disjoint-chain", {}))
+    return cases
+
+
+POSETS = (
+    ChainPoset((Chain((1, 3), "<"), Chain((2, 4), ">="))),
+    ChainPoset((Chain((2, 3, 5), "<="),)),
+    ChainPoset((Chain((3, 1), "="),)),
+    ChainPoset((Chain((2, 1), ">"), Chain((5, 3), "<"))),
+)
+
+
+@st_h.composite
+def chain_posets(draw, n):
+    """Disjoint chains over a random order of some of the positions 1..n."""
+    rest = draw(st_h.permutations(range(1, n + 1)))
+    chains = []
+    while len(rest) >= 2:
+        size = draw(st_h.integers(2, len(rest)))
+        relation = draw(st_h.sampled_from(("<", "<=", ">", ">=", "=")))
+        chains.append(Chain(tuple(rest[:size]), relation))
+        rest = rest[size + draw(st_h.integers(0, 1)):]
+    return ChainPoset(tuple(chains))
+
+
+@given(function_blocks(), st_h.data())
+def test_feature_kernels_match_scalar_definitions(case, data):
+    funcs, n, _m = case  # features score both ensembles with codomain n + 1
+    block = np.array(funcs, dtype=np.int64)
+    poset = data.draw(chain_posets(n))
+    for feature, kwargs in _feature_cases(n, (poset,)):
+        got = _feature_kernel(feature, n, **kwargs)(block, n, n + 1)
+        assert got == [_scalar_feature(feature, tuple(f), n, **kwargs) for f in funcs], feature
+        assert all(type(v) in (bool, int, tuple) for v in got), feature
+
+
+def _scalar_census_report(n, feature, **kwargs):
+    """(equal, witness) of `exact_equidistribution`, from scalar definitions
+    over the functions [n] -> [n] that park and all functions [n] -> [n+1]."""
+    pf = Counter(_scalar_feature(feature, f, n, **kwargs)
+                 for f in product(range(1, n + 1), repeat=n) if is_parking_function(f))
+    fn = Counter(_scalar_feature(feature, f, n, **kwargs)
+                 for f in product(range(1, n + 2), repeat=n))
+    for v in sorted(set(pf) | set(fn), key=str):
+        if fn[v] != (n + 1) * pf[v]:
+            return False, v
+    return True, None
+
+
+def test_exact_equidistribution_matches_scalar_census():
+    for n in range(2, 6):
+        for feature, kwargs in _feature_cases(n, POSETS):
+            report = exact_equidistribution(n, feature, **kwargs)
+            equal, witness = _scalar_census_report(n, feature, **kwargs)
+            # repr tells a witness True from 1
+            assert (report.equal, repr(report.witness)) == (equal, repr(witness)), \
+                (n, feature, kwargs)
+
+
 def test_exhaustive_histogram_area():
     h = exhaustive_histogram(3, "area")
     assert h.count == "exhaustive"
@@ -191,6 +301,9 @@ def test_ks_distance_to_limit():
                   bins={0.0: 1, 1.0: 1, 2.0: 1, 3.0: 1})
     # against U(0, 4): empirical CDF at 0 is 0.25 vs 0, the worst gap
     assert ks_distance_to_limit(h, lambda t: t / 4) == pytest.approx(0.25)
+    # the gap can sit at the left limit: F_emp(0.9-) = 0 against F(0.9) = 0.9
+    h = Histogram(n=1, statistic="x", ensemble="pf", seed=0, count=1, bins={0.9: 1})
+    assert ks_distance_to_limit(h, lambda t: t) == pytest.approx(0.9)
 
 
 def test_equidistribution_positive_features():
@@ -219,6 +332,20 @@ def test_equidistribution_negative_controls():
     assert not exact_equidistribution(5, "non-disjoint-chain").equal
     with pytest.raises(ValueError):
         exact_equidistribution(3, "palindrome")
+
+
+def test_feature_positions_never_wrap():
+    # a chain position beyond n used to read another coordinate
+    with pytest.raises(ValueError):
+        exact_equidistribution(3, "chain-poset", poset=ChainPoset((Chain((4, 2), "<"),)))
+    for n, position in ((4, 1), (4, 4), (2, 2)):
+        for feature in ("strict-peak", "mixed-chain"):
+            with pytest.raises(ValueError):
+                exact_equidistribution(n, feature, position=position)
+    with pytest.raises(ValueError):
+        exact_equidistribution(4, "non-disjoint-chain")
+    with pytest.raises(ValueError):
+        exact_equidistribution(1, "forced-gap")
 
 
 def test_weak_peak_check():

@@ -2,9 +2,11 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st_h
 
 from parkfn import (
     abel_identity_check,
@@ -28,16 +30,26 @@ from parkfn.enumeration import (
     all_functions,
     brute_pattern_counts,
     consecutive_blocks,
+    multiset_permutations,
 )
 
 
 def test_enumerate_is_exact_and_distinct():
-    for n in range(1, 6):
-        seen = set(enumerate_pf(n))
-        assert len(seen) == count_pf(n)
-        assert all(is_parking_function(pf, n) for pf in seen)
+    for n in range(1, 7):
+        listed = list(enumerate_pf(n))
+        assert len(listed) == len(set(listed)) == count_pf(n)
         direct = {f for f in all_functions(n, n) if is_parking_function(f)}
-        assert seen == direct
+        assert set(listed) == direct
+        # each sorted profile is one contiguous run, in lexicographic order
+        runs = [list(run) for _profile, run in groupby(listed, key=sorted)]
+        assert len({tuple(sorted(run[0])) for run in runs}) == len(runs)
+        assert all(run == sorted(run) for run in runs)
+
+
+@given(st_h.lists(st_h.integers(1, 4), max_size=6))
+def test_multiset_permutations_are_distinct_and_lexicographic(items):
+    expected = sorted(set(permutations(items)))
+    assert list(multiset_permutations(items)) == expected
 
 
 def test_enumerate_capacity_guard():

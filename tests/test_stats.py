@@ -115,6 +115,9 @@ def test_chain_validation():
         Chain((1,), "<")
     with pytest.raises(ValueError, match="distinct"):
         Chain((1, 1), "<")
+    # position 0 would read the last coordinate through negative indexing
+    with pytest.raises(ValueError, match="1-based"):
+        Chain((0, 2), "<")
     with pytest.raises(ValueError, match="disjoint"):
         ChainPoset((Chain((1, 2), "<"), Chain((2, 3), "<")))
 
