@@ -46,7 +46,25 @@ def _stat_scaled_area(block, n, m):
 
 
 def _stat_lucky(block, n, m):
-    return [st.lucky(row) for row in block.tolist()]
+    # st.lucky without core.park's outcome: park each row and count the cars
+    # whose preferred spot is free; nxt[s] leads to the first free spot >= s
+    # (path halving), and n + 1 stays free as the overflow sentinel.
+    counts = []
+    for row in block.tolist():
+        nxt = list(range(n + 2))
+        count = 0
+        for p in row:
+            s = nxt[p]
+            if s == p:
+                count += 1
+            else:
+                while nxt[s] != s:
+                    nxt[s] = s = nxt[nxt[s]]
+            if s > n:
+                raise ValueError("lucky requires a parking function")
+            nxt[s] = s + 1
+        counts.append(count)
+    return counts
 
 
 def _stat_repeats(block, n, m):
@@ -434,8 +452,8 @@ def joint_coordinate_bound_check(n: int, k: int, limit: int = 8) -> JointBoundRe
     """Exact joint CDF of k coordinates of a uniform parking function versus
     the product form for uniform functions [n] -> [n], over the full grid
     x_j = i_j/n; asserts the 2k sqrt(log n / n) + k(k-1)/n bound (n >= 4)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, n], got k = {k} for n = {n}")
     total = count_pf(n)
     # joint counts over the first k coordinates (PF_n is permutation-symmetric)
     counts = np.zeros((n,) * k, dtype=np.int64)

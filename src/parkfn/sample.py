@@ -17,6 +17,9 @@ from .core import ParkingFunction, PrefSequence
 
 _U64 = 1 << 64
 _ZEROS = (0, 0, 0, 0)
+# 32-bit words a row of `draw_block` draws beyond its n values and the words
+# it expects to skip.
+SLACK = 32
 
 
 def _philox_state(seed: int, index: int) -> dict:
@@ -112,20 +115,59 @@ def _sample_pf_array(n: int, rng: RngStream) -> np.ndarray:
     return shift_block(rng.integers(1, n + 1, size=(1, n)), n)[0]
 
 
+def _bound(words: np.ndarray, high: int, out: np.ndarray) -> None:
+    """Lemire's map of 32-bit words onto [1, high], into the uint64 `out`:
+    1 + (u * high >> 32)."""
+    np.multiply(words, np.uint64(high), out=out)
+    out += 1 << 32
+    out >>= 32
+
+
 def draw_block(seed: int, start: int, stop: int, n: int, high: int,
                out: np.ndarray | None = None) -> np.ndarray:
     """Rows start..stop-1 of an experiment, in the first rows of `out` if it
-    is given: row r is `RngStream(seed, start + r).integers(1, high, size=n)`.
+    is given: row r is `RngStream(seed, start + r).integers(1, high, size=n)`,
+    for 1 <= high < 2^32.
 
     One bit generator serves the block; each row re-keys it by assigning its
-    state, which costs far less than constructing a generator per row.
+    state and takes its raw 64-bit words in one call.  The block is then
+    bounded at once as numpy bounds integers below 2^32 (Lemire's method):
+    the 32-bit halves u of each word, low half first, map to
+    1 + (u * high >> 32), and a word whose product has a low half below
+    2^32 mod high is skipped.  A row left with fewer than n words is drawn
+    again by numpy.
     """
+    if not 1 <= high < 1 << 32:
+        raise ValueError(f"high must be in [1, 2^32), got {high}")
+    rows = stop - start
+    block = np.empty((rows, n), dtype=np.int64) if out is None else out[:rows]
+    threshold = (1 << 32) % high
+    # about n * threshold / 2^32 words of a row are skipped; draw twice that
+    # many more, plus SLACK, so that a redraw stays rare at any n
+    words = (n + SLACK + 2 * (n * threshold >> 32) + 1) // 2
+    raw = np.empty((rows, words), dtype=np.uint64)
     bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    block = np.empty((stop - start, n), dtype=np.int64) if out is None else out[:stop - start]
     for r, i in enumerate(range(start, stop)):
         bitgen.state = _philox_state(seed, i)
-        block[r] = gen.integers(1, high + 1, size=n)
+        raw[r] = bitgen.random_raw(words)
+    u = raw.astype("<u8", copy=False).view("<u4")
+    drawn = 2 * words
+    rejecting = (u[:, :n] * np.uint32(high) < threshold).any(axis=1)
+    prod = block.view(np.uint64)
+    _bound(u[:, :n], high, prod)
+    for r in np.flatnonzero(rejecting).tolist():
+        skipped = np.flatnonzero(u[r] * np.uint32(high) < threshold).tolist()
+        if drawn - len(skipped) < n:
+            block[r] = RngStream(seed, start + r).integers(1, high, size=n)
+            continue
+        # the words between skipped words a and b fill the row from dst on
+        dst = skipped[0]
+        for a, b in zip(skipped, skipped[1:] + [drawn]):
+            take = min(b - a - 1, n - dst)
+            _bound(u[r, a + 1:a + 1 + take], high, prod[r, dst:dst + take])
+            dst += take
+            if dst == n:
+                break
     return block
 
 

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st_h
+from hypothesis import example, given, strategies as st_h
 
 from parkfn import (
     Chain,
@@ -66,16 +66,27 @@ def test_run_experiment_deterministic_and_total():
     )
 
 
+def _sampled_rows(n, count, seed, ensemble):
+    return [r for block in sample_blocks(n, count, seed, ensemble) for r in block.tolist()]
+
+
+def _one_sample_rows(n, count, ensemble):
+    if ensemble == "pf":
+        return [list(sample_parking_function(n, split_stream(5, i))) for i in range(count)]
+    m = n + 1 if ensemble == "fn1" else n
+    return [list(sample_uniform_function(n, m, split_stream(5, i)).values)
+            for i in range(count)]
+
+
 def test_sample_blocks_match_one_sample_api():
     # several blocks through the one shared buffer, the last one partial
-    # (65 rows a block at n = 1000), and one-row blocks at n = 40000
-    for n, count in ((1000, 150), (40_000, 3)):
-        rows = [r for block in sample_blocks(n, count, 5, "pf") for r in block.tolist()]
-        assert rows == [list(sample_parking_function(n, split_stream(5, i)))
-                        for i in range(count)]
-        rows = [r for block in sample_blocks(n, count, 5, "fn1") for r in block.tolist()]
-        assert rows == [list(sample_uniform_function(n, n + 1, split_stream(5, i)).values)
-                        for i in range(count)]
+    # (65 rows a block at n = 1000), one-row blocks at n = 40000, and n = 10^5,
+    # where a row skips 0.57 drawn words on average on pf and 1.57 on fn
+    for n, count, ensembles in ((1000, 150, ("pf", "fn1")), (40_000, 3, ("pf", "fn1")),
+                                (100_000, 4, ("pf", "fn"))):
+        for ensemble in ensembles:
+            rows = _sampled_rows(n, count, 5, ensemble)
+            assert rows == _one_sample_rows(n, count, ensemble), (n, ensemble)
     assert list(sample_blocks(4, 0, 5)) == []
     with pytest.raises(ValueError):
         list(sample_blocks(4, -1, 5))
@@ -155,6 +166,9 @@ def test_kernels_match_scalar_definitions(case):
         assert got == [stats.longest_run(f, relation) for f in funcs]
 
 
+# long nxt chains at n = 2000, and fn1 rows holding n + 1, which must raise
+@example((_sampled_rows(2000, 8, 3, "pf"), 2000, 2000))
+@example(([r for r in _sampled_rows(2000, 8, 3, "fn1") if 2001 in r], 2000, 2001))
 @given(function_blocks())
 def test_lucky_kernel_matches_parking_process(case):
     funcs, n, _m = case
@@ -367,8 +381,10 @@ def test_joint_coordinate_bound():
             assert report.bound == pytest.approx(
                 2 * k * math.sqrt(math.log(n) / n) + k * (k - 1) / n
             )
-    with pytest.raises(ValueError):
-        joint_coordinate_bound_check(4, 0)
+    # k must lie in [1, n]: there is no k-th coordinate for k > n
+    for n, k in ((4, 0), (2, 3), (1, 2)):
+        with pytest.raises(ValueError):
+            joint_coordinate_bound_check(n, k)
 
 
 def test_first_coordinate_marginal_is_exact():

@@ -1,6 +1,7 @@
 """Seeded streams and the exact cycle-lemma sampler."""
 
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from parkfn import (
     shift_sequence,
     split_stream,
 )
+from parkfn import sample
 from parkfn.enumeration import all_functions, count_pf
 from parkfn.sample import _sample_pf_array, draw_block, shift_block
 
@@ -142,13 +144,25 @@ _U64 = st_h.integers(min_value=0, max_value=2**64 - 1)
 
 
 @given(_U64, st_h.integers(min_value=0, max_value=2**64 - 8), st_h.integers(1, 7),
-       st_h.integers(1, 12), st_h.integers(1, 13))
-def test_draw_block_rows_are_streams(seed, start, rows, n, high):
-    block = draw_block(seed, start, start + rows, n, high)
+       st_h.integers(1, 12),
+       st_h.one_of(st_h.integers(1, 13), st_h.integers(2**31, 2**32 - 1)),
+       st_h.sampled_from((0, sample.SLACK)))
+def test_draw_block_rows_are_streams(seed, start, rows, n, high, slack):
+    # A high of 2^31 or more skips up to half of the words; without slack
+    # such rows often run out of words and are drawn again by numpy.
+    with patch.object(sample, "SLACK", slack):
+        block = draw_block(seed, start, start + rows, n, high)
     assert block.shape == (rows, n) and block.dtype == np.int64
     for r in range(rows):
         expected = RngStream(seed, start + r).integers(1, high, size=n)
         assert block[r].tolist() == expected.tolist()
+
+
+def test_draw_block_rejects_high_outside_32_bits():
+    draw_block(0, 0, 2, 3, 2**32 - 1)
+    for high in (0, -1, 2**32):
+        with pytest.raises(ValueError):
+            draw_block(0, 0, 2, 3, high)
 
 
 @given(_U64, st_h.lists(st_h.integers(1, 5), min_size=1, max_size=4), st_h.integers(1, 30))
