@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import statistics as pystats
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import stats as st
-from .enumeration import all_functions, count_pf, enumerate_pf
+from .enumeration import DEFAULT_ENUM_LIMIT, check_enumeration_size, count_pf
 from .sample import draw_block, queue_profiles, row_counts, shift_block
 
 ENSEMBLES = ("pf", "fn", "fn1")
@@ -142,8 +142,17 @@ STATISTICS: dict[str, Callable] = {
 
 
 def longest_run_statistic(relation: str) -> Callable:
+    """Kernel of `st.longest_run`.  Number the pairs (f_j, f_{j+1}) by
+    j = 1..n-1: the run of pairs that hold the relation and end at pair j is
+    j minus the last pair <= j that fails it (0 if none), and the longest run
+    of values is one more than the longest run of pairs."""
+    op = st._RELATIONS[relation]
+
     def kernel(block, n, m):
-        return [st.longest_run(row, relation) for row in block.tolist()]
+        pairs = np.arange(1, n)
+        fails = np.where(op(block[:, :-1], block[:, 1:]), 0, pairs)
+        runs = pairs - np.maximum.accumulate(fails, axis=1)
+        return (runs.max(axis=1, initial=0) + 1).tolist()
 
     return kernel
 
@@ -260,6 +269,43 @@ def sample_blocks(n: int, count: int, seed: int, ensemble: str = "pf") -> Iterat
         yield shift_block(block, n) if ensemble == "pf" else block
 
 
+def _index_blocks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
+    """Rows 0..total-1 of [m]^n in the order of itertools.product, as blocks
+    of at most BLOCK_ELEMENTS values: row i holds the n base-m digits of i,
+    most significant first, plus one."""
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"{total} rows do not fit in int64 row indices")
+    step = _block_rows(n)
+
+    def digits(start: int) -> np.ndarray:
+        index = np.arange(start, min(start + step, total), dtype=np.int64)
+        block = np.empty((index.size, n), dtype=np.int64)
+        for j in range(n - 1, -1, -1):
+            np.divmod(index, m, out=(index, block[:, j]))
+        block += 1
+        return block
+
+    return map(digits, range(0, total, step))
+
+
+def function_blocks(n: int, m: int) -> Iterator[np.ndarray]:
+    """All m^n functions [n] -> [m], in the order of `all_functions`, one
+    function per row."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    return _index_blocks(n, m, m**n)
+
+
+def pf_blocks(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[np.ndarray]:
+    """Each parking function of size n once, one per row.  Adding a constant
+    mod n+1 splits [n+1]^n into orbits of n+1 functions, and each orbit holds
+    one function with f_1 = 1 and one parking function (the cycle lemma), so
+    shifting the (n+1)^(n-1) functions with f_1 = 1 gives PF_n."""
+    check_enumeration_size(n, limit)
+    # in product order the functions with f_1 = 1 come first
+    return (shift_block(block, n) for block in _index_blocks(n, n + 1, count_pf(n)))
+
+
 def run_experiment(config: ExperimentConfig) -> Histogram:
     """Sample `count` functions, one stream per sample index, and histogram
     the named statistic.  Deterministic for a given seed."""
@@ -285,29 +331,17 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
     ensemble; counts are exact integers."""
     kernel = statistic_kernel(statistic, relation)
     m = _codomain(ensemble, n)
-    source = enumerate_pf(n, limit=limit) if ensemble == "pf" else all_functions(n, m)
+    blocks = pf_blocks(n, limit) if ensemble == "pf" else function_blocks(n, m)
     return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
-                     count="exhaustive", bins=_census(kernel, source, n, m))
+                     count="exhaustive", bins=_census(kernel, blocks, n, m))
 
 
-def _blocks(source: Iterator[Sequence[int]], n: int) -> Iterator[np.ndarray]:
-    """The functions of an enumerated source as int64 blocks of at most
-    BLOCK_ELEMENTS values, one function per row."""
-    step = _block_rows(n)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(source, step)), dtype=np.int64)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, n)
-
-
-def _census(kernel: Callable, source: Iterator, n: int, m: int) -> dict[Hashable, int]:
-    """Exact count of each kernel value over every function of a source."""
-    bins: dict[Hashable, int] = {}
-    for block in _blocks(source, n):
-        for v in kernel(block, n, m):
-            bins[v] = bins.get(v, 0) + 1
-    return bins
+def _census(kernel: Callable, blocks: Iterator[np.ndarray], n: int, m: int) -> dict[Hashable, int]:
+    """Exact count of each kernel value over every row of the blocks."""
+    bins: Counter = Counter()
+    for block in blocks:
+        bins.update(kernel(block, n, m))
+    return dict(bins)
 
 
 # --- distances ------------------------------------------------------------
@@ -399,8 +433,8 @@ def exact_equidistribution(n: int, feature: str, relation: str = "<",
     """Brute-force joint feature distribution over PF_n versus all functions
     [n] -> [n+1]; equality must hold exactly after scaling by n+1."""
     kernel = _feature_kernel(feature, n, relation=relation, poset=poset, position=position)
-    pf_counts = _census(kernel, enumerate_pf(n, limit=limit), n, n + 1)
-    f_counts = _census(kernel, all_functions(n, n + 1), n, n + 1)
+    pf_counts = _census(kernel, pf_blocks(n, limit), n, n + 1)
+    f_counts = _census(kernel, function_blocks(n, n + 1), n, n + 1)
     for v in sorted(set(pf_counts) | set(f_counts), key=str):
         if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0):
             return EquidistributionReport(n=n, feature=feature, equal=False, witness=v)
@@ -426,12 +460,12 @@ def weak_peak_check(n: int, i: int, limit: int = 8) -> WeakPeakReport:
     conditions = ((rise,), (st.Chain((i - 1, i, i + 1), "<"),),
                   (rise, st.Chain((i, i + 1), ">=")))
 
-    def census(source) -> list[int]:
+    def census(blocks) -> list[int]:
         return sum(np.array([np.count_nonzero(_chains_hold(block, c)) for c in conditions])
-                   for block in _blocks(source, n)).tolist()
+                   for block in blocks).tolist()
 
-    pf1, pf2, pf_direct = census(enumerate_pf(n, limit=limit))
-    f1, f2, f_direct = census(all_functions(n, n + 1))
+    pf1, pf2, pf_direct = census(pf_blocks(n, limit))
+    f1, f2, f_direct = census(function_blocks(n, n + 1))
     assert pf1 - pf2 == pf_direct and f1 - f2 == f_direct  # inclusion-exclusion sanity
     equal = f_direct == (n + 1) * pf_direct
     return WeakPeakReport(n=n, position=i, equal=equal, pf_count=pf_direct, f_count=f_direct)
@@ -457,7 +491,7 @@ def joint_coordinate_bound_check(n: int, k: int, limit: int = 8) -> JointBoundRe
     total = count_pf(n)
     # joint counts over the first k coordinates (PF_n is permutation-symmetric)
     counts = np.zeros((n,) * k, dtype=np.int64)
-    for block in _blocks(enumerate_pf(n, limit=limit), n):
+    for block in pf_blocks(n, limit):
         np.add.at(counts, tuple(block[:, :k].T - 1), 1)
     # CDF by cumulative sums along each axis
     cdf = counts.astype(np.float64)

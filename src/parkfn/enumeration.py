@@ -65,16 +65,21 @@ def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
         a[i + 1:] = a[:i:-1]
 
 
+def check_enumeration_size(n: int, limit: int) -> None:
+    """The guard of every enumeration of PF_n: n >= 1, and n <= limit."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > limit:
+        raise CapacityError(f"n={n} exceeds enumeration limit {limit}; raise `limit` to opt in")
+
+
 def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
     """Yield each parking function of size n exactly once.
 
     Generates sorted profiles and expands distinct permutations, so the cost
     is proportional to the output size (n+1)^{n-1}, not n^n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > limit:
-        raise CapacityError(f"n={n} exceeds enumeration limit {limit}; raise `limit` to opt in")
+    check_enumeration_size(n, limit)
     for profile in _sorted_profiles(n):
         for perm in multiset_permutations(profile):
             yield ParkingFunction._trusted(perm)
@@ -88,13 +93,18 @@ def count_pf(n: int) -> int:
 
 
 def count_first(n: int, k: int) -> int:
-    """Number of parking functions of size n with first coordinate k."""
+    """Number of parking functions of size n with first coordinate k:
+    sum_{s=0}^{n-k} C(n-1,s) (s+1)^{s-1} (n-s)^{n-s-2}.  For n >= 2 the full
+    sum is the k = 1 count 2(n+1)^{n-2}, so the shorter side is summed."""
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
-    return sum(
-        comb(n - 1, s) * _ipow(s + 1, s - 1) * _ipow(n - s, n - s - 2)
-        for s in range(0, n - k + 1)
-    )
+
+    def term(s: int) -> int:
+        return comb(n - 1, s) * _ipow(s + 1, s - 1) * _ipow(n - s, n - s - 2)
+
+    if n >= 2 and k - 1 < n - k + 1:
+        return 2 * (n + 1) ** (n - 2) - sum(term(s) for s in range(n - k + 1, n))
+    return sum(term(s) for s in range(0, n - k + 1))
 
 
 def abel_identity_check(x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:
@@ -117,19 +127,34 @@ def abel_identity_check(x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fra
     return lhs, rhs
 
 
+def _mean_first_split(x: int, a: int, b: int) -> tuple[int, int, int]:
+    """(prod_{i=a+1}^{b} i, sum_{k=a}^{b-1} x^{k-a} prod_{i=k+1}^{b} i,
+    x^{b-a}) by binary splitting, with a plain loop at the leaves."""
+    if b - a <= 16:
+        prod, total = 1, 0
+        for k in range(b - 1, a - 1, -1):  # Horner in x, from k = b - 1 down
+            prod *= k + 1
+            total = total * x + prod
+        return prod, total, x ** (b - a)
+    mid = (a + b) // 2
+    p1, t1, x1 = _mean_first_split(x, a, mid)
+    p2, t2, x2 = _mean_first_split(x, mid, b)
+    return p1 * p2, t1 * p2 + x1 * t2, x1 * x2
+
+
 def exact_mean_first(n: int) -> Fraction:
     """E(pi_1) = 1/2 + n/2 - (n-1) S / (2 (n+1)^{n-1}) with
-    S = sum_{k=0}^{n-2} (n+1)^k (n-2)!/k!, exact."""
+    S = sum_{k=0}^{n-2} (n+1)^k (n-2)!/k!, exact.  S is summed by binary
+    splitting, so its cost is a few big products rather than n big
+    multiply-adds."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Fraction(1)
-    term = factorial(n - 2)  # k = 0
-    total = term
-    for k in range(1, n - 1):
-        term = term * (n + 1) // k
-        total += term
-    return Fraction(1, 2) + Fraction(n, 2) - Fraction((n - 1) * total, 2 * (n + 1) ** (n - 1))
+    _prod, head, power = _mean_first_split(n + 1, 0, n - 2)
+    total = head + power  # the k = n - 2 term is (n+1)^{n-2}
+    denominator = power * (n + 1)
+    return Fraction((n + 1) * denominator - (n - 1) * total, 2 * denominator)
 
 
 def k_pi_law(n: int, k: int) -> Fraction:

@@ -3,7 +3,7 @@
 import json
 import math
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -23,9 +23,9 @@ from parkfn import (
     tv_distance,
     weak_peak_check,
 )
-from parkfn import stats
+from parkfn import ensemble, stats
 from parkfn.core import inconvenience
-from parkfn.enumeration import count_pf, enumerate_pf
+from parkfn.enumeration import CapacityError, all_functions, count_pf, enumerate_pf
 from parkfn.ensemble import STATISTICS, _feature_kernel, longest_run_statistic, sample_blocks
 from parkfn.sample import (
     sample_parking_function,
@@ -393,3 +393,133 @@ def test_first_coordinate_marginal_is_exact():
 
     h = exhaustive_histogram(5, "first")
     assert h.bins == {k: count_first(5, k) for k in range(1, 6)}
+
+
+# --- block sources against the enumerators --------------------------------
+
+def _rows(blocks):
+    return [tuple(r) for block in blocks for r in block.tolist()]
+
+
+def _enumerated(ensemble_name, n):
+    """The functions of an ensemble from the tuple enumerators, as one block."""
+    if ensemble_name == "pf":
+        funcs = [tuple(pf) for pf in enumerate_pf(n)]
+    else:
+        funcs = list(all_functions(n, n + 1 if ensemble_name == "fn1" else n))
+    return np.array(funcs, dtype=np.int64).reshape(-1, n)
+
+
+def _lex_sorted(block):
+    return block[np.lexsort(block.T[::-1])]
+
+
+def test_pf_blocks_are_pf_each_once():
+    for n in range(1, 8):
+        rows = _lex_sorted(np.concatenate(list(ensemble.pf_blocks(n))))
+        assert rows.shape == (count_pf(n), n)
+        assert np.array_equal(rows, _lex_sorted(_enumerated("pf", n))), n
+        assert (np.diff(rows, axis=0) != 0).any(axis=1).all(), n  # each row once
+
+
+def test_function_blocks_follow_all_functions():
+    for n in range(1, 6):
+        for m in range(1, 6):
+            assert _rows(ensemble.function_blocks(n, m)) == list(all_functions(n, m)), (n, m)
+    # many blocks, the last one partial: 21845 rows a block at n = 3
+    blocks = list(ensemble.function_blocks(3, 50))
+    assert len(blocks) == 6 and all(b.size <= ensemble.BLOCK_ELEMENTS for b in blocks)
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert _rows(blocks) == list(all_functions(3, 50))
+
+
+def test_block_sources_reject_edges_before_any_block():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            ensemble.pf_blocks(n)
+    with pytest.raises(CapacityError):
+        ensemble.pf_blocks(9)
+    with pytest.raises(CapacityError):
+        exhaustive_histogram(9, "area")
+    for n, m in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            ensemble.function_blocks(n, m)
+    # m^n beyond int64 would wrap in the row indices
+    for n, m in ((63, 2), (64, 2), (16, 16), (3, 1 << 21)):
+        with pytest.raises(ValueError):
+            ensemble.function_blocks(n, m)
+    with pytest.raises(ValueError):
+        exhaustive_histogram(16, "first", "fn")
+    with pytest.raises(ValueError):  # 18^16 parking functions
+        ensemble.pf_blocks(17, limit=17)
+    # the largest sizes that fit still give their first block
+    first = next(ensemble.function_blocks(62, 2))
+    assert _rows([first]) == list(islice(all_functions(62, 2), first.shape[0]))
+    first = next(ensemble.pf_blocks(16, limit=16)).tolist()
+    assert all(is_parking_function(row) for row in first)
+    assert len(set(map(tuple, first))) == len(first)
+
+
+def test_exhaustive_histogram_matches_enumerated_census():
+    cases = [(stat, "<") for stat in STATISTICS]
+    cases += [("longest-run", r) for r in ("<", "<=", ">", ">=")]
+    for n in range(1, 7):
+        for ensemble_name in ensemble.ENSEMBLES:
+            block = _enumerated(ensemble_name, n)
+            m = n + 1 if ensemble_name == "fn1" else n
+            for stat, relation in cases:
+                kernel = ensemble.statistic_kernel(stat, relation)
+                try:
+                    expected = Counter(kernel(block, n, m))
+                except ValueError:  # lucky off PF_n
+                    with pytest.raises(ValueError):
+                        exhaustive_histogram(n, stat, ensemble_name, relation=relation)
+                    continue
+                got = exhaustive_histogram(n, stat, ensemble_name, relation=relation).bins
+                assert got == expected, (n, ensemble_name, stat, relation)
+
+
+def test_exact_equidistribution_matches_enumerated_census():
+    for n in range(2, 7):
+        pf, fn = _enumerated("pf", n), _enumerated("fn1", n)
+        for feature, kwargs in _feature_cases(n, POSETS):
+            kernel = _feature_kernel(feature, n, **kwargs)
+            pf_counts = Counter(kernel(pf, n, n + 1))
+            f_counts = Counter(kernel(fn, n, n + 1))
+            witness = next((v for v in sorted(set(pf_counts) | set(f_counts), key=str)
+                            if f_counts[v] != (n + 1) * pf_counts[v]), None)
+            report = exact_equidistribution(n, feature, **kwargs)
+            # repr tells a witness True from 1
+            assert (report.equal, repr(report.witness)) == (witness is None, repr(witness)), \
+                (n, feature, kwargs)
+
+
+def test_weak_peak_check_matches_enumerated_census():
+    for n in range(3, 7):
+        pf, fn = _enumerated("pf", n), _enumerated("fn1", n)
+        for i in range(2, n):
+            def peaks(block):
+                a, b, c = block[:, i - 2], block[:, i - 1], block[:, i]
+                return int(np.count_nonzero((a < b) & (b >= c)))
+
+            report = weak_peak_check(n, i)
+            assert (report.pf_count, report.f_count) == (peaks(pf), peaks(fn)), (n, i)
+            assert report.equal == (peaks(fn) == (n + 1) * peaks(pf))
+
+
+def test_joint_coordinate_bound_matches_enumerated_census():
+    for n in range(1, 7):
+        pf = _enumerated("pf", n)
+        grid = np.arange(1, n + 1) / n
+        for k in range(1, min(n, 3) + 1):
+            counts = np.zeros((n,) * k, dtype=np.int64)
+            np.add.at(counts, tuple(pf[:, :k].T - 1), 1)
+            cdf = counts.astype(np.float64)
+            for axis in range(k):
+                cdf = np.cumsum(cdf, axis=axis)
+            cdf /= count_pf(n)
+            product_cdf = grid
+            for _ in range(k - 1):
+                product_cdf = np.multiply.outer(product_cdf, grid)
+            expected = float(np.abs(cdf - product_cdf).max())
+            assert joint_coordinate_bound_check(n, k).max_difference == expected, (n, k)

@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st_h
@@ -87,6 +87,16 @@ def test_count_first_sums_to_total():
         assert sum(count_first(n, k) for k in range(1, n + 1)) == count_pf(n)
 
 
+def test_count_first_matches_direct_sum():
+    # count_first sums the shorter side of the census; the direct sum is the reference
+    for n in range(1, 61):
+        for k in range(1, n + 1):
+            direct = sum(comb(n - 1, s) * (s + 1) ** (s - 1 if s else 0)
+                         * (n - s) ** (n - s - 2 if n - s >= 2 else 0)
+                         for s in range(n - k + 1))
+            assert count_first(n, k) == direct, (n, k)
+
+
 def test_abel_identity():
     for n in range(1, 11):
         lhs, rhs = abel_identity_check(Fraction(1), Fraction(1), n)
@@ -103,6 +113,25 @@ def test_exact_mean_first_matches_brute():
             sum(k * count_first(n, k) for k in range(1, n + 1)), count_pf(n)
         )
         assert exact_mean_first(n) == brute
+
+
+def _mean_first_by_recurrence(n):
+    # S = sum_k (n+1)^k (n-2)!/k! term by term, the reference for the binary splitting
+    if n == 1:
+        return Fraction(1)
+    term = factorial(n - 2)
+    total = term
+    for k in range(1, n - 1):
+        term = term * (n + 1) // k
+        total += term
+    return Fraction(1, 2) + Fraction(n, 2) - Fraction((n - 1) * total, 2 * (n + 1) ** (n - 1))
+
+
+def test_exact_mean_first_matches_recurrence():
+    for n in range(1, 301):
+        assert exact_mean_first(n) == _mean_first_by_recurrence(n), n
+    with pytest.raises(ValueError):
+        exact_mean_first(0)
 
 
 def test_k_pi_law_matches_brute():
