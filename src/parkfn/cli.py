@@ -13,6 +13,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 from . import __version__, ensemble, enumeration, limits
 from . import stats as st
 from .core import PrefSequence, dyck_encode, inconvenience, is_parking_function, park, queue_profile
+from .sample import shift_block
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -295,20 +296,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             total += enumeration.k_pi_law(n, k)
         check(f"k_pi_law sums to 1 n={n}", total == 1,
               f"module=enumerate op=k_pi_law n={n} expected=1 actual={total}")
-    from .sample import find_valid_shift, shift_sequence
     for n in range(1, min(n_max, 4) + 1):
-        hits: dict[tuple[int, ...], int] = {}
-        ok = True
-        for f in enumeration.all_functions(n, n + 1):
-            k = find_valid_shift(f, n)
-            shifted = shift_sequence(f, k, n)
-            if not is_parking_function(shifted, n):
-                ok = False
-                break
-            hits[shifted] = hits.get(shifted, 0) + 1
-        ok = ok and all(c == n + 1 for c in hits.values()) and len(hits) == enumeration.count_pf(n)
+        # every function [n] -> [n+1], shifted: each parking function n+1 times
+        shifted = (shift_block(block, n) for block in ensemble.function_blocks(n, n + 1))
+        hits = ensemble._census(lambda block, n, m: block, shifted, n, n + 1)
+        ok = (all(is_parking_function(f, n) and c == n + 1 for f, c in hits.items())
+              and len(hits) == enumeration.count_pf(n))
         check(f"sampler shift exactness n={n}", ok,
-              f"module=sample op=find_valid_shift n={n}")
+              f"module=sample op=shift_block n={n}")
     for n in range(2, min(n_max, 5) + 1):
         report = ensemble.exact_equidistribution(n, "descent-pattern")
         check(f"equidistribution descent-pattern n={n}", report.equal,

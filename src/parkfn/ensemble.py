@@ -9,10 +9,10 @@ distances (total variation, Kolmogorov-Smirnov).
 from __future__ import annotations
 
 import math
-import statistics as pystats
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,19 +30,20 @@ BLOCK_ELEMENTS = 1 << 16
 #
 # Each statistic is one kernel over a block of functions: an int64 array of
 # shape (rows, n), one function per row, with codomain bound m.  A kernel
-# returns one Python value per row (int, float or tuple of ints; never a
-# numpy scalar, which would serialize as a string).
+# returns a numpy array with one entry per row: 1-D for a scalar statistic,
+# 2-D integer (one row per function) for a tuple-valued one.  `_census` turns
+# each distinct entry into a Python value (int, float or tuple of ints).
 
 def _stat_first(block, n, m):
-    return block[:, 0].tolist()
+    return block[:, 0]
 
 
 def _stat_area(block, n, m):
-    return (n * (n + 1) // 2 - block.sum(axis=1)).tolist()
+    return n * (n + 1) // 2 - block.sum(axis=1)
 
 
 def _stat_scaled_area(block, n, m):
-    return ((n * n / 2 - block.sum(axis=1)) / n**1.5).tolist()
+    return (n * n / 2 - block.sum(axis=1)) / n**1.5
 
 
 def _stat_lucky(block, n, m):
@@ -64,32 +65,36 @@ def _stat_lucky(block, n, m):
                 raise ValueError("lucky requires a parking function")
             nxt[s] = s + 1
         counts.append(count)
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def _stat_repeats(block, n, m):
-    return np.count_nonzero(block[:, 1:] == block[:, :-1], axis=1).tolist()
+    return np.count_nonzero(block[:, 1:] == block[:, :-1], axis=1)
 
 
 def _stat_ones(block, n, m):
-    return np.count_nonzero(block == 1, axis=1).tolist()
+    return np.count_nonzero(block == 1, axis=1)
 
 
 def _stat_descents(block, n, m):
-    return np.count_nonzero(block[:, 1:] < block[:, :-1], axis=1).tolist()
+    return np.count_nonzero(block[:, 1:] < block[:, :-1], axis=1)
 
 
 def descent_pattern_statistic(relation: str) -> Callable:
     """Kernel of `st.descent_pattern`: X_i = 1 iff f_{i+1} rel f_i."""
     op = st._RELATIONS[relation]
-    return lambda block, n, m: [
-        tuple(row) for row in op(block[:, 1:], block[:, :-1]).view(np.int8).tolist()]
+    return lambda block, n, m: op(block[:, 1:], block[:, :-1]).view(np.int8)
 
 
 def _stat_species(block, n, m):
-    # mu_r = number of values in [1, m] occurring exactly r times
-    mu = row_counts(row_counts(block, m + 1)[:, 1:], n + 1)
-    return [tuple(row) for row in mu.tolist()]
+    # mu_r = number of values in [1, m] occurring exactly r times: row_counts
+    # of the value counts, written out so that the value counts are freed
+    # before the second bincount allocates.  Holding both made glibc hand the
+    # block's memory back and fault it in again for every block (380 faults
+    # and 0.9 ms of a 1.4 ms kernel per block of PF_8).
+    rows = block.shape[0]
+    flat = row_counts(block, m + 1)[:, 1:] + (np.arange(rows) * (n + 1))[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
 
 
 def _stat_inversions(block, n, m):
@@ -98,7 +103,7 @@ def _stat_inversions(block, n, m):
     total = np.zeros(block.shape[0], dtype=np.int64)
     for d in range(1, n):
         total += np.count_nonzero(block[:, :-d] > block[:, d:], axis=1)
-    return total.tolist()
+    return total
 
 
 def _max_discrepancy(block, m):
@@ -107,11 +112,11 @@ def _max_discrepancy(block, m):
 
 
 def _stat_max_discrepancy(block, n, m):
-    return _max_discrepancy(block, m).tolist()
+    return _max_discrepancy(block, m)
 
 
 def _stat_scaled_max_discrepancy(block, n, m):
-    return (_max_discrepancy(block, m) / math.sqrt(n)).tolist()
+    return _max_discrepancy(block, m) / math.sqrt(n)
 
 
 def _stat_kmax(block, n, m):
@@ -121,7 +126,7 @@ def _stat_kmax(block, n, m):
     g = queue_profiles(block[:, 1:], m)[:, :n]
     at_floor = g == -1
     k = np.where(at_floor.any(axis=1), at_floor.argmax(axis=1) + 1, n)
-    return np.where(g.min(axis=1) >= -1, k, 0).tolist()
+    return np.where(g.min(axis=1) >= -1, k, 0)
 
 
 STATISTICS: dict[str, Callable] = {
@@ -152,7 +157,7 @@ def longest_run_statistic(relation: str) -> Callable:
         pairs = np.arange(1, n)
         fails = np.where(op(block[:, :-1], block[:, 1:]), 0, pairs)
         runs = pairs - np.maximum.accumulate(fails, axis=1)
-        return (runs.max(axis=1, initial=0) + 1).tolist()
+        return runs.max(axis=1, initial=0) + 1
 
     return kernel
 
@@ -197,22 +202,14 @@ class Histogram:
     summaries: dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def from_values(cls, values: Sequence, **meta) -> "Histogram":
-        bins: dict[Hashable, int] = {}
-        for v in values:
-            bins[v] = bins.get(v, 0) + 1
+    def from_bins(cls, bins: dict[Hashable, int], **meta) -> "Histogram":
+        """A histogram of exact counts, with the summaries of its numeric
+        values: bit for bit the `statistics.fmean`, `statistics.pvariance`
+        and rank quantiles of the values the bins expand to."""
         hist = cls(bins=bins, **meta)
-        numeric = [v for v in values if isinstance(v, (int, float))]
+        numeric = sorted((v, c) for v, c in bins.items() if isinstance(v, (int, float)))
         if numeric:
-            ordered = sorted(numeric)
-            total = len(ordered)
-            hist.summaries = {
-                "mean": float(pystats.fmean(ordered)),
-                "var": float(pystats.pvariance(ordered)) if total > 1 else 0.0,
-                "q01": float(ordered[int(0.01 * (total - 1))]),
-                "q50": float(ordered[int(0.50 * (total - 1))]),
-                "q99": float(ordered[int(0.99 * (total - 1))]),
-            }
+            hist.summaries = _summaries(numeric)
         return hist
 
     @property
@@ -243,6 +240,36 @@ class Histogram:
             ],
             "summaries": self.summaries,
         }
+
+
+def _summaries(items: list[tuple[int | float, int]]) -> dict[str, float]:
+    """Mean, variance and quantiles of sorted (value, count) pairs.  Each
+    value is an exact ratio num/den; over a common denominator the sums are
+    integers, and one correctly rounded int division gives what fmean (fsum
+    is correctly rounded) and pvariance (exact until its last step) give.
+    fmean converts ints to float first, which is exact below 2^53."""
+    ratios = [(v.as_integer_ratio(), c) for v, c in items]
+    scale = math.lcm(*(den for (_num, den), _c in ratios))
+    total = s1 = s2 = 0
+    for (num, den), c in ratios:
+        x = num * (scale // den)
+        total += c
+        s1 += c * x
+        s2 += c * x * x
+    # the value of rank r in the sorted expansion: the first bin whose
+    # cumulative count exceeds r
+    cumulative = list(accumulate(c for _v, c in items))
+
+    def quantile(q: float) -> float:
+        return float(items[bisect_right(cumulative, int(q * (total - 1)))][0])
+
+    return {
+        "mean": s1 / scale / total,
+        "var": (total * s2 - s1 * s1) / (total * total * scale * scale),
+        "q01": quantile(0.01),
+        "q50": quantile(0.50),
+        "q99": quantile(0.99),
+    }
 
 
 def _codomain(ensemble: str, n: int) -> int:
@@ -312,11 +339,9 @@ def run_experiment(config: ExperimentConfig) -> Histogram:
     kernel = statistic_kernel(config.statistic, config.relation)
     n = config.n
     m = _codomain(config.ensemble, n)
-    values: list = []
-    for block in sample_blocks(n, config.count, config.seed, config.ensemble):
-        values.extend(kernel(block, n, m))
-    return Histogram.from_values(
-        values,
+    blocks = sample_blocks(n, config.count, config.seed, config.ensemble)
+    return Histogram.from_bins(
+        _census(kernel, blocks, n, m),
         n=n,
         statistic=config.statistic,
         ensemble=config.ensemble,
@@ -328,7 +353,9 @@ def run_experiment(config: ExperimentConfig) -> Histogram:
 def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
                          relation: str = "<", limit: int = 8) -> Histogram:
     """Exact histogram of a statistic over all of PF_n or an all-functions
-    ensemble; counts are exact integers."""
+    ensemble; counts are exact integers.  Raises `CapacityError` for
+    n > limit on every ensemble, before any block is built."""
+    check_enumeration_size(n, limit)
     kernel = statistic_kernel(statistic, relation)
     m = _codomain(ensemble, n)
     blocks = pf_blocks(n, limit) if ensemble == "pf" else function_blocks(n, m)
@@ -337,11 +364,53 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
 
 
 def _census(kernel: Callable, blocks: Iterator[np.ndarray], n: int, m: int) -> dict[Hashable, int]:
-    """Exact count of each kernel value over every row of the blocks."""
-    bins: Counter = Counter()
+    """Exact count of each kernel value over every row of the blocks, keyed
+    in order of first occurrence.  Each block is counted in numpy, and only
+    its distinct values become Python values."""
+    bins: dict[Hashable, int] = {}
     for block in blocks:
-        bins.update(kernel(block, n, m))
-    return dict(bins)
+        distinct = _distinct(kernel(block, n, m))
+        if not bins:  # the first block hashes each key once (tuples cache no hash)
+            bins.update(distinct)
+            continue
+        for value, count in distinct:
+            bins[value] = bins.get(value, 0) + count
+    return bins
+
+
+def _distinct(values: np.ndarray) -> Iterable[tuple[Hashable, int]]:
+    """(value, count) of each distinct entry of a 1-D array, or of each
+    distinct row of a 2-D one as a tuple of ints, in order of first
+    occurrence."""
+    if values.ndim == 2:
+        rows, width = values.shape
+        if not rows or not width:  # no min() of no rows, no zero-width np.void
+            return [((), rows)] if rows else []
+        keys = _row_keys(values)
+    else:
+        keys = values
+    _keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    distinct = values[first[order]].tolist()
+    if values.ndim == 2:
+        distinct = map(tuple, distinct)
+    return zip(distinct, counts[order].tolist())
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row, equal exactly when the rows are equal, for a 1-D
+    `np.unique` (several times faster than one with axis=0).  Rows of small
+    values (exhaustive counts) pack into one int64 as bit fields, whose
+    stable sort is about 3x faster than that of the general key: the row's
+    bytes as one np.void scalar, in the narrowest dtype that holds the
+    block."""
+    low, high = int(rows.min()), int(rows.max())
+    bits = max(1, high.bit_length())
+    if low >= 0 and bits * rows.shape[1] < 64:
+        return rows @ np.left_shift(1, bits * np.arange(rows.shape[1], dtype=np.int64))
+    dtype = np.result_type(np.min_scalar_type(low), np.min_scalar_type(high))
+    packed = np.ascontiguousarray(rows, dtype=dtype)
+    return packed.view(np.dtype((np.void, packed.shape[1] * dtype.itemsize))).ravel()
 
 
 # --- distances ------------------------------------------------------------
@@ -406,7 +475,7 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
     if feature == "forced-gap":
         if n < 2:
             raise ValueError("forced-gap needs n >= 2")
-        return lambda block, n, m: (block[:, 0] < block[:, 1] - 1).tolist()
+        return lambda block, n, m: block[:, 0] < block[:, 1] - 1
     i = position
     if feature in ("strict-peak", "mixed-chain") and not 2 <= i <= n - 1:
         raise ValueError(f"{feature} position must be in [2, n-1], got {i}")
@@ -424,7 +493,7 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
         raise ValueError(f"unknown feature {feature!r}")
     if max((p for c in chains for p in c.positions), default=0) > n:
         raise ValueError(f"{feature} reads a position beyond n = {n}")
-    return lambda block, n, m: _chains_hold(block, chains).tolist()
+    return lambda block, n, m: _chains_hold(block, chains)
 
 
 def exact_equidistribution(n: int, feature: str, relation: str = "<",

@@ -195,6 +195,7 @@ def shift_block(block: np.ndarray, n: int) -> np.ndarray:
     # the valid rotation starts just after the first minimum of the profile
     k = (mod - 1 - np.argmin(queue_profiles(block, mod), axis=1)) % mod
     block += (k - 1)[:, None]
-    block %= mod
+    # values lie in [0, 2n]: one branch-free subtract is a mod n+1
+    block -= mod * (block >= mod)
     block += 1
     return block

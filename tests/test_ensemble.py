@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 from collections import Counter
 from itertools import islice, product
 
@@ -107,7 +108,7 @@ def test_registry_statistics_match_reference_functions():
         pfs = list(enumerate_pf(n))
         block = np.array(pfs, dtype=np.int64)
         for name, ref in reference.items():
-            assert STATISTICS[name](block, n, n) == [ref(pf) for pf in pfs]
+            assert _to_python(STATISTICS[name](block, n, n)) == [ref(pf) for pf in pfs]
 
 
 def _max_discrepancy_by_definition(f):
@@ -136,11 +137,12 @@ SCALAR_DEFINITIONS = {
 }
 
 
-def _python_value(v):
-    # kernels return plain Python values: numpy scalars would serialize as strings
-    if isinstance(v, tuple):
-        return all(type(x) is int for x in v)
-    return type(v) in (int, float)
+def _to_python(values):
+    """A kernel's array as one Python value per row: a tuple per row of a
+    2-D array."""
+    assert isinstance(values, np.ndarray) and values.ndim in (1, 2)
+    rows = values.tolist()
+    return [tuple(row) for row in rows] if values.ndim == 2 else rows
 
 
 @st_h.composite
@@ -158,11 +160,10 @@ def test_kernels_match_scalar_definitions(case):
     funcs, n, m = case
     block = np.array(funcs, dtype=np.int64)
     for name, scalar in SCALAR_DEFINITIONS.items():
-        got = STATISTICS[name](block, n, m)
+        got = _to_python(STATISTICS[name](block, n, m))
         assert got == [scalar(tuple(f), n, m) for f in funcs], name
-        assert all(_python_value(v) for v in got), name
     for relation in ("<", "<=", ">", ">="):
-        got = longest_run_statistic(relation)(block, n, m)
+        got = _to_python(longest_run_statistic(relation)(block, n, m))
         assert got == [stats.longest_run(f, relation) for f in funcs]
 
 
@@ -173,7 +174,7 @@ def test_kernels_match_scalar_definitions(case):
 def test_lucky_kernel_matches_parking_process(case):
     funcs, n, _m = case
     block = shift_block(np.array(funcs, dtype=np.int64), n)
-    assert STATISTICS["lucky"](block, n, n) == [lucky(f) for f in block.tolist()]
+    assert _to_python(STATISTICS["lucky"](block, n, n)) == [lucky(f) for f in block.tolist()]
     if not all(is_parking_function(f) for f in funcs):
         with pytest.raises(ValueError):
             STATISTICS["lucky"](np.array(funcs, dtype=np.int64), n, n)
@@ -248,7 +249,7 @@ def test_feature_kernels_match_scalar_definitions(case, data):
     block = np.array(funcs, dtype=np.int64)
     poset = data.draw(chain_posets(n))
     for feature, kwargs in _feature_cases(n, (poset,)):
-        got = _feature_kernel(feature, n, **kwargs)(block, n, n + 1)
+        got = _to_python(_feature_kernel(feature, n, **kwargs)(block, n, n + 1))
         assert got == [_scalar_feature(feature, tuple(f), n, **kwargs) for f in funcs], feature
         assert all(type(v) in (bool, int, tuple) for v in got), feature
 
@@ -299,6 +300,113 @@ def test_histogram_json_schema():
     assert payload["n"] == 5 and payload["count"] == 50
     assert sum(row["count"] for row in payload["bins"]) == 50
     json.dumps(payload)  # must be serializable as-is
+
+
+# --- census keys and summaries -------------------------------------------
+
+KEY_TYPES = {"scaled-area": float, "scaled-max-discrepancy": float,
+             "descent-pattern": tuple, "species": tuple}
+
+
+def _assert_plain_keys(bins, expected, label):
+    # json.dumps(default=str) would write a numpy key as a string, and the
+    # benchmark's bin digests ignore key types
+    assert bins, label
+    for key in bins:
+        assert type(key) is expected, label
+        if expected is tuple:
+            assert all(type(x) is int for x in key), label
+
+
+def test_bin_keys_are_plain_python_values():
+    cases = [(stat, "<") for stat in STATISTICS] + [("longest-run", r) for r in ("<", ">=")]
+    for stat, relation in cases:
+        expected = KEY_TYPES.get(stat, int)
+        for ensemble_name in ensemble.ENSEMBLES:
+            for n in (1, 3, 40):
+                config = ExperimentConfig(n=n, count=50, seed=3, ensemble=ensemble_name,
+                                          statistic=stat, relation=relation)
+                try:
+                    hist = run_experiment(config)
+                except ValueError:  # lucky off PF_n
+                    assert stat == "lucky" and ensemble_name != "pf"
+                    continue
+                _assert_plain_keys(hist.bins, expected, (stat, ensemble_name, n))
+            for n in (1, 4):
+                try:
+                    hist = exhaustive_histogram(n, stat, ensemble_name, relation=relation)
+                except ValueError:
+                    assert stat == "lucky" and ensemble_name != "pf"
+                    continue
+                _assert_plain_keys(hist.bins, expected, (stat, ensemble_name, n))
+    # chain and forced-gap features count bools
+    for feature, kwargs in (("forced-gap", {}), ("strict-peak", {"position": 2}),
+                            ("chain-poset", {"poset": POSETS[0]})):
+        kernel = _feature_kernel(feature, 4, **kwargs)
+        for blocks in (ensemble.pf_blocks(4), ensemble.function_blocks(4, 5)):
+            _assert_plain_keys(ensemble._census(kernel, blocks, 4, 5), bool, feature)
+
+
+@given(st_h.integers(0, 12), st_h.integers(0, 12),
+       st_h.sampled_from((1, 2, 300, 1 << 40)), st_h.booleans(), st_h.data())
+def test_distinct_rows_match_counter(rows, width, top, signed, data):
+    # small rows pack into one int64, wide or signed ones are np.void keys
+    values = data.draw(st_h.lists(st_h.integers(-top if signed else 0, top),
+                                  min_size=rows * width, max_size=rows * width))
+    block = np.array(values, dtype=np.int64).reshape(rows, width)
+    expected = Counter(map(tuple, block.tolist()))  # in order of first occurrence
+    assert list(ensemble._distinct(block)) == list(expected.items())
+    if width:
+        column = block[:, width - 1]
+        assert list(ensemble._distinct(column)) == list(Counter(column.tolist()).items())
+
+
+@st_h.composite
+def multisets(draw):
+    """Ints, floats or both, drawn from a small pool so that values repeat.
+    fmean converts an int to float, exactly up to 2^53."""
+    element = draw(st_h.sampled_from((
+        st_h.integers(-(1 << 53), 1 << 53),
+        st_h.floats(-1e100, 1e100, allow_nan=False),
+        st_h.integers(-5, 5) | st_h.floats(-5, 5, allow_nan=False),
+    )))
+    pool = draw(st_h.lists(element, min_size=1, max_size=6))
+    return draw(st_h.lists(st_h.sampled_from(pool), min_size=1, max_size=80))
+
+
+@example([7])
+@example([-3, -3, 2.5, 0.1, 0.1, 0.1])
+@given(multisets())
+def test_from_bins_matches_statistics_module(values):
+    hist = Histogram.from_bins(dict(Counter(values)), n=1, statistic="x", ensemble="pf",
+                               seed=0, count=len(values))
+    ordered = sorted(values)
+    rank = len(values) - 1
+    expected = {
+        "mean": statistics.fmean(values),
+        "var": float(statistics.pvariance(values)),
+        "q01": float(ordered[int(0.01 * rank)]),
+        "q50": float(ordered[int(0.50 * rank)]),
+        "q99": float(ordered[int(0.99 * rank)]),
+    }
+    assert {k: (type(v), v) for k, v in hist.summaries.items()} == \
+        {k: (float, v) for k, v in expected.items()}
+
+
+def test_from_bins_edges():
+    # n = 1: every descent pattern is the empty tuple, and nothing is numeric
+    for hist in (exhaustive_histogram(1, "descent-pattern"),
+                 run_experiment(ExperimentConfig(n=1, count=5, seed=0,
+                                                 statistic="descent-pattern"))):
+        assert hist.bins == {(): hist.total} and hist.summaries == {}
+    # species at n = 300 holds entries above 255 (mu_0 = 299 for the all-ones
+    # row), which need 16-bit row keys
+    n = 300
+    rows = _sampled_rows(n, 20, 9, "pf") + [[1] * n, list(range(1, n + 1)), [1] * (n - 1) + [n]]
+    block = np.array(rows, dtype=np.int64)
+    species = [stats.species(tuple(row), m=n) for row in rows]
+    assert _to_python(STATISTICS["species"](block, n, n)) == species
+    assert ensemble._census(STATISTICS["species"], [block], n, n) == Counter(species)
 
 
 def test_tv_distance():
@@ -414,6 +522,16 @@ def _lex_sorted(block):
     return block[np.lexsort(block.T[::-1])]
 
 
+def test_exhaustive_histogram_limit_applies_to_every_ensemble():
+    # fn and fn1 ignored limit: exhaustive_histogram(12, "first", "fn") started
+    # on 12^12 rows
+    for ensemble_name in ensemble.ENSEMBLES:
+        with pytest.raises(CapacityError):
+            exhaustive_histogram(12, "first", ensemble_name)
+        with pytest.raises(CapacityError):
+            exhaustive_histogram(5, "species", ensemble_name, limit=4)
+
+
 def test_pf_blocks_are_pf_each_once():
     for n in range(1, 8):
         rows = _lex_sorted(np.concatenate(list(ensemble.pf_blocks(n))))
@@ -449,7 +567,7 @@ def test_block_sources_reject_edges_before_any_block():
         with pytest.raises(ValueError):
             ensemble.function_blocks(n, m)
     with pytest.raises(ValueError):
-        exhaustive_histogram(16, "first", "fn")
+        exhaustive_histogram(16, "first", "fn", limit=16)
     with pytest.raises(ValueError):  # 18^16 parking functions
         ensemble.pf_blocks(17, limit=17)
     # the largest sizes that fit still give their first block
@@ -470,7 +588,7 @@ def test_exhaustive_histogram_matches_enumerated_census():
             for stat, relation in cases:
                 kernel = ensemble.statistic_kernel(stat, relation)
                 try:
-                    expected = Counter(kernel(block, n, m))
+                    expected = Counter(_to_python(kernel(block, n, m)))
                 except ValueError:  # lucky off PF_n
                     with pytest.raises(ValueError):
                         exhaustive_histogram(n, stat, ensemble_name, relation=relation)
@@ -484,8 +602,8 @@ def test_exact_equidistribution_matches_enumerated_census():
         pf, fn = _enumerated("pf", n), _enumerated("fn1", n)
         for feature, kwargs in _feature_cases(n, POSETS):
             kernel = _feature_kernel(feature, n, **kwargs)
-            pf_counts = Counter(kernel(pf, n, n + 1))
-            f_counts = Counter(kernel(fn, n, n + 1))
+            pf_counts = Counter(_to_python(kernel(pf, n, n + 1)))
+            f_counts = Counter(_to_python(kernel(fn, n, n + 1)))
             witness = next((v for v in sorted(set(pf_counts) | set(f_counts), key=str)
                             if f_counts[v] != (n + 1) * pf_counts[v]), None)
             report = exact_equidistribution(n, feature, **kwargs)
