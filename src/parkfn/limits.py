@@ -1,16 +1,28 @@
-"""Numerical evaluation of the limit laws: Borel, Maxwell coordinate law,
-excursion maximum, Airy area density, and related special values."""
+"""Numerical evaluation of the limit laws and related special values.
+
+Each law is evaluated with `math`, numpy and mpmath alone:
+
+- Borel: the pmf in log space with `math.lgamma`; the identity check sums
+  100k terms and closes the tail with Lerch transcendents (mpmath).
+- Maxwell coordinate count: the chi-3 CDF in closed form, from `math.erf`.
+- Excursion maximum: the theta series of Chung and Kennedy for t >= 1 and
+  its Jacobi transform for t < 1; the mean E(M) by composite
+  Gauss-Legendre quadrature (numpy nodes), the moments E(M^s) in closed form
+  from `math.gamma` and `mpmath.zeta`.
+- Airy area: Takacs's series over the Airy zeros (mpmath's root finder,
+  refined by one Newton step) with the confluent
+  hypergeometric U from mpmath's double-precision `fp` context.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import mpmath
 import numpy as np
-from scipy import integrate, special
 
 
 # --- Borel ----------------------------------------------------------------
@@ -42,7 +54,8 @@ def borel_identity(x: float, terms: int = 100_000) -> float:
     if not 0 < x <= 1:
         raise ValueError("x must be in (0, 1]")
     j = np.arange(1, terms + 1, dtype=float)
-    logs = -x * j + (j - 1) * np.log(x * j) - special.gammaln(j + 1)
+    log_factorials = np.fromiter(map(math.lgamma, j + 1), dtype=float, count=terms)
+    logs = -x * j + (j - 1) * np.log(x * j) - log_factorials
     head = float(np.exp(logs).sum())
     r = x * math.exp(1 - x)
     J = terms
@@ -84,19 +97,34 @@ def coordinate_count_density(x: float, y: float) -> float:
 
 
 def coordinate_count_cdf(x: float, t: float) -> float:
-    """CDF of the Maxwell coordinate-count limit, by adaptive quadrature."""
+    """CDF of the Maxwell coordinate-count limit in closed form:
+    erf(u/sqrt 2) - sqrt(2/pi) u e^{-u^2/2} with u = t/sigma."""
+    if not 0 < x < 1:
+        raise ValueError("x must be in (0, 1)")
     if t <= 0:
         return 0.0
-    value, _err = integrate.quad(lambda y: coordinate_count_density(x, y), 0.0, t)
-    return value
+    u = t / math.sqrt(x * (1 - x))
+    return math.erf(u / math.sqrt(2)) - math.sqrt(2 / math.pi) * u * math.exp(-u * u / 2)
 
 
 # --- excursion / bridge maximum ------------------------------------------
 
 def max_discrepancy_cdf(t: float) -> float:
-    """P(M <= t) = sum_k (1 - 4 k^2 t^2) e^{-2 k^2 t^2} over all integers k."""
+    """P(M <= t) = sum_k (1 - 4 k^2 t^2) e^{-2 k^2 t^2} over all integers k.
+
+    That series needs about 4/t terms and cancels to roundoff below t ~ 0.4,
+    so for t < 1 its Jacobi theta transform is summed instead:
+    P(M <= t) = sqrt(2) pi^{5/2} t^{-3} sum_{k>=1} k^2 e^{-pi^2 k^2/(2 t^2)},
+    whose terms are all positive.
+    """
     if t <= 0:
         return 0.0
+    if t < 1:
+        return _max_cdf_small_t(t)
+    return _max_cdf_large_t(t)
+
+
+def _max_cdf_large_t(t: float) -> float:
     total = 1.0  # k = 0 term
     k = 1
     while True:
@@ -109,6 +137,20 @@ def max_discrepancy_cdf(t: float) -> float:
     return total
 
 
+def _max_cdf_small_t(t: float) -> float:
+    log_scale = 0.5 * math.log(2) + 2.5 * math.log(math.pi) - 3 * math.log(t)
+    a = (math.pi / t) * (math.pi / t) / 2  # inf, not an error, for tiny t
+    total = 0.0
+    k = 1
+    while True:
+        term = math.exp(log_scale + 2 * math.log(k) - a * k * k)
+        total += term
+        if term <= 1e-17 * total:  # also stops when the first term underflows
+            break
+        k += 1
+    return total
+
+
 def bridge_max_cdf(t: float) -> float:
     """P(M_1 <= t) = 1 - e^{-2 t^2}: the all-functions (bridge) analog."""
     if t <= 0:
@@ -116,27 +158,46 @@ def bridge_max_cdf(t: float) -> float:
     return 1.0 - math.exp(-2 * t * t)
 
 
+# Panels of the composite Gauss-Legendre rule for E(M) = int_0^10 P(M > t) dt;
+# P(M > 10) ~ 800 e^{-200}, and the panels narrow where the tail bends.
+_MEAN_PANELS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
+_MEAN_NODES = 12
+
+
 def excursion_max_mean() -> float:
     """E(M) = integral of the upper tail; equals sqrt(pi/2)."""
-    value, _err = integrate.quad(lambda t: 1.0 - max_discrepancy_cdf(t), 0.0, 10.0)
-    return value
+    nodes, weights = np.polynomial.legendre.leggauss(_MEAN_NODES)
+    total = 0.0
+    for lo, hi in zip(_MEAN_PANELS, _MEAN_PANELS[1:]):
+        half = (hi - lo) / 2
+        tail = [1.0 - max_discrepancy_cdf(lo + half * (1 + u)) for u in nodes]
+        total += half * float(np.dot(weights, tail))
+    return total
 
 
 def xi_moment(s: float) -> float:
     """E(M^s) = 2^{-s/2} s(s-1) Gamma(s/2) zeta(s) for 1 < s < 2."""
     if not 1 < s < 2:
         raise ValueError("s must be in (1, 2)")
-    return 2 ** (-s / 2) * s * (s - 1) * special.gamma(s / 2) * special.zeta(s)
+    return 2 ** (-s / 2) * s * (s - 1) * math.gamma(s / 2) * float(mpmath.zeta(s))
 
 
 # --- Airy area law --------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def airy_zeros(count: int) -> tuple[float, ...]:
     """First `count` zeros of Ai(x) (negative reals, decreasing)."""
     if not 1 <= count <= 50:
         raise ValueError("count must be in [1, 50]")
-    return tuple(float(z) for z in special.ai_zeros(count)[0])
+    return tuple(_airy_zero(k) for k in range(1, count + 1))
+
+
+@lru_cache(maxsize=None)
+def _airy_zero(k: int) -> float:
+    """The k-th zero of Ai.  mpmath's double-precision root is off by up to
+    1e-9 for k in 4..7, where fp.airyai cancels; one Newton step with Ai
+    evaluated in the mp context brings it to a few ulps."""
+    a = mpmath.fp.airyaizero(k)
+    return float(a - mpmath.airyai(a) / mpmath.airyai(a, derivative=1))
 
 
 def airy_area_density(x: float, rel_tol: float = 1e-14) -> float:
@@ -146,18 +207,16 @@ def airy_area_density(x: float, rel_tol: float = 1e-14) -> float:
     if x <= 0:
         raise ValueError("x must be > 0")
     total = 0.0
-    k = 1
-    while True:
-        a_k = airy_zeros(min(50, max(10, k)))[k - 1]
-        b_k = -2 * a_k**3 / 27
+    for k in range(1, 51):
+        b_k = -2 * _airy_zero(k) ** 3 / 27
         z = b_k / (x * x)
-        term = math.exp(-z) * b_k ** (2 / 3) * float(special.hyperu(-5 / 6, 4 / 3, z))
+        weight = math.exp(-z)
+        if weight == 0.0:  # z grows with k, so every later term is 0 too
+            break
+        term = weight * b_k ** (2 / 3) * mpmath.fp.hyperu(-5 / 6, 4 / 3, z)
         total += term
         if k >= 3 and abs(term) < rel_tol * abs(total):
             break
-        if k >= 50:
-            break
-        k += 1
     return 2 * math.sqrt(6) / x ** (10 / 3) * total
 
 
@@ -207,6 +266,8 @@ def distribution_handle(name: str, **params: float) -> DistributionHandle:
     if name == "borel":
         return DistributionHandle(name, (), lambda j: borel_pmf(int(j)), "pmf", support_min=1)
     if name == "maxwell":
+        if "x" not in params:
+            raise ValueError("maxwell needs the parameter x in (0, 1)")
         x = params["x"]
         return DistributionHandle(
             name, (("x", x),), lambda t, _x=x: coordinate_count_cdf(_x, t), "cdf"

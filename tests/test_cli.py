@@ -213,6 +213,8 @@ def test_dist_maxwell_requires_x(capsys):
     )
     assert code == EXIT_OK
     assert "# x=0.5" in out
+    code, _, err = run_cli(capsys, "dist", "--dist", "maxwell")
+    assert code == EXIT_USAGE and "parameter x" in err
 
 
 def test_compare_features(capsys):
@@ -280,14 +282,16 @@ def test_out_file_closed_when_writing_fails(tmp_path, capsys, monkeypatch):
     assert len(opened) == 1 and opened[0].closed
 
 
-def test_cli_import_leaves_sympy_out():
+def test_import_leaves_scipy_and_sympy_out():
     src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, parkfn, parkfn.cli, parkfn.limits; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, parkfn.cli; print('sympy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,15 +1,19 @@
 """Limit-law numerics: Borel, Maxwell, excursion maximum, Airy area."""
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy import integrate
 
 from parkfn import descents
 from parkfn.enumeration import all_functions
 from parkfn.limits import (
+    _max_cdf_large_t,
+    _max_cdf_small_t,
     airy_area_density,
     airy_zeros,
     borel_identity,
@@ -81,12 +85,53 @@ def test_maxwell_cdf_monotone():
     assert values[-1] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_maxwell_cdf_matches_quadrature():
+    # scipy's adaptive quadrature of the density is the oracle for the closed form
+    for x in (0.2, 0.5, 0.8):
+        for t in (0.1, 0.5, 1.0, 2.0, 4.0):
+            want, _ = integrate.quad(lambda y, _x=x: coordinate_count_density(_x, y), 0.0, t,
+                                     epsabs=1e-13, epsrel=1e-13)
+            assert coordinate_count_cdf(x, t) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ValueError):
+        coordinate_count_cdf(1.0, 0.5)
+
+
 def test_excursion_max_cdf_and_mean():
     assert max_discrepancy_cdf(0.0) == 0.0
     assert max_discrepancy_cdf(5.0) == pytest.approx(1.0, abs=1e-12)
     values = [max_discrepancy_cdf(t) for t in (0.3, 0.6, 0.9, 1.2, 2.0)]
     assert all(0 <= a < b <= 1 for a, b in zip(values, values[1:]))
     assert excursion_max_mean() == pytest.approx(math.sqrt(math.pi / 2), abs=1e-9)
+
+
+def test_excursion_max_cdf_small_t():
+    grid = [i / 200 for i in range(0, 801)]
+    values = [max_discrepancy_cdf(t) for t in grid]
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    # the direct series cancels to roundoff below t ~ 0.4 and needs ~4/t terms;
+    # its transform underflows to an exact 0 at once
+    start = time.perf_counter()
+    assert max_discrepancy_cdf(1e-5) == 0.0
+    assert max_discrepancy_cdf(1e-9) == 0.0
+    assert max_discrepancy_cdf(1e-300) == 0.0
+    assert time.perf_counter() - start < 0.5
+
+
+def test_excursion_max_series_agree_on_overlap():
+    for t in (0.5, 0.8, 1.0, 1.2, 1.5):
+        assert _max_cdf_small_t(t) == pytest.approx(_max_cdf_large_t(t), abs=1e-15)
+
+
+def test_excursion_max_cdf_matches_high_precision_sum():
+    # the direct series in 400-digit arithmetic, truncated where its terms
+    # drop below e^{-2 (20)^2}: relative accuracy deep in the lower tail
+    for t in (0.1, 0.2, 0.3, 0.5, 0.9, 1.0, 1.7, 2.5):
+        with mpmath.workdps(400):
+            tm = mpmath.mpf(t)
+            want = 1 + 2 * mpmath.fsum((1 - 4 * k * k * tm * tm) * mpmath.exp(-2 * k * k * tm * tm)
+                                       for k in range(1, int(20 / t) + 2))
+        assert max_discrepancy_cdf(t) == pytest.approx(float(want), rel=1e-13)
 
 
 def test_bridge_max_cdf():
@@ -112,6 +157,10 @@ def test_airy_zeros():
     assert zeros[0] == pytest.approx(-2.3381, abs=5e-5)
     assert zeros[1] == pytest.approx(-4.0879, abs=5e-5)
     assert zeros[2] == pytest.approx(-5.5206, abs=5e-5)
+    # k = 4..7 is where a root of mpmath's double-precision Ai is off by up to 1e-9
+    with mpmath.workdps(30):
+        for k, got in enumerate(airy_zeros(8), start=1):
+            assert got == pytest.approx(float(mpmath.airyaizero(k)), abs=1e-14)
     with pytest.raises(ValueError):
         airy_zeros(0)
 
@@ -156,6 +205,8 @@ def test_distribution_handles():
     maxwell = distribution_handle("maxwell", x=0.5)
     assert maxwell.parameters == (("x", 0.5),)
     assert maxwell.evaluate(10.0) == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(ValueError, match="parameter x"):
+        distribution_handle("maxwell")
     for name in ("excursion-max", "bridge-max", "airy-area", "poisson", "gaussian"):
         handle = distribution_handle(name)
         assert handle.name == name
