@@ -10,14 +10,18 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
+import numpy as np
+
 from . import __version__, ensemble, enumeration, limits
-from . import stats as st
-from .core import PrefSequence, dyck_encode, inconvenience, is_parking_function, park, queue_profile
+from .core import PrefSequence, dyck_encode, is_parking_function, park, queue_profile
 from .sample import shift_block
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
+# `stats` takes values up to max(n, STATS_MAX_VALUE): its kernels hold arrays
+# of length max value + 1.
+STATS_MAX_VALUE = 1 << 20
 
 
 class UsageError(Exception):
@@ -35,8 +39,9 @@ def parse_seed(text: str) -> int:
     return seed
 
 
-def parse_function(text: str, m: Optional[int] = None) -> PrefSequence:
-    """Parse a comma-separated 1-based preference sequence."""
+def parse_function(text: str) -> PrefSequence:
+    """Parse a comma-separated 1-based preference sequence, with codomain
+    bound m = max(n, largest value)."""
     tokens = text.split(",")
     values = []
     for pos, token in enumerate(tokens, start=1):
@@ -50,10 +55,7 @@ def parse_function(text: str, m: Optional[int] = None) -> PrefSequence:
         values.append(v)
     if not values:
         raise UsageError("empty function")
-    n = len(values)
-    if m is None:
-        m = max(n, max(values))
-    return PrefSequence(values=tuple(values), m=m)
+    return PrefSequence(values=tuple(values), m=max(len(values), max(values)))
 
 
 def _metadata(args: argparse.Namespace, **extra) -> dict:
@@ -104,14 +106,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
             statistic=args.stat, relation=args.relation,
         )
         hist = ensemble.run_experiment(config)
-        meta = _metadata(args, seed=seed, statistic=args.stat)
+        payload = hist.to_json_dict()
         if args.format == "json":
-            _emit_json(args, {**hist.to_json_dict(), "tool_version": __version__})
+            _emit_json(args, {**payload, "tool_version": __version__})
         else:
-            rows = sorted(hist.bins.items(), key=lambda kv: str(kv[0]))
-            _emit_rows(args, ("value", "count"),
-                       [(("|".join(map(str, v)) if isinstance(v, tuple) else v), c)
-                        for v, c in rows], meta)
+            rows = [("|".join(map(str, b["value"])) if isinstance(b["value"], list) else b["value"],
+                     b["count"]) for b in payload["bins"]]
+            _emit_rows(args, ("value", "count"), rows,
+                       _metadata(args, seed=seed, statistic=args.stat))
         return EXIT_OK
     # raw functions, one per line
     functions = [",".join(map(str, f))
@@ -135,36 +137,25 @@ def cmd_stats(args: argparse.Namespace) -> int:
     else:
         raise UsageError("stats needs --pf or --file")
     seq = parse_function(text)
-    values = seq.values
-    n = seq.n
+    values, n, m = seq.values, seq.n, seq.m
+    if m > max(n, STATS_MAX_VALUE):
+        raise UsageError(f"value {m} is too large: stats takes values up to "
+                         f"max(n, {STATS_MAX_VALUE})")
+    outcome = park(values)  # succeeds exactly on parking functions
     result: dict = {"function": ",".join(map(str, values)), "n": n,
-                    "is_parking_function": is_parking_function(values, n)}
-    outcome = park(values)
+                    "is_parking_function": outcome.success}
+    block = np.array([values], dtype=np.int64)
+    for name in (*ensemble.STATISTICS, "longest-run"):
+        if name != "lucky" or outcome.success:  # lucky is defined on PF_n only
+            result[name] = ensemble.statistic_kernel(name, args.relation)(block, n, m)[0].tolist()
     if outcome.success:
         result.update({
             "spots": list(outcome.spots),
-            "lucky": st.lucky(values),
-            "area": inconvenience(values),
-            "scaled-area": st.scaled_area(values),
-            "max-discrepancy": st.max_discrepancy(values),
             "queue-profile": list(queue_profile(values)),
             "dyck-area": dyck_encode(values).area,
         })
-        decomp = st.max_first_coordinate(values[1:]) if n > 1 else None
-        if decomp is not None:
-            result["kmax"] = decomp.k
     else:
         result["failed_at"] = outcome.failed_at
-    result.update({
-        "first": values[0],
-        "repeats": st.repeats(values),
-        "ones": st.ones(values),
-        "descents": st.descents(values),
-        "descent-pattern": list(st.descent_pattern(values)),
-        "inversions": st.inversions(values),
-        "longest-run": st.longest_run(values, args.relation),
-        "species": list(st.species(values, m=seq.m)),
-    })
     _emit_json(args, result)
     return EXIT_OK
 
@@ -206,10 +197,6 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-STANDARD_FEATURES = ("descent-pattern", "equality-pattern", "weak-descent-pattern",
-                     "species", "inversions", "longest-run")
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     n = args.n
     rows = []
@@ -236,7 +223,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rows.append(("tv_first_vs_uniform", ensemble.tv_distance(hist, uniform)))
         _emit_rows(args, ("comparison", "value"), rows, _metadata(args, seed=seed))
         return EXIT_OK
-    features = [args.feature] if args.feature else list(STANDARD_FEATURES)
+    features = [args.feature] if args.feature else list(ensemble.EQUIDISTRIBUTED_FEATURES)
     for feature in features:
         report = ensemble.exact_equidistribution(n, feature, relation=args.relation)
         rows.append((feature, "equal" if report.equal else f"UNEQUAL at {report.witness}"))

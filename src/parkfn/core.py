@@ -107,13 +107,12 @@ def is_parking_function(seq: Sequence[int], n: Optional[int] = None) -> bool:
 
     O(n) via occurrence counting and prefix sums.
     """
-    values = seq.values if isinstance(seq, PrefSequence) else seq
     if n is None:
-        n = len(values)
-    if len(values) != n or n < 1:
+        n = len(seq)
+    if len(seq) != n or n < 1:
         return False
     counts = [0] * (n + 1)
-    for v in values:
+    for v in seq:
         if not 1 <= v <= n:
             return False
         counts[v] += 1
@@ -132,7 +131,7 @@ def park(seq: Sequence[int]) -> ParkOutcome:
     Failure is a value (`failed_at`), not an error.  Uses a successor
     structure with path compression for near-linear total time.
     """
-    values = tuple(seq.values if isinstance(seq, PrefSequence) else seq)
+    values = tuple(seq)
     n = len(values)
     # nxt[s] = smallest free spot >= s (n + 1 acts as the "overflow" sentinel)
     nxt = list(range(n + 2))

@@ -163,8 +163,14 @@ def longest_run_statistic(relation: str) -> Callable:
 
 
 def statistic_kernel(statistic: str, relation: str = "<") -> Callable:
+    """The kernel of a statistic: a registry entry, or longest-run under the
+    relation.  Raises ValueError for an unknown statistic or relation."""
+    if relation not in st._RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
     if statistic == "longest-run":
         return longest_run_statistic(relation)
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
     return STATISTICS[statistic]
 
 
@@ -184,8 +190,7 @@ class ExperimentConfig:
             raise ValueError("n and count must be >= 1")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.statistic != "longest-run" and self.statistic not in STATISTICS:
-            raise ValueError(f"unknown statistic {self.statistic!r}")
+        statistic_kernel(self.statistic, self.relation)
 
 
 @dataclass
@@ -351,7 +356,7 @@ def run_experiment(config: ExperimentConfig) -> Histogram:
 
 
 def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
-                         relation: str = "<", limit: int = 8) -> Histogram:
+                         relation: str = "<", limit: int = DEFAULT_ENUM_LIMIT) -> Histogram:
     """Exact histogram of a statistic over all of PF_n or an all-functions
     ensemble; counts are exact integers.  Raises `CapacityError` for
     n > limit on every ensemble, before any block is built."""
@@ -450,6 +455,12 @@ class EquidistributionReport:
     witness: Optional[Hashable]  # first violating feature value, if any
 
 
+# The features whose law on PF_n, scaled by n + 1, equals their law on
+# [n+1]^n: what `parkfn compare` checks by default.
+EQUIDISTRIBUTED_FEATURES = ("descent-pattern", "equality-pattern", "weak-descent-pattern",
+                            "species", "inversions", "longest-run")
+
+
 def _chains_hold(block: np.ndarray, chains: Sequence[st.Chain]) -> np.ndarray:
     """Row mask: every chain's relation holds along its consecutive positions."""
     holds = np.ones(block.shape[0], dtype=bool)
@@ -466,11 +477,11 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
     """The kernel of a feature on functions [n] -> [n+1].  Comparisons only
     depend on relative values, so the same kernel serves PF_n and the
     extended ensemble; both are scored with codomain n + 1."""
-    if feature in ("descent-pattern", "species", "inversions", "longest-run"):
+    if feature in EQUIDISTRIBUTED_FEATURES:
+        pattern = {"equality-pattern": "=", "weak-descent-pattern": "<="}.get(feature)
+        if pattern:
+            return descent_pattern_statistic(pattern)
         return statistic_kernel(feature, relation)
-    pattern = {"equality-pattern": "=", "weak-descent-pattern": "<="}.get(feature)
-    if pattern:
-        return descent_pattern_statistic(pattern)
     # Negative controls (they distinguish the ensembles): all features below but chain-poset.
     if feature == "forced-gap":
         if n < 2:
@@ -497,8 +508,8 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
 
 
 def exact_equidistribution(n: int, feature: str, relation: str = "<",
-                           poset: Optional[st.ChainPoset] = None,
-                           position: int = 2, limit: int = 8) -> EquidistributionReport:
+                           poset: Optional[st.ChainPoset] = None, position: int = 2,
+                           limit: int = DEFAULT_ENUM_LIMIT) -> EquidistributionReport:
     """Brute-force joint feature distribution over PF_n versus all functions
     [n] -> [n+1]; equality must hold exactly after scaling by n+1."""
     kernel = _feature_kernel(feature, n, relation=relation, poset=poset, position=position)
@@ -519,7 +530,7 @@ class WeakPeakReport:
     f_count: int
 
 
-def weak_peak_check(n: int, i: int, limit: int = 8) -> WeakPeakReport:
+def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeakReport:
     """Verify P(f_{i-1} < f_i >= f_{i+1}) is equal across ensembles, exactly,
     via inclusion-exclusion over two chain posets:
     #(weak peak) = #(f_{i-1} < f_i) - #(f_{i-1} < f_i < f_{i+1})."""
@@ -551,7 +562,8 @@ class JointBoundReport:
     bound: float
 
 
-def joint_coordinate_bound_check(n: int, k: int, limit: int = 8) -> JointBoundReport:
+def joint_coordinate_bound_check(n: int, k: int,
+                                 limit: int = DEFAULT_ENUM_LIMIT) -> JointBoundReport:
     """Exact joint CDF of k coordinates of a uniform parking function versus
     the product form for uniform functions [n] -> [n], over the full grid
     x_j = i_j/n; asserts the 2k sqrt(log n / n) + k(k-1)/n bound (n >= 4)."""

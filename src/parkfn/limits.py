@@ -200,7 +200,11 @@ def _airy_zero(k: int) -> float:
     return float(a - mpmath.airyai(a) / mpmath.airyai(a, derivative=1))
 
 
-def airy_area_density(x: float, rel_tol: float = 1e-14) -> float:
+# Relative size of the term at which the Airy area series stops.
+_AIRY_REL_TOL = 1e-14
+
+
+def airy_area_density(x: float) -> float:
     """Density of the Airy area law:
     f(x) = (2 sqrt(6)/x^{10/3}) sum_k e^{-b_k/x^2} b_k^{2/3} U(-5/6, 4/3, b_k/x^2)
     with b_k = -2 a_k^3 / 27 over Airy zeros a_k."""
@@ -215,7 +219,7 @@ def airy_area_density(x: float, rel_tol: float = 1e-14) -> float:
             break
         term = weight * b_k ** (2 / 3) * mpmath.fp.hyperu(-5 / 6, 4 / 3, z)
         total += term
-        if k >= 3 and abs(term) < rel_tol * abs(total):
+        if k >= 3 and abs(term) < _AIRY_REL_TOL * abs(total):
             break
     return 2 * math.sqrt(6) / x ** (10 / 3) * total
 
@@ -262,7 +266,7 @@ class DistributionHandle:
 
 def distribution_handle(name: str, **params: float) -> DistributionHandle:
     """Look up a distribution by name: borel, maxwell(x), excursion-max,
-    bridge-max, airy-area, poisson(lam), gaussian."""
+    bridge-max, airy-area, poisson (lam = 1), gaussian."""
     if name == "borel":
         return DistributionHandle(name, (), lambda j: borel_pmf(int(j)), "pmf", support_min=1)
     if name == "maxwell":
@@ -276,13 +280,10 @@ def distribution_handle(name: str, **params: float) -> DistributionHandle:
         return DistributionHandle(name, (), max_discrepancy_cdf, "cdf")
     if name == "bridge-max":
         return DistributionHandle(name, (), bridge_max_cdf, "cdf")
-    if name == "airy-area":
-        return DistributionHandle(name, (), airy_area_density, "pdf")
-    if name == "poisson":
-        lam = params.get("lam", 1.0)
-        return DistributionHandle(
-            name, (("lam", lam),), lambda j, _l=lam: poisson_pmf(_l, int(j)), "pmf"
-        )
+    if name == "airy-area":  # 0 for x <= 0: the density's limit as x -> 0+
+        return DistributionHandle(name, (), lambda x: airy_area_density(x) if x > 0 else 0.0, "pdf")
+    if name == "poisson":  # lam = 1: the limit law of the repeats count
+        return DistributionHandle(name, (("lam", 1.0),), lambda j: poisson_pmf(1.0, int(j)), "pmf")
     if name == "gaussian":
         return DistributionHandle(name, (), gaussian_cdf, "cdf")
     raise ValueError(f"unknown distribution {name!r}")

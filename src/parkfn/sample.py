@@ -76,12 +76,11 @@ def find_valid_shift(values: Sequence[int], n: int | None = None) -> int:
     around the cycle, the valid rotation starts just after the first
     position achieving the minimum partial sum.
     """
-    vals = values.values if isinstance(values, PrefSequence) else values
     if n is None:
-        n = len(vals)
+        n = len(values)
     mod = n + 1
     counts = [0] * (mod + 1)
-    for v in vals:
+    for v in values:
         counts[v] += 1
     running = 0
     best = 1
@@ -96,11 +95,10 @@ def find_valid_shift(values: Sequence[int], n: int | None = None) -> int:
 
 def shift_sequence(values: Sequence[int], k: int, n: int | None = None) -> tuple[int, ...]:
     """Add k(1,...,1) mod n+1, representatives in [1, n+1]."""
-    vals = tuple(values.values if isinstance(values, PrefSequence) else values)
     if n is None:
-        n = len(vals)
+        n = len(values)
     mod = n + 1
-    return tuple((v + k - 1) % mod + 1 for v in vals)
+    return tuple((v + k - 1) % mod + 1 for v in values)
 
 
 def sample_parking_function(n: int, rng: RngStream) -> ParkingFunction:

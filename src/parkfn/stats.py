@@ -6,7 +6,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import ParkingFunction, PrefSequence, is_parking_function, park, queue_profile
+from .core import PrefSequence, park, queue_profile
 
 _RELATIONS = {
     "<": operator.lt,
@@ -17,15 +17,9 @@ _RELATIONS = {
 }
 
 
-def _values(seq: Sequence[int]) -> tuple[int, ...]:
-    if isinstance(seq, PrefSequence):
-        return seq.values
-    return tuple(seq)
-
-
 def repeats(seq: Sequence[int]) -> int:
     """Number of adjacent equal pairs, reading left to right."""
-    v = _values(seq)
+    v = tuple(seq)
     return sum(1 for a, b in zip(v, v[1:]) if a == b)
 
 
@@ -40,7 +34,7 @@ def lucky(pf: Sequence[int]) -> int:
 def value_counts(seq: Sequence[int]) -> dict[int, int]:
     """Exact multiplicity of each value present in the sequence."""
     counts: dict[int, int] = {}
-    for v in _values(seq):
+    for v in seq:
         counts[v] = counts.get(v, 0) + 1
     return counts
 
@@ -57,7 +51,7 @@ def descent_pattern(seq: Sequence[int], relation: str = "<") -> tuple[int, ...]:
     "<=" the weak-descent pattern; ">" and ">=" give the reversed analogs.
     """
     op = _RELATIONS[relation]
-    v = _values(seq)
+    v = tuple(seq)
     return tuple(1 if op(b, a) else 0 for a, b in zip(v, v[1:]))
 
 
@@ -69,7 +63,7 @@ def descents(seq: Sequence[int]) -> int:
 def species(seq: Sequence[int], m: Optional[int] = None) -> tuple[int, ...]:
     """Species vector (mu_0, ..., mu_n): mu_r = number of codomain values
     occurring exactly r times.  Satisfies sum mu_r = m, sum r*mu_r = n."""
-    v = _values(seq)
+    v = tuple(seq)
     n = len(v)
     if m is None:
         m = seq.m if isinstance(seq, PrefSequence) else n
@@ -83,14 +77,14 @@ def species(seq: Sequence[int], m: Optional[int] = None) -> tuple[int, ...]:
 
 def inversions(seq: Sequence[int]) -> int:
     """Number of pairs i < j with seq_i > seq_j."""
-    v = _values(seq)
+    v = tuple(seq)
     return sum(1 for i in range(len(v)) for j in range(i + 1, len(v)) if v[i] > v[j])
 
 
 def longest_run(seq: Sequence[int], relation: str = "<") -> int:
     """Length (in values) of the longest consecutive run under the relation."""
     op = _RELATIONS[relation]
-    v = _values(seq)
+    v = tuple(seq)
     best = 1
     current = 1
     for a, b in zip(v, v[1:]):
@@ -109,7 +103,7 @@ def max_discrepancy(pf: Sequence[int]) -> int:
 
 def scaled_area(pf: Sequence[int]) -> float:
     """(n^2/2 - sum pi_i) / n^{3/2}; converges to the Airy area law."""
-    v = _values(pf)
+    v = tuple(pf)
     n = len(v)
     return (n * n / 2 - sum(v)) / n**1.5
 
@@ -134,7 +128,7 @@ class ShuffleDecomposition:
 def max_first_coordinate(suffix: Sequence[int]) -> Optional[ShuffleDecomposition]:
     """Largest k such that (k, suffix) is a parking function, with the
     canonical value-threshold decomposition; None if no prefix works."""
-    v = _values(suffix)
+    v = tuple(suffix)
     n = len(v) + 1
     counts = [0] * (n + 1)
     for x in v:
@@ -201,7 +195,7 @@ class ChainPoset:
 
 def chain_monotone(seq: Sequence[int], poset: ChainPoset) -> bool:
     """True iff every chain's relation holds along consecutive chain positions."""
-    v = _values(seq)
+    v = tuple(seq)
     for chain in poset.chains:
         op = _RELATIONS[chain.relation]
         for a, b in zip(chain.positions, chain.positions[1:]):

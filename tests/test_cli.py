@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,20 @@ from parkfn import (
     split_stream,
 )
 from parkfn import cli
+from parkfn.core import dyck_encode, inconvenience, park, queue_profile
+from parkfn.stats import (
+    descent_pattern,
+    descents,
+    inversions,
+    longest_run,
+    lucky,
+    max_discrepancy,
+    max_first_coordinate,
+    ones,
+    repeats,
+    scaled_area,
+    species,
+)
 from parkfn.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -132,6 +148,62 @@ def test_stats_non_parking_function(capsys):
     assert result["failed_at"] == 2
 
 
+def _stats_oracle(values, relation):
+    """What `stats` prints for a function, from the scalar definitions."""
+    n = len(values)
+    m = max(n, *values)
+    is_pf = is_parking_function(values, n)
+    outcome = park(values)
+    decomp = max_first_coordinate(values[1:])
+    if max(values) <= n:
+        discrepancy = max_discrepancy(values)
+    else:  # queue_profile takes values in [1, n]; a value above n is never counted
+        discrepancy = max(0, *(sum(v <= k for v in values) - k for k in range(1, n + 1)))
+    expected = {
+        "function": ",".join(map(str, values)),
+        "n": n,
+        "is_parking_function": is_pf,
+        "first": values[0],
+        "area": inconvenience(values),
+        "scaled-area": scaled_area(values),
+        "repeats": repeats(values),
+        "ones": ones(values),
+        "descents": descents(values),
+        "descent-pattern": list(descent_pattern(values)),
+        "species": list(species(values, m=m)),
+        "inversions": inversions(values),
+        "max-discrepancy": discrepancy,
+        "scaled-max-discrepancy": discrepancy / math.sqrt(n),
+        "kmax": decomp.k if decomp else 0,
+        "longest-run": longest_run(values, relation),
+    }
+    if is_pf:
+        expected.update({"lucky": lucky(values), "spots": list(outcome.spots),
+                         "queue-profile": list(queue_profile(values)),
+                         "dyck-area": dyck_encode(values).area})
+    else:
+        expected["failed_at"] = outcome.failed_at
+    return expected
+
+
+def test_stats_matches_scalar_oracles(capsys):
+    # every function [n] -> [n+1] for n <= 4: each key, and the key set, as
+    # the scalar oracles give them
+    for relation in ("<", ">="):
+        for n in range(1, 5):
+            for values in product(range(1, n + 2), repeat=n):
+                text = ",".join(map(str, values))
+                code, out, _ = run_cli(capsys, "stats", "--pf", text, "--relation", relation)
+                assert code == EXIT_OK
+                assert json.loads(out) == _stats_oracle(values, relation), (text, relation)
+
+
+def test_stats_rejects_values_beyond_its_bound(capsys):
+    big = cli.STATS_MAX_VALUE + 1
+    code, _, err = run_cli(capsys, "stats", "--pf", f"1,2,{big}")
+    assert code == EXIT_USAGE and str(big) in err
+
+
 def test_stats_from_file(tmp_path, capsys):
     path = tmp_path / "fn.txt"
     path.write_text("2,1,1\n")
@@ -192,6 +264,16 @@ def test_dist_borel_default_range_starts_at_support():
     rows = [line.split(",")[0] for line in proc.stdout.splitlines()
             if line and not line.startswith("#")]
     assert rows == ["argument", "1", "2", "3"]
+
+
+def test_dist_airy_area_default_grid(capsys):
+    # the density is 0 at the grid's default start, its limit as x -> 0+
+    code, out, _ = run_cli(capsys, "dist", "--dist", "airy-area")
+    assert code == EXIT_OK
+    rows = [line for line in out.splitlines()
+            if line and not line.startswith("#") and not line.startswith("argument")]
+    assert len(rows) == 31
+    assert rows[0] == "0.0,0.0"
 
 
 def test_dist_rejects_nonpositive_step():

@@ -50,10 +50,20 @@ def test_config_validation():
         ExperimentConfig(n=0, count=1, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n=3, count=1, seed=0, ensemble="permutations")
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=3, count=1, seed=0, statistic="entropy")
     # longest-run is valid even though it lives outside the registry
     ExperimentConfig(n=3, count=1, seed=0, statistic="longest-run")
+    # an unknown statistic or relation is a ValueError that names it, wherever
+    # the name is looked up
+    bad_names = [
+        ("'entropy'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="entropy")),
+        ("'~'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="longest-run",
+                                         relation="~")),
+        ("'bogus'", lambda: exhaustive_histogram(3, "bogus")),
+        ("'~'", lambda: exact_equidistribution(3, "longest-run", relation="~")),
+    ]
+    for name, call in bad_names:
+        with pytest.raises(ValueError, match=name):
+            call()
 
 
 def test_run_experiment_deterministic_and_total():
