@@ -8,10 +8,12 @@ distances (total variation, Kolmogorov-Smirnov).
 
 from __future__ import annotations
 
+import marshal
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -99,11 +101,14 @@ def _stat_species(block, n, m):
 
 def _stat_inversions(block, n, m):
     # Pairs at distance d are compared for all rows at once: memory stays at
-    # one block, the work is O(n^2) per row.
-    total = np.zeros(block.shape[0], dtype=np.int64)
+    # one block, the work is O(n^2) per row.  Column-major, so that each pass
+    # is one contiguous compare and one add, in the narrowest dtypes: values
+    # in [1, m] fit min_scalar_type(m), and acc[j] counts at most n - 1 pairs.
+    cols = np.array(block.T, dtype=np.min_scalar_type(m), order="C")
+    acc = np.zeros((n, block.shape[0]), dtype=np.int16 if n < 1 << 15 else np.int32)
     for d in range(1, n):
-        total += np.count_nonzero(block[:, :-d] > block[:, d:], axis=1)
-    return total
+        acc[:n - d] += cols[:-d] > cols[d:]
+    return acc.sum(axis=0, dtype=np.int64)
 
 
 def _max_discrepancy(block, m):
@@ -241,10 +246,54 @@ class Histogram:
             "count": self.count,
             "bins": [
                 {"value": list(v) if isinstance(v, tuple) else v, "count": c}
-                for v, c in sorted(self.bins.items(), key=lambda kv: str(kv[0]))
+                for v, c in _str_sorted(self.bins.items(), key=itemgetter(0))
             ],
             "summaries": self.summaries,
         }
+
+
+# _STR_RANK[v] is the rank of str(v) among str(0), ..., str(255).
+_STR_RANK = bytes(map(sorted(range(256), key=str).index, range(256)))
+
+
+def _str_sorted(items: Iterable, key: Callable = lambda item: item) -> list:
+    """The items in the order of `sorted(items, key=lambda x: str(key(x)))`,
+    the order of JSON bins and of witness scans, without formatting each key
+    when the keys allow it (see `_byte_keys`)."""
+    items = list(items)
+    byte_keys = _byte_keys(list(map(key, items)))
+    if byte_keys is None:
+        return sorted(items, key=lambda item: str(key(item)))
+    return [items[i] for i in sorted(range(len(items)), key=byte_keys.__getitem__)]
+
+
+def _byte_keys(keys: list) -> Optional[list[bytes]]:
+    """Sort keys in the order of `str`, or None, for tuples of one length
+    whose entries are ints in [0, 256).  Such strings compare entry by entry
+    as decimal strings: at the first entry that differs, a string that is a
+    prefix of the other is followed by "," or ")", both below any digit.  So
+    `bytes(t).translate(_STR_RANK)` gives their order.
+
+    Anything else keeps `str`: other lengths (`(1,)` sorts after `(1, 2)`),
+    entries outside [0, 256) (bytes() raises), scalars, and entries that
+    pass bytes() but print otherwise, such as bools and numpy ints.  The type
+    check runs in C: marshal format 2 writes a tuple as a 5-byte header and
+    an exact int below 2^31 as b"i" and 4 bytes, but a bool as b"T" or b"F"
+    and other ints as something else, or raises."""
+    if not keys or any(type(k) is not tuple for k in keys):
+        return None
+    width = len(keys[0])
+    tags = b"i" * width
+    byte_keys = []
+    try:
+        for k in keys:
+            data = marshal.dumps(k, 2)
+            if len(data) != 5 + 5 * width or data[5::5] != tags:
+                return None
+            byte_keys.append(bytes(k).translate(_STR_RANK))
+    except ValueError:
+        return None
+    return byte_keys
 
 
 def _summaries(items: list[tuple[int | float, int]]) -> dict[str, float]:
@@ -515,7 +564,7 @@ def exact_equidistribution(n: int, feature: str, relation: str = "<",
     kernel = _feature_kernel(feature, n, relation=relation, poset=poset, position=position)
     pf_counts = _census(kernel, pf_blocks(n, limit), n, n + 1)
     f_counts = _census(kernel, function_blocks(n, n + 1), n, n + 1)
-    for v in sorted(set(pf_counts) | set(f_counts), key=str):
+    for v in _str_sorted(set(pf_counts) | set(f_counts)):
         if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0):
             return EquidistributionReport(n=n, feature=feature, equal=False, witness=v)
     return EquidistributionReport(n=n, feature=feature, equal=True, witness=None)

@@ -198,6 +198,17 @@ def test_stats_matches_scalar_oracles(capsys):
                 assert json.loads(out) == _stats_oracle(values, relation), (text, relation)
 
 
+def test_stats_inversions_at_dtype_edges(capsys):
+    # m = max(n, largest value) sets the kernel's compare dtype
+    for m in (255, 256, 65535, 65536, cli.STATS_MAX_VALUE):
+        for values in ((m, 1, m, 1, m - 1, 2, m), (1, m, m - 1, m - 1, 2, 1, m)):
+            code, out, _ = run_cli(capsys, "stats", "--pf", ",".join(map(str, values)))
+            assert code == EXIT_OK
+            assert json.loads(out)["inversions"] == inversions(values), (m, values)
+    code, out, _ = run_cli(capsys, "stats", "--pf", ",".join(map(str, range(100, 0, -1))))
+    assert json.loads(out)["inversions"] == 4950
+
+
 def test_stats_rejects_values_beyond_its_bound(capsys):
     big = cli.STATS_MAX_VALUE + 1
     code, _, err = run_cli(capsys, "stats", "--pf", f"1,2,{big}")

@@ -165,6 +165,30 @@ def function_blocks(draw):
     return draw(st_h.lists(row, min_size=1, max_size=6)), n, m
 
 
+def _inversion_edge_rows(n, m, seed):
+    """Rows of width n over [1, m] that hold 1, m and ties, drawn mostly
+    from {1, 2, m - 1, m}."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(sorted({1, 2, m - 1, m}))
+    rows = [np.resize([m, 1, m, 1, m - 1], n), np.arange(n, 0, -1) * (m // n)]
+    rows += [rng.choice(pool, n) for _ in range(3)] + [rng.integers(1, m + 1, n) for _ in range(3)]
+    return np.array(rows, dtype=np.int64)
+
+
+def test_inversions_kernel_at_dtype_edges():
+    # values in [1, m] are compared as uint8 up to m = 255, then uint16 and
+    # uint32; acc counts in int16 up to n = 2^15, then int32
+    kernel = STATISTICS["inversions"]
+    for m in (255, 256, 65535, 65536, 1 << 20):
+        for n in (2, 9, 40):
+            block = _inversion_edge_rows(n, m, seed=m + n)
+            assert _to_python(kernel(block, n, m)) == [inversions(r) for r in block.tolist()]
+    assert _to_python(kernel(np.ones((3, 1), dtype=np.int64), 1, 1)) == [0, 0, 0]
+    for n in (100, 1 << 15, (1 << 15) + 1):  # one reversed row: acc[0] = n - 1
+        block = np.arange(n, 0, -1, dtype=np.int64)[None, :]
+        assert _to_python(kernel(block, n, n)) == [n * (n - 1) // 2]
+
+
 @given(function_blocks())
 def test_kernels_match_scalar_definitions(case):
     funcs, n, m = case
@@ -310,6 +334,73 @@ def test_histogram_json_schema():
     assert payload["n"] == 5 and payload["count"] == 50
     assert sum(row["count"] for row in payload["bins"]) == 50
     json.dumps(payload)  # must be serializable as-is
+
+
+# near the edges where str order and numeric order part: one digit against
+# two or three, and the byte range [0, 256)
+_EDGE_ENTRIES = st_h.sampled_from((0, 1, 2, 9, 10, 11, 19, 99, 100, 101, 199, 200, 254, 255,
+                                   256, 257, 299, 300))
+_TUPLE_ENTRIES = st_h.integers(0, 300) | _EDGE_ENTRIES
+
+
+@st_h.composite
+def bin_keys(draw):
+    """Keys of a bins dict: equal-length tuples of entries in [0, 300], or
+    tuples of mixed lengths, negative entries, bools or numpy ints, or
+    scalars of mixed types."""
+    kind = draw(st_h.sampled_from(("equal-length", "mixed-length", "odd-entries", "scalars")))
+    if kind == "equal-length":
+        width = draw(st_h.integers(0, 6))
+        key = st_h.tuples(*[_TUPLE_ENTRIES] * width)
+    elif kind == "mixed-length":
+        key = st_h.lists(_TUPLE_ENTRIES, max_size=4).map(tuple)
+    elif kind == "odd-entries":
+        entry = (_TUPLE_ENTRIES | st_h.integers(-300, -1) | st_h.booleans()
+                 | _TUPLE_ENTRIES.map(np.int64) | st_h.integers(0, 255).map(np.uint8)
+                 | st_h.integers(0, 255).map(np.uint32))
+        key = st_h.lists(entry, min_size=2, max_size=2).map(tuple)
+    else:
+        key = (st_h.integers(-300, 300) | st_h.floats(-300, 300, allow_nan=False)
+               | st_h.booleans() | st_h.just(()))
+    return draw(st_h.lists(key, min_size=1, max_size=30))
+
+
+def _assert_json_bin_order(bins):
+    # counts tell the keys apart, so the order is checked with them
+    hist = Histogram(n=1, statistic="x", ensemble="pf", seed=0, count=1, bins=bins)
+    got = [(row["value"], row["count"]) for row in hist.to_json_dict()["bins"]]
+    expected = [(list(k) if isinstance(k, tuple) else k, c)
+                for k, c in sorted(bins.items(), key=lambda kv: str(kv[0]))]
+    assert got == expected
+    # the byte keys serve exactly the tuples of one length of plain ints in [0, 256)
+    keys = list(bins)
+    plain = all(type(k) is tuple and len(k) == len(keys[0])
+                and all(type(x) is int and 0 <= x < 256 for x in k) for k in keys)
+    assert (ensemble._byte_keys(keys) is not None) == plain
+
+
+@example([(1, 2), (True, 3), (1,), (12,)])
+@example([(1, 0), (True, 1), (10, 0), (2, 0)])
+@example([(255, 3), (256, 3), (25, 3)])
+@example([(True, np.uint32(3)), (2, 0)])  # as long in marshal as two plain ints
+@given(bin_keys())
+def test_json_bin_order_is_str_order(keys):
+    _assert_json_bin_order({k: i for i, k in enumerate(keys)})
+
+
+def test_json_bin_order_edges():
+    # n = 1: the one key (); n = 300: species keys of 301 entries, in bytes,
+    # and with the all-ones row (mu_0 = 299) in str
+    _assert_json_bin_order(run_experiment(ExperimentConfig(
+        n=1, count=5, seed=0, statistic="descent-pattern")).bins)
+    n = 300
+    species = run_experiment(ExperimentConfig(n=n, count=40, seed=2, statistic="species")).bins
+    assert ensemble._byte_keys(list(species)) is not None
+    _assert_json_bin_order(species)
+    block = np.array(_sampled_rows(n, 20, 9, "pf") + [[1] * n], dtype=np.int64)
+    bins = ensemble._census(STATISTICS["species"], [block], n, n)
+    assert ensemble._byte_keys(list(bins)) is None
+    _assert_json_bin_order(bins)
 
 
 # --- census keys and summaries -------------------------------------------
