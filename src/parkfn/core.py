@@ -5,6 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+# Elements per block of functions: rows are drawn, shifted, enumerated and
+# scored a block at a time.  Results do not depend on it; it bounds the memory
+# of a block.
+BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class PrefSequence:
@@ -54,8 +59,8 @@ class ParkingFunction(tuple):
 
     @classmethod
     def _trusted(cls, values: tuple[int, ...]) -> "ParkingFunction":
-        # Fast path for the enumerator, which generates valid functions by
-        # construction; skips re-validation.
+        # Fast path for the sampler, whose shifted rows are parking functions
+        # by construction; skips re-validation.
         return tuple.__new__(cls, values)
 
     @property

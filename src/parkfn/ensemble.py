@@ -19,13 +19,11 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import stats as st
+from .core import BLOCK_ELEMENTS
 from .enumeration import DEFAULT_ENUM_LIMIT, check_enumeration_size, count_pf
 from .sample import draw_block, queue_profiles, row_counts, shift_block
 
 ENSEMBLES = ("pf", "fn", "fn1")
-# Elements per block of functions: rows are drawn, shifted and scored a block
-# at a time.  Results do not depend on it; it bounds the memory of a block.
-BLOCK_ELEMENTS = 1 << 16
 
 
 # --- statistics registry --------------------------------------------------

@@ -6,12 +6,16 @@ rational; floating point never enters.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import comb, factorial
-from typing import Iterator, Optional, Sequence
+from struct import Struct
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import ParkingFunction
+import numpy as np
+
+from .core import BLOCK_ELEMENTS, ParkingFunction
 from .stats import descent_pattern
 
 DEFAULT_ENUM_LIMIT = 8
@@ -46,23 +50,112 @@ def _sorted_profiles(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend(0, 1)
 
 
+# --- arrangements of multisets, a block at a time -------------------------
+#
+# A multiset is a tuple of counts, one per rank 0..k-1 of its distinct values.
+# Its arrangements are expanded breadth first, one position per step: the
+# children of each partial arrangement are its nonzero counts, in rank order,
+# so a block lists the arrangements of its multisets in order, each multiset's
+# lexicographically.
+
+def _arrangements(counts: Sequence[int]) -> int:
+    """The multinomial coefficient: how many distinct arrangements."""
+    total, placed = 1, 0
+    for c in counts:
+        placed += c
+        total *= comb(placed, c)
+    return total
+
+
+def _children(prefix: tuple[int, ...], counts: tuple[int, ...],
+              size: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    left = sum(counts)
+    for rank, c in enumerate(counts):
+        if c:
+            child = list(counts)
+            child[rank] -= 1
+            yield prefix + (rank,), tuple(child), size * c // left
+
+
+def _nodes(counts: tuple[int, ...],
+           rows: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The arrangements of `counts` as (prefix, remaining counts, size) nodes in
+    lexicographic order, each with at most `rows` arrangements: a larger node
+    is split by its leading rank, depth first (a stack, not recursion)."""
+    stack = [iter([((), counts, _arrangements(counts))])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif node[2] <= rows:
+            yield node
+        else:
+            stack.append(_children(*node))
+
+
+def _expand(nodes: list[tuple[tuple[int, ...], tuple[int, ...]]], size: int, width: int,
+            values: np.ndarray) -> np.ndarray:
+    """The `size` arrangements of `nodes` (prefixes of one length), in order,
+    as a (size, width) block of `values[rank]`."""
+    depth = len(nodes[0][0])
+    counts = np.array([c for _p, c in nodes], dtype=np.min_scalar_type(width))
+    unit = np.eye(counts.shape[1], dtype=counts.dtype)
+    steps = []
+    for _ in range(depth, width - 1):
+        parent, rank = np.nonzero(counts)
+        counts = counts[parent] - unit[rank]
+        steps.append((parent, values[rank]))
+    block = np.empty((size, width), dtype=values.dtype)
+    if width > depth:  # one item is left in each row: the last column
+        block[:, -1] = values[np.nonzero(counts)[1]]
+    row = slice(None)  # the rows' ancestors at the level being written
+    for j, (parent, column) in zip(range(width - 2, depth - 1, -1), reversed(steps)):
+        block[:, j] = column[row]
+        row = parent[row]
+    if depth:
+        block[:, :depth] = values[np.array([p for p, _c in nodes])][row]
+    return block
+
+
+def _arrangement_blocks(multisets: Iterable[tuple[int, ...]], width: int,
+                        values: np.ndarray) -> Iterator[np.ndarray]:
+    """Every arrangement of each multiset of `width` items, in order, as blocks
+    of at most BLOCK_ELEMENTS values (one row each); a multiset with more
+    arrangements than a block holds is split by its leading values."""
+    rows = max(1, BLOCK_ELEMENTS // max(width, 1))
+    batch: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    filled = 0
+    for counts in multisets:
+        for prefix, rest, size in _nodes(counts, rows):
+            if batch and (filled + size > rows or len(prefix) != len(batch[0][0])):
+                yield _expand(batch, filled, width, values)
+                batch, filled = [], 0
+            batch.append((prefix, rest))
+            filled += size
+    if batch:
+        yield _expand(batch, filled, width, values)
+
+
+def _tuples(block: np.ndarray) -> Iterator[tuple]:
+    """The rows of a block as tuples of Python scalars, built in C."""
+    rows, width = block.shape
+    if width == 0:
+        return repeat((), rows)
+    if block.dtype == object:
+        return map(tuple, block.tolist())
+    return Struct(f"{width}{block.dtype.char}").iter_unpack(block.tobytes())
+
+
 def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Each distinct permutation of a multiset once, in lexicographic order:
-    at the last ascent a[i] < a[i+1], swap a[i] with the last entry above it
-    and reverse the tail after position i."""
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = a[:i:-1]
+    """Each distinct permutation of a multiset once, in lexicographic order."""
+    tally = Counter(items)
+    distinct = sorted(tally)
+    values = np.array(distinct)
+    if values.dtype.kind not in "iu":  # ints beyond 64 bits, or no ints at all
+        values = np.array(distinct, dtype=object)
+    counts = tuple(tally[v] for v in distinct)
+    for block in _arrangement_blocks([counts], sum(counts), values):
+        yield from _tuples(block)
 
 
 def check_enumeration_size(n: int, limit: int) -> None:
@@ -73,16 +166,27 @@ def check_enumeration_size(n: int, limit: int) -> None:
         raise CapacityError(f"n={n} exceeds enumeration limit {limit}; raise `limit` to opt in")
 
 
-def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
-    """Yield each parking function of size n exactly once.
+def _value_counts(profile: tuple[int, ...], n: int) -> tuple[int, ...]:
+    counts = [0] * n
+    for v in profile:
+        counts[v - 1] += 1
+    return tuple(counts)
 
-    Generates sorted profiles and expands distinct permutations, so the cost
-    is proportional to the output size (n+1)^{n-1}, not n^n.
+
+def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
+    """Yield each parking function of size n exactly once: sorted profiles in
+    lexicographic order, each expanded into its distinct arrangements in
+    lexicographic order.
+
+    The arrangements are built in numpy blocks and turned into tuples in C,
+    so the cost is proportional to the output size (n+1)^{n-1}, not n^n.
     """
     check_enumeration_size(n, limit)
-    for profile in _sorted_profiles(n):
-        for perm in multiset_permutations(profile):
-            yield ParkingFunction._trusted(perm)
+    values = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
+    multisets = (_value_counts(profile, n) for profile in _sorted_profiles(n))
+    for block in _arrangement_blocks(multisets, n, values):
+        # the rows are parking functions by construction: skip validation
+        yield from map(tuple.__new__, repeat(ParkingFunction), _tuples(block))
 
 
 def count_pf(n: int) -> int:

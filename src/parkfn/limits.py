@@ -11,7 +11,9 @@ Each law is evaluated with `math`, numpy and mpmath alone:
   from `math.gamma` and `mpmath.zeta`.
 - Airy area: Takacs's series over the Airy zeros (mpmath's root finder,
   refined by one Newton step) with the confluent
-  hypergeometric U from mpmath's double-precision `fp` context.
+  hypergeometric U from mpmath's double-precision `fp` context.  In the
+  tail, where that sum cancels away its digits, the same series is summed
+  again in mpmath at the precision the cancellation needs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import Callable
 
 import mpmath
@@ -200,8 +203,25 @@ def _airy_zero(k: int) -> float:
     return float(a - mpmath.airyai(a) / mpmath.airyai(a, derivative=1))
 
 
+@lru_cache(maxsize=None)
+def _airy_zero_mp(k: int, dps: int) -> mpmath.mpf:
+    """The k-th zero of Ai to about `dps` digits, for dps = 16 * 2^j: one
+    Newton step, which doubles the digits, from the zero to dps / 2 digits."""
+    if dps <= 16:
+        return mpmath.mpf(_airy_zero(k))
+    a = _airy_zero_mp(k, dps // 2)
+    with mpmath.workdps(dps + 5):
+        return a - mpmath.airyai(a) / mpmath.airyai(a, derivative=1)
+
+
 # Relative size of the term at which the Airy area series stops.
 _AIRY_REL_TOL = 1e-14
+# The float sum keeps about 16 - log10(sum |term| / |sum|) digits.  Up to a
+# ratio of 1e8 (x ~ 2.03) it is kept as it is; past it the series is summed
+# again in mpmath.
+_AIRY_CANCELLATION = 1e8
+# Beyond it the density, about 100 x^2 e^{-6x^2}, is below the least double.
+_AIRY_UNDERFLOW_X = 11.5
 
 
 def airy_area_density(x: float) -> float:
@@ -210,7 +230,9 @@ def airy_area_density(x: float) -> float:
     with b_k = -2 a_k^3 / 27 over Airy zeros a_k."""
     if x <= 0:
         raise ValueError("x must be > 0")
-    total = 0.0
+    if x > _AIRY_UNDERFLOW_X:
+        return 0.0
+    total = magnitude = 0.0
     for k in range(1, 51):
         b_k = -2 * _airy_zero(k) ** 3 / 27
         z = b_k / (x * x)
@@ -219,9 +241,52 @@ def airy_area_density(x: float) -> float:
             break
         term = weight * b_k ** (2 / 3) * mpmath.fp.hyperu(-5 / 6, 4 / 3, z)
         total += term
+        magnitude += abs(term)
         if k >= 3 and abs(term) < _AIRY_REL_TOL * abs(total):
             break
+    if magnitude > _AIRY_CANCELLATION * abs(total):
+        return _airy_area_density_mp(x)
     return 2 * math.sqrt(6) / x ** (10 / 3) * total
+
+
+@lru_cache(maxsize=4096)  # integrals of f and of x f(x) ask for the same nodes
+def _airy_area_density_mp(x: float) -> float:
+    """The series of `airy_area_density` in mpmath.  Its terms are of order 1
+    and its sum of order e^{-6x^2}, so about 6x^2 / ln 10 digits cancel; the
+    sum carries 20 more, and stops at the first term below its last digit.
+
+    A term is about e^{-z} in size, so it needs about z / ln 10 digits fewer
+    than the sum, and so does its Airy zero.  Where mpmath's asymptotic
+    series of U reaches that many digits (z above 3 times them), the term is
+    e^{-z} U(a, b, z).  Elsewhere it is C M(b-a, b, -z) + D z^{1-b}
+    M(1-a, 2-b, -z) at the sum's precision (DLMF 13.2.42 and Kummer's
+    transformation 13.2.39), with Gamma factors C, D that do not depend on
+    z: there two 1F1 sums cost less than one U."""
+    dps = 20 + math.ceil(6 * x * x / math.log(10))
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(-5) / 6, mpmath.mpf(4) / 3
+        c = mpmath.gamma(1 - b) / mpmath.gamma(a - b + 1)
+        d = mpmath.gamma(b - 1) / mpmath.gamma(a)
+        s = 1 / mpmath.mpf(x) ** 2
+        total = magnitude = mpmath.mpf(0)
+        for k in count(1):
+            z_float = -2 * _airy_zero(k) ** 3 / 27 / (x * x)
+            digits = max(20, dps - int(z_float / math.log(10)))
+            zero = _airy_zero_mp(k, 16 * 2 ** math.ceil(math.log2(digits / 16)))
+            b_k = -2 * zero**3 / 27
+            z = b_k * s
+            if z > 3 * digits:
+                with mpmath.workdps(digits):
+                    scaled_u = mpmath.exp(-z) * mpmath.hyperu(a, b, z)
+            else:
+                scaled_u = (c * mpmath.hyp1f1(b - a, b, -z)
+                            + d / mpmath.cbrt(z) * mpmath.hyp1f1(1 - a, 2 - b, -z))
+            term = mpmath.cbrt(b_k) ** 2 * scaled_u
+            total += term
+            magnitude += abs(term)
+            if abs(term) < mpmath.mp.eps * magnitude:
+                break
+        return float(2 * mpmath.sqrt(6) * s ** (mpmath.mpf(5) / 3) * total)
 
 
 # --- descent-sum CLT normalization ----------------------------------------

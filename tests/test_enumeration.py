@@ -1,10 +1,12 @@
 """Exact enumeration, closed-form counts, and generating functions."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby, permutations
+from itertools import groupby, islice, permutations, zip_longest
 from math import comb, factorial
 
+import oracles
 import pytest
 from hypothesis import given, strategies as st_h
 
@@ -25,6 +27,7 @@ from parkfn import (
     species_joint_prob,
     species_moment,
 )
+from parkfn.core import ParkingFunction
 from parkfn.enumeration import (
     CapacityError,
     all_functions,
@@ -46,10 +49,51 @@ def test_enumerate_is_exact_and_distinct():
         assert all(run == sorted(run) for run in runs)
 
 
-@given(st_h.lists(st_h.integers(1, 4), max_size=6))
+def test_enumerate_matches_oracle_item_by_item():
+    for n in range(1, 8):
+        for got, want in zip_longest(enumerate_pf(n), oracles.enumerate_pf(n)):
+            assert got == want and type(got) is ParkingFunction, (n, got, want)
+
+
+@given(st_h.lists(st_h.integers(-2, 4), max_size=6))
 def test_multiset_permutations_are_distinct_and_lexicographic(items):
     expected = sorted(set(permutations(items)))
     assert list(multiset_permutations(items)) == expected
+    assert list(oracles.multiset_permutations(items)) == expected
+
+
+def test_multiset_permutations_edges_match_oracle():
+    cases = [
+        [],
+        [7],
+        [1] * 17 + [2] * 2 + [3],  # a multiplicity above 15
+        [1] * 300 + [2],  # above 255, and more arrangements than a block holds
+        [2] * 3 + [1] * 256,
+        list(range(-20, 280)) + [5, -20],  # 300 distinct values, some negative
+        [2**70, -(2**70), 0, 0, 1],  # beyond int64
+        [-1, 2**64 - 1, 2**64 - 1],  # in no 64-bit dtype, though each fits in one
+    ]
+    for items in cases:
+        got = list(islice(multiset_permutations(items), 3000))
+        assert got == list(islice(oracles.multiset_permutations(items), 3000)), items[:4]
+    assert list(multiset_permutations([])) == [()]
+
+
+def test_enumeration_memory_stays_flat():
+    # range(10) has 3.6M arrangements and PF_9 10^8 functions: both are
+    # expanded a block at a time, and only as far as they are consumed.
+    for fast, slow in (
+        (multiset_permutations(range(10)), oracles.multiset_permutations(range(10))),
+        (enumerate_pf(9, limit=9), oracles.enumerate_pf(9, limit=9)),
+    ):
+        tracemalloc.start()
+        try:
+            for got, want in islice(zip(fast, slow), 10**5):
+                assert got == want
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
 
 
 def test_enumerate_capacity_guard():
@@ -57,6 +101,9 @@ def test_enumerate_capacity_guard():
         list(enumerate_pf(9))
     with pytest.raises(ValueError):
         list(enumerate_pf(0))
+    listed = enumerate_pf(9)  # raised when iterated, as a generator does
+    with pytest.raises(CapacityError):
+        next(listed)
 
 
 def test_count_pf_rejects_empty_size():

@@ -174,6 +174,37 @@ def test_airy_density_normalization_and_mean():
         airy_area_density(0.0)
 
 
+# The density in its tail, summed at 100 digits over the first 60 zeros with
+# mpmath.airyaizero and mpmath.hyperu: each value is good to over 40 digits.
+AIRY_TAIL = {
+    2.5: 3.1610780119984715934e-14,
+    2.9: 1.0053775086004788041e-19,
+    3.2: 2.0908633320938569607e-24,
+    4.0: 3.2110702126908859633e-39,
+}
+# Values of the double-precision sum, which is kept where it has its digits.
+AIRY_BODY = {
+    0.2: 7.101284392240609e-07,
+    0.5: 2.4295478730963667,
+    1.0: 0.2181190840957174,
+    1.5: 0.00029152382780447587,
+    1.8: 1.1229637905299333e-06,
+    2.0: 1.4604258128302229e-08,
+}
+
+
+def test_airy_density_tail_is_not_roundoff():
+    for x, want in AIRY_TAIL.items():
+        assert airy_area_density(x) == pytest.approx(want, rel=1e-9, abs=0), x
+    for x, want in AIRY_BODY.items():
+        assert airy_area_density(x) == want, x
+    grid = [airy_area_density(i / 10) for i in range(1, 41)]
+    assert all(v > 0 for v in grid)
+    # past the mode the density falls
+    assert all(a > b for a, b in zip(grid[9:], grid[10:]))
+    assert airy_area_density(12.0) == 0.0  # below the least double
+
+
 def test_descent_sum_moments_match_exhaustive():
     for n in range(2, 6):
         total = (n + 1) ** n
