@@ -10,18 +10,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
-import numpy as np
-
-from . import __version__, ensemble, enumeration, limits
+from . import __version__, ensemble, enumeration, limits, stats
 from .core import PrefSequence, dyck_encode, is_parking_function, park, queue_profile
 from .sample import shift_block
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
-# `stats` takes values up to max(n, STATS_MAX_VALUE): its kernels hold arrays
-# of length max value + 1.
-STATS_MAX_VALUE = 1 << 20
 
 
 class UsageError(Exception):
@@ -137,17 +132,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     else:
         raise UsageError("stats needs --pf or --file")
     seq = parse_function(text)
-    values, n, m = seq.values, seq.n, seq.m
-    if m > max(n, STATS_MAX_VALUE):
-        raise UsageError(f"value {m} is too large: stats takes values up to "
-                         f"max(n, {STATS_MAX_VALUE})")
+    values, n = seq.values, seq.n
+    block, m = stats.row_block(values, seq.m)
     outcome = park(values)  # succeeds exactly on parking functions
     result: dict = {"function": ",".join(map(str, values)), "n": n,
                     "is_parking_function": outcome.success}
-    block = np.array([values], dtype=np.int64)
-    for name in (*ensemble.STATISTICS, "longest-run"):
+    for name in (*stats.STATISTICS, "longest-run"):
         if name != "lucky" or outcome.success:  # lucky is defined on PF_n only
-            result[name] = ensemble.statistic_kernel(name, args.relation)(block, n, m)[0].tolist()
+            result[name] = stats.statistic_kernel(name, args.relation)(block, n, m)[0].tolist()
     if outcome.success:
         result.update({
             "spots": list(outcome.spots),

@@ -51,6 +51,8 @@ class ParkingFunction(tuple):
     ValueError so downstream statistics carry no failure path.
     """
 
+    __slots__ = ()
+
     def __new__(cls, values: Iterable[int]) -> "ParkingFunction":
         vals = tuple(int(v) for v in values)
         if not is_parking_function(vals):

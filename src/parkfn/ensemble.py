@@ -14,167 +14,19 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import stats as st
 from .core import BLOCK_ELEMENTS
 from .enumeration import DEFAULT_ENUM_LIMIT, check_enumeration_size, count_pf
-from .sample import draw_block, queue_profiles, row_counts, shift_block
+from .sample import draw_block, shift_block
+# ensemble.STATISTICS is the registry dict itself, so that patching one of its
+# entries (as perfbench's traced runs do) patches it for every caller.
+from .stats import STATISTICS, statistic_kernel
 
 ENSEMBLES = ("pf", "fn", "fn1")
-
-
-# --- statistics registry --------------------------------------------------
-#
-# Each statistic is one kernel over a block of functions: an int64 array of
-# shape (rows, n), one function per row, with codomain bound m.  A kernel
-# returns a numpy array with one entry per row: 1-D for a scalar statistic,
-# 2-D integer (one row per function) for a tuple-valued one.  `_census` turns
-# each distinct entry into a Python value (int, float or tuple of ints).
-
-def _stat_first(block, n, m):
-    return block[:, 0]
-
-
-def _stat_area(block, n, m):
-    return n * (n + 1) // 2 - block.sum(axis=1)
-
-
-def _stat_scaled_area(block, n, m):
-    return (n * n / 2 - block.sum(axis=1)) / n**1.5
-
-
-def _stat_lucky(block, n, m):
-    # st.lucky without core.park's outcome: park each row and count the cars
-    # whose preferred spot is free; nxt[s] leads to the first free spot >= s
-    # (path halving), and n + 1 stays free as the overflow sentinel.
-    counts = []
-    for row in block.tolist():
-        nxt = list(range(n + 2))
-        count = 0
-        for p in row:
-            s = nxt[p]
-            if s == p:
-                count += 1
-            else:
-                while nxt[s] != s:
-                    nxt[s] = s = nxt[nxt[s]]
-            if s > n:
-                raise ValueError("lucky requires a parking function")
-            nxt[s] = s + 1
-        counts.append(count)
-    return np.array(counts, dtype=np.int64)
-
-
-def _stat_repeats(block, n, m):
-    return np.count_nonzero(block[:, 1:] == block[:, :-1], axis=1)
-
-
-def _stat_ones(block, n, m):
-    return np.count_nonzero(block == 1, axis=1)
-
-
-def _stat_descents(block, n, m):
-    return np.count_nonzero(block[:, 1:] < block[:, :-1], axis=1)
-
-
-def descent_pattern_statistic(relation: str) -> Callable:
-    """Kernel of `st.descent_pattern`: X_i = 1 iff f_{i+1} rel f_i."""
-    op = st._RELATIONS[relation]
-    return lambda block, n, m: op(block[:, 1:], block[:, :-1]).view(np.int8)
-
-
-def _stat_species(block, n, m):
-    # mu_r = number of values in [1, m] occurring exactly r times: row_counts
-    # of the value counts, written out so that the value counts are freed
-    # before the second bincount allocates.  Holding both made glibc hand the
-    # block's memory back and fault it in again for every block (380 faults
-    # and 0.9 ms of a 1.4 ms kernel per block of PF_8).
-    rows = block.shape[0]
-    flat = row_counts(block, m + 1)[:, 1:] + (np.arange(rows) * (n + 1))[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
-
-
-def _stat_inversions(block, n, m):
-    # Pairs at distance d are compared for all rows at once: memory stays at
-    # one block, the work is O(n^2) per row.  Column-major, so that each pass
-    # is one contiguous compare and one add, in the narrowest dtypes: values
-    # in [1, m] fit min_scalar_type(m), and acc[j] counts at most n - 1 pairs.
-    cols = np.array(block.T, dtype=np.min_scalar_type(m), order="C")
-    acc = np.zeros((n, block.shape[0]), dtype=np.int16 if n < 1 << 15 else np.int32)
-    for d in range(1, n):
-        acc[:n - d] += cols[:-d] > cols[d:]
-    return acc.sum(axis=0, dtype=np.int64)
-
-
-def _max_discrepancy(block, m):
-    # max(0, max_k #{i : f_i <= k} - k) over k = 1..m
-    return np.maximum(queue_profiles(block, m).max(axis=1), 0)
-
-
-def _stat_max_discrepancy(block, n, m):
-    return _max_discrepancy(block, m)
-
-
-def _stat_scaled_max_discrepancy(block, n, m):
-    return _max_discrepancy(block, m) / math.sqrt(n)
-
-
-def _stat_kmax(block, n, m):
-    # st.max_first_coordinate of each suffix f_2..f_n, 0 where none exists:
-    # g(i) = #{suffix <= i} - i must stay >= -1 (a suffix value n + 1 makes
-    # g(n) <= -2), and k is the first i with g(i) = -1 (n if there is none).
-    g = queue_profiles(block[:, 1:], m)[:, :n]
-    at_floor = g == -1
-    k = np.where(at_floor.any(axis=1), at_floor.argmax(axis=1) + 1, n)
-    return np.where(g.min(axis=1) >= -1, k, 0)
-
-
-STATISTICS: dict[str, Callable] = {
-    "first": _stat_first,
-    "area": _stat_area,
-    "scaled-area": _stat_scaled_area,
-    "lucky": _stat_lucky,
-    "repeats": _stat_repeats,
-    "ones": _stat_ones,
-    "descents": _stat_descents,
-    "descent-pattern": descent_pattern_statistic("<"),
-    "species": _stat_species,
-    "inversions": _stat_inversions,
-    "max-discrepancy": _stat_max_discrepancy,
-    "scaled-max-discrepancy": _stat_scaled_max_discrepancy,
-    "kmax": _stat_kmax,
-}
-
-
-def longest_run_statistic(relation: str) -> Callable:
-    """Kernel of `st.longest_run`.  Number the pairs (f_j, f_{j+1}) by
-    j = 1..n-1: the run of pairs that hold the relation and end at pair j is
-    j minus the last pair <= j that fails it (0 if none), and the longest run
-    of values is one more than the longest run of pairs."""
-    op = st._RELATIONS[relation]
-
-    def kernel(block, n, m):
-        pairs = np.arange(1, n)
-        fails = np.where(op(block[:, :-1], block[:, 1:]), 0, pairs)
-        runs = pairs - np.maximum.accumulate(fails, axis=1)
-        return runs.max(axis=1, initial=0) + 1
-
-    return kernel
-
-
-def statistic_kernel(statistic: str, relation: str = "<") -> Callable:
-    """The kernel of a statistic: a registry entry, or longest-run under the
-    relation.  Raises ValueError for an unknown statistic or relation."""
-    if relation not in st._RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    if statistic == "longest-run":
-        return longest_run_statistic(relation)
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    return STATISTICS[statistic]
 
 
 # --- experiment harness ---------------------------------------------------
@@ -508,16 +360,6 @@ EQUIDISTRIBUTED_FEATURES = ("descent-pattern", "equality-pattern", "weak-descent
                             "species", "inversions", "longest-run")
 
 
-def _chains_hold(block: np.ndarray, chains: Sequence[st.Chain]) -> np.ndarray:
-    """Row mask: every chain's relation holds along its consecutive positions."""
-    holds = np.ones(block.shape[0], dtype=bool)
-    for chain in chains:
-        op = st._RELATIONS[chain.relation]
-        for a, b in zip(chain.positions, chain.positions[1:]):
-            holds &= op(block[:, a - 1], block[:, b - 1])
-    return holds
-
-
 def _feature_kernel(feature: str, n: int, relation: str = "<",
                     poset: Optional[st.ChainPoset] = None,
                     position: int = 2) -> Callable:
@@ -527,7 +369,7 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
     if feature in EQUIDISTRIBUTED_FEATURES:
         pattern = {"equality-pattern": "=", "weak-descent-pattern": "<="}.get(feature)
         if pattern:
-            return descent_pattern_statistic(pattern)
+            return st.descent_pattern_statistic(pattern)
         return statistic_kernel(feature, relation)
     # Negative controls (they distinguish the ensembles): all features below but chain-poset.
     if feature == "forced-gap":
@@ -551,7 +393,7 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
         raise ValueError(f"unknown feature {feature!r}")
     if max((p for c in chains for p in c.positions), default=0) > n:
         raise ValueError(f"{feature} reads a position beyond n = {n}")
-    return lambda block, n, m: _chains_hold(block, chains)
+    return lambda block, n, m: st._chains_hold(block, chains)
 
 
 def exact_equidistribution(n: int, feature: str, relation: str = "<",
@@ -588,7 +430,7 @@ def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeak
                   (rise, st.Chain((i, i + 1), ">=")))
 
     def census(blocks) -> list[int]:
-        return sum(np.array([np.count_nonzero(_chains_hold(block, c)) for c in conditions])
+        return sum(np.array([np.count_nonzero(st._chains_hold(block, c)) for c in conditions])
                    for block in blocks).tolist()
 
     pf1, pf2, pf_direct = census(pf_blocks(n, limit))

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import BLOCK_ELEMENTS, ParkingFunction
-from .stats import descent_pattern
 
 DEFAULT_ENUM_LIMIT = 8
 
@@ -424,12 +423,3 @@ def species_joint_prob(b: int, B: int, m: Sequence[int]) -> Fraction:
 def all_functions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All m^n functions [n] -> [m]; the brute-force canonical-ensemble oracle."""
     return product(range(1, m + 1), repeat=n)
-
-
-def brute_pattern_counts(n: int, m: int, relation: str = "<") -> dict[tuple[int, ...], int]:
-    """Descent-pattern census over all functions [n] -> [m]."""
-    counts: dict[tuple[int, ...], int] = {}
-    for f in all_functions(n, m):
-        pat = descent_pattern(f, relation)
-        counts[pat] = counts.get(pat, 0) + 1
-    return counts

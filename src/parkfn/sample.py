@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ParkingFunction, PrefSequence
+from .stats import queue_profiles, row_block
 
 _U64 = 1 << 64
 _ZEROS = (0, 0, 0, 0)
@@ -70,27 +71,12 @@ def sample_uniform_function(n: int, m: int, rng: RngStream) -> PrefSequence:
 
 
 def find_valid_shift(values: Sequence[int], n: int | None = None) -> int:
-    """The unique k in [0, n] such that values +_{n+1} k(1,...,1) is in PF_n.
-
-    Computed in O(n) from value counts: with steps c_j - 1 summing to -1
-    around the cycle, the valid rotation starts just after the first
-    position achieving the minimum partial sum.
-    """
+    """The unique k in [0, n] such that values +_{n+1} k(1,...,1) is in PF_n,
+    for values in [1, n+1]: the k of `valid_shifts` for one row."""
     if n is None:
         n = len(values)
-    mod = n + 1
-    counts = [0] * (mod + 1)
-    for v in values:
-        counts[v] += 1
-    running = 0
-    best = 1
-    best_j = 0
-    for j in range(1, mod + 1):
-        running += counts[j] - 1
-        if best_j == 0 or running < best:
-            best = running
-            best_j = j
-    return (mod - best_j) % mod
+    block, _m = row_block(values, n + 1)
+    return valid_shifts(block, n)[0].tolist()
 
 
 def shift_sequence(values: Sequence[int], k: int, n: int | None = None) -> tuple[int, ...]:
@@ -103,14 +89,10 @@ def shift_sequence(values: Sequence[int], k: int, n: int | None = None) -> tuple
 
 def sample_parking_function(n: int, rng: RngStream) -> ParkingFunction:
     """Exactly uniform on PF_n via the shift map."""
-    values = _sample_pf_array(n, rng)
-    return ParkingFunction._trusted(tuple(int(v) for v in values))
-
-
-def _sample_pf_array(n: int, rng: RngStream) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return shift_block(rng.integers(1, n + 1, size=(1, n)), n)[0]
+    values = shift_block(rng.integers(1, n + 1, size=(1, n)), n)[0]
+    return ParkingFunction._trusted(tuple(int(v) for v in values))
 
 
 def _bound(words: np.ndarray, high: int, out: np.ndarray) -> None:
@@ -169,30 +151,20 @@ def draw_block(seed: int, start: int, stop: int, n: int, high: int,
     return block
 
 
-def row_counts(block: np.ndarray, width: int) -> np.ndarray:
-    """counts[r, v] = occurrences of value v in row r, for values in [0, width)."""
-    rows = block.shape[0]
-    if rows == 1:  # no offset copy of a long row
-        return np.bincount(block[0], minlength=width).reshape(1, width)
-    flat = block + (np.arange(rows) * width)[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * width).reshape(rows, width)
-
-
-def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
-    """profiles[r, k-1] = #{i : block[r, i] <= k} - k for k = 1..top, for
-    values in [1, top]; `core.queue_profile` of each row, without y_0."""
-    profiles = row_counts(block, top + 1)[:, 1:]
-    profiles -= 1
-    return np.cumsum(profiles, axis=1, out=profiles)
+def valid_shifts(block: np.ndarray, n: int) -> np.ndarray:
+    """For each row of a block of functions [n] -> [n+1], the unique k in
+    [0, n] such that the row +_{n+1} k(1,...,1) is in PF_n.  With steps
+    c_j - 1 summing to -1 around the cycle, the valid rotation starts just
+    after the first position achieving the minimum partial sum."""
+    mod = n + 1
+    return (mod - 1 - np.argmin(queue_profiles(block, mod), axis=1)) % mod
 
 
 def shift_block(block: np.ndarray, n: int) -> np.ndarray:
-    """Apply `find_valid_shift` and `shift_sequence` to every row of a block
-    of functions [n] -> [n+1], in place; returns the block."""
+    """Apply `valid_shifts` and `shift_sequence` to every row of a block of
+    functions [n] -> [n+1], in place; returns the block."""
     mod = n + 1
-    # the valid rotation starts just after the first minimum of the profile
-    k = (mod - 1 - np.argmin(queue_profiles(block, mod), axis=1)) % mod
-    block += (k - 1)[:, None]
+    block += (valid_shifts(block, n) - 1)[:, None]
     # values lie in [0, 2n]: one branch-free subtract is a mod n+1
     block -= mod * (block >= mod)
     block += 1

@@ -15,11 +15,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import oracles
 import pytest
 from scipy import integrate
 
 import parkfn as pk
-from parkfn.enumeration import all_functions, brute_pattern_counts
+from parkfn.enumeration import all_functions
 from parkfn.ensemble import ExperimentConfig, run_experiment
 from parkfn.limits import (
     airy_area_density,
@@ -157,7 +158,7 @@ def test_criterion_06_equidistribution(capfd):
 def test_criterion_07_descent_formulas(capfd):
     ok = True
     for n in range(2, 7):
-        counts = brute_pattern_counts(n, n + 1)
+        counts = oracles.brute_pattern_counts(n, n + 1)
         total = (n + 1) ** n
         for pattern, count in counts.items():
             ok = ok and pk.descent_pattern_prob(n, pattern) == Fraction(count, total)

@@ -8,6 +8,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import oracles
 import pytest
 
 from parkfn import (
@@ -19,21 +20,9 @@ from parkfn import (
     sample_uniform_function,
     split_stream,
 )
-from parkfn import cli
+from parkfn import cli, stats
 from parkfn.core import dyck_encode, inconvenience, park, queue_profile
-from parkfn.stats import (
-    descent_pattern,
-    descents,
-    inversions,
-    longest_run,
-    lucky,
-    max_discrepancy,
-    max_first_coordinate,
-    ones,
-    repeats,
-    scaled_area,
-    species,
-)
+from parkfn.stats import max_first_coordinate
 from parkfn.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -156,7 +145,7 @@ def _stats_oracle(values, relation):
     outcome = park(values)
     decomp = max_first_coordinate(values[1:])
     if max(values) <= n:
-        discrepancy = max_discrepancy(values)
+        discrepancy = oracles.max_discrepancy(values)
     else:  # queue_profile takes values in [1, n]; a value above n is never counted
         discrepancy = max(0, *(sum(v <= k for v in values) - k for k in range(1, n + 1)))
     expected = {
@@ -165,20 +154,20 @@ def _stats_oracle(values, relation):
         "is_parking_function": is_pf,
         "first": values[0],
         "area": inconvenience(values),
-        "scaled-area": scaled_area(values),
-        "repeats": repeats(values),
-        "ones": ones(values),
-        "descents": descents(values),
-        "descent-pattern": list(descent_pattern(values)),
-        "species": list(species(values, m=m)),
-        "inversions": inversions(values),
+        "scaled-area": oracles.scaled_area(values),
+        "repeats": oracles.repeats(values),
+        "ones": oracles.ones(values),
+        "descents": oracles.descents(values),
+        "descent-pattern": list(oracles.descent_pattern(values)),
+        "species": list(oracles.species(values, m=m)),
+        "inversions": oracles.inversions(values),
         "max-discrepancy": discrepancy,
         "scaled-max-discrepancy": discrepancy / math.sqrt(n),
         "kmax": decomp.k if decomp else 0,
-        "longest-run": longest_run(values, relation),
+        "longest-run": oracles.longest_run(values, relation),
     }
     if is_pf:
-        expected.update({"lucky": lucky(values), "spots": list(outcome.spots),
+        expected.update({"lucky": oracles.lucky(values), "spots": list(outcome.spots),
                          "queue-profile": list(queue_profile(values)),
                          "dyck-area": dyck_encode(values).area})
     else:
@@ -200,17 +189,17 @@ def test_stats_matches_scalar_oracles(capsys):
 
 def test_stats_inversions_at_dtype_edges(capsys):
     # m = max(n, largest value) sets the kernel's compare dtype
-    for m in (255, 256, 65535, 65536, cli.STATS_MAX_VALUE):
+    for m in (255, 256, 65535, 65536, stats.MAX_VALUE):
         for values in ((m, 1, m, 1, m - 1, 2, m), (1, m, m - 1, m - 1, 2, 1, m)):
             code, out, _ = run_cli(capsys, "stats", "--pf", ",".join(map(str, values)))
             assert code == EXIT_OK
-            assert json.loads(out)["inversions"] == inversions(values), (m, values)
+            assert json.loads(out)["inversions"] == oracles.inversions(values), (m, values)
     code, out, _ = run_cli(capsys, "stats", "--pf", ",".join(map(str, range(100, 0, -1))))
     assert json.loads(out)["inversions"] == 4950
 
 
 def test_stats_rejects_values_beyond_its_bound(capsys):
-    big = cli.STATS_MAX_VALUE + 1
+    big = stats.MAX_VALUE + 1
     code, _, err = run_cli(capsys, "stats", "--pf", f"1,2,{big}")
     assert code == EXIT_USAGE and str(big) in err
 

@@ -145,6 +145,9 @@ def test_parking_function_type():
     pf = ParkingFunction([2, 1, 1])
     assert isinstance(pf, tuple)
     assert pf.n == 3
+    # no per-instance dict: an enumeration builds millions of them
+    assert not hasattr(pf, "__dict__")
+    assert not hasattr(ParkingFunction._trusted((1,)), "__dict__")
     with pytest.raises(ValueError):
         ParkingFunction([2, 2])
 

@@ -7,6 +7,7 @@ from collections import Counter
 from itertools import islice, product
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, strategies as st_h
 
@@ -27,22 +28,14 @@ from parkfn import (
 from parkfn import ensemble, stats
 from parkfn.core import inconvenience
 from parkfn.enumeration import CapacityError, all_functions, count_pf, enumerate_pf
-from parkfn.ensemble import STATISTICS, _feature_kernel, longest_run_statistic, sample_blocks
+from parkfn.ensemble import _feature_kernel, sample_blocks
 from parkfn.sample import (
     sample_parking_function,
     sample_uniform_function,
     shift_block,
     split_stream,
 )
-from parkfn.stats import (
-    descents,
-    inversions,
-    lucky,
-    max_discrepancy,
-    ones,
-    repeats,
-    scaled_area,
-)
+from parkfn.stats import STATISTICS, longest_run_statistic, statistic_kernel
 
 
 def test_config_validation():
@@ -106,13 +99,13 @@ def test_sample_blocks_match_one_sample_api():
 def test_registry_statistics_match_reference_functions():
     reference = {
         "first": lambda v: v[0],
-        "lucky": lucky,
-        "repeats": repeats,
-        "ones": ones,
-        "descents": descents,
-        "inversions": inversions,
-        "max-discrepancy": max_discrepancy,
-        "scaled-area": scaled_area,
+        "lucky": oracles.lucky,
+        "repeats": oracles.repeats,
+        "ones": oracles.ones,
+        "descents": oracles.descents,
+        "inversions": oracles.inversions,
+        "max-discrepancy": oracles.max_discrepancy,
+        "scaled-area": oracles.scaled_area,
     }
     for n in range(1, 6):
         pfs = list(enumerate_pf(n))
@@ -131,20 +124,27 @@ def _kmax_by_definition(f):
     return 0 if decomp is None else decomp.k
 
 
+# The independent definition of each statistic; lucky is checked against the
+# parking process in test_lucky_kernel_matches_parking_process.
 SCALAR_DEFINITIONS = {
     "first": lambda f, n, m: f[0],
     "area": lambda f, n, m: inconvenience(f),
-    "scaled-area": lambda f, n, m: scaled_area(f),
-    "repeats": lambda f, n, m: repeats(f),
-    "ones": lambda f, n, m: ones(f),
-    "descents": lambda f, n, m: descents(f),
-    "descent-pattern": lambda f, n, m: stats.descent_pattern(f),
-    "species": lambda f, n, m: stats.species(f, m=m),
-    "inversions": lambda f, n, m: inversions(f),
+    "scaled-area": lambda f, n, m: oracles.scaled_area(f),
+    "repeats": lambda f, n, m: oracles.repeats(f),
+    "ones": lambda f, n, m: oracles.ones(f),
+    "descents": lambda f, n, m: oracles.descents(f),
+    "descent-pattern": lambda f, n, m: oracles.descent_pattern(f),
+    "species": lambda f, n, m: oracles.species(f, m=m),
+    "inversions": lambda f, n, m: oracles.inversions(f),
     "max-discrepancy": lambda f, n, m: _max_discrepancy_by_definition(f),
     "scaled-max-discrepancy": lambda f, n, m: _max_discrepancy_by_definition(f) / math.sqrt(n),
     "kmax": lambda f, n, m: _kmax_by_definition(f),
+    "longest-run": lambda f, n, m: oracles.longest_run(f),
 }
+
+
+def test_every_statistic_has_an_independent_definition():
+    assert set(STATISTICS) | {"longest-run"} == set(SCALAR_DEFINITIONS) | {"lucky"}
 
 
 def _to_python(values):
@@ -182,7 +182,8 @@ def test_inversions_kernel_at_dtype_edges():
     for m in (255, 256, 65535, 65536, 1 << 20):
         for n in (2, 9, 40):
             block = _inversion_edge_rows(n, m, seed=m + n)
-            assert _to_python(kernel(block, n, m)) == [inversions(r) for r in block.tolist()]
+            assert _to_python(kernel(block, n, m)) == [oracles.inversions(r)
+                                                        for r in block.tolist()]
     assert _to_python(kernel(np.ones((3, 1), dtype=np.int64), 1, 1)) == [0, 0, 0]
     for n in (100, 1 << 15, (1 << 15) + 1):  # one reversed row: acc[0] = n - 1
         block = np.arange(n, 0, -1, dtype=np.int64)[None, :]
@@ -194,11 +195,11 @@ def test_kernels_match_scalar_definitions(case):
     funcs, n, m = case
     block = np.array(funcs, dtype=np.int64)
     for name, scalar in SCALAR_DEFINITIONS.items():
-        got = _to_python(STATISTICS[name](block, n, m))
+        got = _to_python(statistic_kernel(name)(block, n, m))
         assert got == [scalar(tuple(f), n, m) for f in funcs], name
-    for relation in ("<", "<=", ">", ">="):
+    for relation in ("<=", ">", ">="):
         got = _to_python(longest_run_statistic(relation)(block, n, m))
-        assert got == [stats.longest_run(f, relation) for f in funcs]
+        assert got == [oracles.longest_run(f, relation) for f in funcs]
 
 
 # long nxt chains at n = 2000, and fn1 rows holding n + 1, which must raise
@@ -208,7 +209,8 @@ def test_kernels_match_scalar_definitions(case):
 def test_lucky_kernel_matches_parking_process(case):
     funcs, n, _m = case
     block = shift_block(np.array(funcs, dtype=np.int64), n)
-    assert _to_python(STATISTICS["lucky"](block, n, n)) == [lucky(f) for f in block.tolist()]
+    assert _to_python(STATISTICS["lucky"](block, n, n)) == [oracles.lucky(f)
+                                                            for f in block.tolist()]
     if not all(is_parking_function(f) for f in funcs):
         with pytest.raises(ValueError):
             STATISTICS["lucky"](np.array(funcs, dtype=np.int64), n, n)
@@ -220,15 +222,15 @@ def _scalar_feature(feature, f, n, relation="<", poset=None, position=2):
     if feature in ("descent-pattern", "equality-pattern", "weak-descent-pattern"):
         rel = {"descent-pattern": "<", "equality-pattern": "=",
                "weak-descent-pattern": "<="}[feature]
-        return stats.descent_pattern(f, rel)
+        return oracles.descent_pattern(f, rel)
     if feature == "species":
-        return stats.species(f, m=n + 1)
+        return oracles.species(f, m=n + 1)
     if feature == "inversions":
-        return inversions(f)
+        return oracles.inversions(f)
     if feature == "longest-run":
-        return stats.longest_run(f, relation)
+        return oracles.longest_run(f, relation)
     if feature == "chain-poset":
-        return stats.chain_monotone(f, poset)
+        return oracles.chain_monotone(f, poset)
     if feature == "strict-peak":
         return f[i - 2] < f[i - 1] > f[i]
     if feature == "mixed-chain":
@@ -505,7 +507,7 @@ def test_from_bins_edges():
     n = 300
     rows = _sampled_rows(n, 20, 9, "pf") + [[1] * n, list(range(1, n + 1)), [1] * (n - 1) + [n]]
     block = np.array(rows, dtype=np.int64)
-    species = [stats.species(tuple(row), m=n) for row in rows]
+    species = [oracles.species(tuple(row), m=n) for row in rows]
     assert _to_python(STATISTICS["species"](block, n, n)) == species
     assert ensemble._census(STATISTICS["species"], [block], n, n) == Counter(species)
 
@@ -687,7 +689,7 @@ def test_exhaustive_histogram_matches_enumerated_census():
             block = _enumerated(ensemble_name, n)
             m = n + 1 if ensemble_name == "fn1" else n
             for stat, relation in cases:
-                kernel = ensemble.statistic_kernel(stat, relation)
+                kernel = statistic_kernel(stat, relation)
                 try:
                     expected = Counter(_to_python(kernel(block, n, m)))
                 except ValueError:  # lucky off PF_n

@@ -31,7 +31,6 @@ from parkfn.core import ParkingFunction
 from parkfn.enumeration import (
     CapacityError,
     all_functions,
-    brute_pattern_counts,
     consecutive_blocks,
     multiset_permutations,
 )
@@ -212,7 +211,7 @@ def test_gf_values_at_one():
 
 def test_descent_pattern_prob_matches_brute():
     for n in range(2, 6):
-        counts = brute_pattern_counts(n, n + 1)
+        counts = oracles.brute_pattern_counts(n, n + 1)
         total = (n + 1) ** n
         for pattern, count in counts.items():
             assert descent_pattern_prob(n, pattern) == Fraction(count, total)
@@ -232,7 +231,7 @@ def test_kpoint_correlation_matches_brute():
     from itertools import combinations
 
     for n in range(2, 6):
-        counts = brute_pattern_counts(n, n + 1)
+        counts = oracles.brute_pattern_counts(n, n + 1)
         total = (n + 1) ** n
         positions = range(1, n)
         for size in range(1, n):

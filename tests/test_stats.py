@@ -1,14 +1,19 @@
 """Per-function statistics and the shuffle decomposition."""
 
+from itertools import product
+
+import oracles
 import pytest
 from hypothesis import given, strategies as st_h
 
 from parkfn import (
     Chain,
     ChainPoset,
+    PrefSequence,
     chain_monotone,
     descent_pattern,
     descents,
+    find_valid_shift,
     inversions,
     is_parking_function,
     longest_run,
@@ -39,8 +44,60 @@ def test_basic_statistics_on_example():
 
 
 def test_lucky_rejects_non_parking():
-    with pytest.raises(ValueError):
-        lucky((2, 2))
+    for values in ((2, 2), (3, 1), (9, 1), (0, 1)):
+        with pytest.raises(ValueError):
+            lucky(values)
+
+
+def test_out_of_domain_inputs_raise_value_error():
+    # an input outside a statistic's domain is an error, never a number
+    cases = {
+        "inversions((0, 1))": lambda: inversions((0, 1)),
+        "inversions((-3, 1))": lambda: inversions((-3, 1)),
+        "inversions((1, 2**70))": lambda: inversions((1, 2**70)),
+        "species((5, 1), m=2)": lambda: species((5, 1), m=2),
+        "species((1,), m=2**21)": lambda: species((1,), m=2**21),
+        "find_valid_shift((0, 1), 2)": lambda: find_valid_shift((0, 1), 2),
+        "find_valid_shift((4, 1), 2)": lambda: find_valid_shift((4, 1), 2),
+        "scaled_area(())": lambda: scaled_area(()),
+        "longest_run(())": lambda: longest_run(()),
+        "max_discrepancy((3, 1))": lambda: max_discrepancy((3, 1)),
+    }
+    for label, call in cases.items():
+        with pytest.raises(ValueError):
+            call()
+            pytest.fail(label)
+
+
+def test_public_statistics_match_oracles():
+    # every function [n] -> [n+1] for n <= 4: the one-row kernel calls give the
+    # oracles' values, of the same types
+    poset = ChainPoset((Chain((1, 2), "<="),))
+    for n in range(1, 5):
+        for f in product(range(1, n + 2), repeat=n):
+            pairs = [
+                (repeats(f), oracles.repeats(f)),
+                (ones(f), oracles.ones(f)),
+                (descents(f), oracles.descents(f)),
+                (inversions(f), oracles.inversions(f)),
+                (scaled_area(f), oracles.scaled_area(f)),
+                (species(f, m=n + 1), oracles.species(f, m=n + 1)),
+                (species(PrefSequence(f, m=n + 1)), oracles.species(PrefSequence(f, m=n + 1))),
+                (find_valid_shift(f), oracles.find_valid_shift(f)),
+            ]
+            for relation in ("<", ">", "<=", ">=", "="):
+                pairs.append((descent_pattern(f, relation), oracles.descent_pattern(f, relation)))
+                if relation != "=":
+                    pairs.append((longest_run(f, relation), oracles.longest_run(f, relation)))
+            if n >= 2:
+                pairs.append((chain_monotone(f, poset), oracles.chain_monotone(f, poset)))
+            if max(f) <= n:
+                pairs += [(max_discrepancy(f), oracles.max_discrepancy(f)),
+                          (species(f), oracles.species(f))]
+            if is_parking_function(f):
+                pairs.append((lucky(f), oracles.lucky(f)))
+            for got, expected in pairs:
+                assert (type(got), got) == (type(expected), expected), f
 
 
 def test_descent_pattern_relations():
