@@ -201,16 +201,16 @@ def sample_blocks(n: int, count: int, seed: int, ensemble: str = "pf") -> Iterat
 
 
 def _index_blocks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
-    """Rows 0..total-1 of [m]^n in the order of itertools.product, as blocks
-    of at most BLOCK_ELEMENTS values: row i holds the n base-m digits of i,
-    most significant first, plus one."""
+    """Rows 0..total-1 of [m]^n in the order of itertools.product, as
+    column-major blocks of at most BLOCK_ELEMENTS values: row i holds the n
+    base-m digits of i, most significant first, plus one."""
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"{total} rows do not fit in int64 row indices")
     step = _block_rows(n)
 
     def digits(start: int) -> np.ndarray:
         index = np.arange(start, min(start + step, total), dtype=np.int64)
-        block = np.empty((index.size, n), dtype=np.int64)
+        block = np.empty((n, index.size), dtype=np.int64).T
         for j in range(n - 1, -1, -1):
             np.divmod(index, m, out=(index, block[:, j]))
         block += 1
@@ -221,17 +221,18 @@ def _index_blocks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
 
 def function_blocks(n: int, m: int) -> Iterator[np.ndarray]:
     """All m^n functions [n] -> [m], in the order of `all_functions`, one
-    function per row."""
+    function per row of column-major int64 blocks."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     return _index_blocks(n, m, m**n)
 
 
 def pf_blocks(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[np.ndarray]:
-    """Each parking function of size n once, one per row.  Adding a constant
-    mod n+1 splits [n+1]^n into orbits of n+1 functions, and each orbit holds
-    one function with f_1 = 1 and one parking function (the cycle lemma), so
-    shifting the (n+1)^(n-1) functions with f_1 = 1 gives PF_n."""
+    """Each parking function of size n once, one per row of column-major
+    int64 blocks.  Adding a constant mod n+1 splits [n+1]^n into orbits of
+    n+1 functions, and each orbit holds one function with f_1 = 1 and one
+    parking function (the cycle lemma), so shifting the (n+1)^(n-1)
+    functions with f_1 = 1 gives PF_n."""
     check_enumeration_size(n, limit)
     # in product order the functions with f_1 = 1 come first
     return (shift_block(block, n) for block in _index_blocks(n, n + 1, count_pf(n)))
@@ -301,6 +302,12 @@ def _distinct(values: np.ndarray) -> Iterable[tuple[Hashable, int]]:
     return zip(distinct, counts[order].tolist())
 
 
+# Packing the bit fields column by column beats the integer matmul from 4096
+# rows (0.6-0.8 times its time on column-major rows of width 4-60, 0.8-1.3
+# on row-major ones; at 2048 rows 0.7-1.1 and 0.8-1.9).
+_KEYS_COLUMN_ROWS = 4096
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row, equal exactly when the rows are equal, for a 1-D
     `np.unique` (several times faster than one with axis=0).  Rows of small
@@ -310,8 +317,15 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     block."""
     low, high = int(rows.min()), int(rows.max())
     bits = max(1, high.bit_length())
-    if low >= 0 and bits * rows.shape[1] < 64:
-        return rows @ np.left_shift(1, bits * np.arange(rows.shape[1], dtype=np.int64))
+    width = rows.shape[1]
+    if low >= 0 and bits * width < 64:
+        if rows.shape[0] < _KEYS_COLUMN_ROWS:
+            return rows @ np.left_shift(1, bits * np.arange(width, dtype=np.int64))
+        keys = np.zeros(rows.shape[0], dtype=np.int64)
+        for column in rows.T[::-1]:  # column j lands at bit bits * j
+            keys <<= bits
+            keys |= column
+        return keys
     dtype = np.result_type(np.min_scalar_type(low), np.min_scalar_type(high))
     packed = np.ascontiguousarray(rows, dtype=dtype)
     return packed.view(np.dtype((np.void, packed.shape[1] * dtype.itemsize))).ravel()
@@ -435,7 +449,11 @@ def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeak
 
     pf1, pf2, pf_direct = census(pf_blocks(n, limit))
     f1, f2, f_direct = census(function_blocks(n, n + 1))
-    assert pf1 - pf2 == pf_direct and f1 - f2 == f_direct  # inclusion-exclusion sanity
+    for name, rises, runs, direct in (("PF_n", pf1, pf2, pf_direct), ("[n+1]^n", f1, f2, f_direct)):
+        if rises - runs != direct:
+            raise RuntimeError(
+                f"weak_peak_check(n={n}, i={i}): inclusion-exclusion fails on {name}: "
+                f"#(rise) {rises} - #(double rise) {runs} != #(weak peak) {direct}")
     equal = f_direct == (n + 1) * pf_direct
     return WeakPeakReport(n=n, position=i, equal=equal, pf_count=pf_direct, f_count=f_direct)
 

@@ -34,7 +34,8 @@ def row_counts(block: np.ndarray, width: int) -> np.ndarray:
     if rows == 1:  # no offset copy of a long row
         return np.bincount(block[0], minlength=width).reshape(1, width)
     flat = block + (np.arange(rows) * width)[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * width).reshape(rows, width)
+    # in memory order: a column-major block is not copied
+    return np.bincount(flat.ravel("K"), minlength=rows * width).reshape(rows, width)
 
 
 def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
@@ -53,6 +54,21 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # 2-D integer (one row per function) for a tuple-valued one.  The experiment
 # harness scores blocks of samples with them, and the per-function API below
 # scores one function as a one-row block.
+#
+# A kernel's result does not depend on the block's memory order.  Sampled
+# blocks are row-major; the exhaustive sources (`ensemble.pf_blocks` and
+# `function_blocks`) are column-major and tall, PF_n and [m]^n for n <= 8
+# at 65536 // n rows a block.  Numpy loops along the short row axis of such a
+# block one row at a time, so a few kernels work column by column, with n
+# vector passes over all rows, once the block has enough rows to pay for the
+# passes: `lucky` from 64 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below
+# 64), `longest-run` from 512 (_RUN_COLUMN_ROWS), `sample.valid_shifts` from
+# 1024 (its _SHIFT_COLUMN_ROWS, for n <= 15) and the bit-field keys of
+# `ensemble._census` from 4096 (its _KEYS_COLUMN_ROWS).  Wide blocks (the
+# Monte Carlo samples at n >= 100) keep the row forms.  The cutovers were
+# timed on C- and Fortran-ordered random blocks with 4-60 columns (numpy
+# 2.4, one core of a shared 2-core Xeon): both costs grow with n, so the
+# crossover sits at a row count.
 
 def _stat_first(block, n, m):
     return block[:, 0]
@@ -66,7 +82,14 @@ def _stat_scaled_area(block, n, m):
     return (n * n / 2 - block.sum(axis=1)) / n**1.5
 
 
+# The bitmask sweep of `lucky` beats the row loop from 64 rows at every n it
+# serves (at 32 rows it is 1.0-1.4 times the loop's time, at 64 rows 0.5-0.8).
+_LUCKY_COLUMN_ROWS = 64
+
+
 def _stat_lucky(block, n, m):
+    if block.shape[0] >= _LUCKY_COLUMN_ROWS and max(n + 1, m) < 64:
+        return _lucky_columns(block, n)
     # core.park without its outcome: park each row and count the cars
     # whose preferred spot is free; nxt[s] leads to the first free spot >= s
     # (path halving), and n + 1 stays free as the overflow sentinel.
@@ -86,6 +109,32 @@ def _stat_lucky(block, n, m):
             nxt[s] = s + 1
         counts.append(count)
     return np.array(counts, dtype=np.int64)
+
+
+def _lucky_columns(block, n):
+    """`_stat_lucky` car by car over all rows at once, for n + 1 and the
+    values below 64: bit s of occupied[r] is set once spot s of row r is
+    taken.  A car takes the lowest free spot >= its preference p, the lowest
+    set bit of ~occupied >> p; spots past n are never kept, so an overflowing
+    car leaves one of spots 1..n empty for good."""
+    rows = block.shape[0]
+    full = (2 << n) - 2  # spots 1..n
+    occupied = np.zeros(rows, dtype=np.int64)
+    lucky = np.zeros(rows, dtype=np.int64)
+    free = np.empty(rows, dtype=np.int64)
+    spot = np.empty(rows, dtype=np.int64)
+    for p in block.T:
+        np.invert(occupied, out=free)
+        np.right_shift(free, p, out=free)  # bit 0: spot p itself is free
+        lucky += free & 1
+        np.negative(free, out=spot)
+        spot &= free
+        np.left_shift(spot, p, out=spot)
+        occupied |= spot
+        occupied &= full
+    if (occupied != full).any():
+        raise ValueError("lucky requires a parking function")
+    return lucky
 
 
 def _stat_repeats(block, n, m):
@@ -165,6 +214,11 @@ STATISTICS: dict[str, Callable] = {
 }
 
 
+# The running run length beats the row form from 512 rows (at 256 rows it
+# takes 0.9-1.7 times the row form's time, at 512 rows 0.3-1.0).
+_RUN_COLUMN_ROWS = 512
+
+
 def longest_run_statistic(relation: str) -> Callable:
     """Kernel of `longest_run`.  Number the pairs (f_j, f_{j+1}) by
     j = 1..n-1: the run of pairs that hold the relation and end at pair j is
@@ -173,6 +227,14 @@ def longest_run_statistic(relation: str) -> Callable:
     op = _RELATIONS[relation]
 
     def kernel(block, n, m):
+        if block.shape[0] >= _RUN_COLUMN_ROWS:  # the run ending at each pair, pair by pair
+            run = np.zeros(block.shape[0], dtype=np.int64)
+            longest = np.zeros_like(run)
+            for j in range(1, n):
+                run += 1
+                run *= op(block[:, j - 1], block[:, j])
+                np.maximum(longest, run, out=longest)
+            return longest + 1
         pairs = np.arange(1, n)
         fails = np.where(op(block[:, :-1], block[:, 1:]), 0, pairs)
         runs = pairs - np.maximum.accumulate(fails, axis=1)

@@ -9,7 +9,7 @@ from itertools import islice, product
 import numpy as np
 import oracles
 import pytest
-from hypothesis import example, given, strategies as st_h
+from hypothesis import example, given, settings, strategies as st_h
 
 from parkfn import (
     Chain,
@@ -25,7 +25,7 @@ from parkfn import (
     tv_distance,
     weak_peak_check,
 )
-from parkfn import ensemble, stats
+from parkfn import ensemble, sample, stats
 from parkfn.core import inconvenience
 from parkfn.enumeration import CapacityError, all_functions, count_pf, enumerate_pf
 from parkfn.ensemble import _feature_kernel, sample_blocks
@@ -635,9 +635,15 @@ def test_exhaustive_histogram_limit_applies_to_every_ensemble():
             exhaustive_histogram(5, "species", ensemble_name, limit=4)
 
 
+def _column_major_int64(blocks):
+    return all(b.flags.f_contiguous and b.dtype == np.int64 for b in blocks)
+
+
 def test_pf_blocks_are_pf_each_once():
     for n in range(1, 8):
-        rows = _lex_sorted(np.concatenate(list(ensemble.pf_blocks(n))))
+        blocks = list(ensemble.pf_blocks(n))
+        assert _column_major_int64(blocks), n
+        rows = _lex_sorted(np.concatenate(blocks))
         assert rows.shape == (count_pf(n), n)
         assert np.array_equal(rows, _lex_sorted(_enumerated("pf", n))), n
         assert (np.diff(rows, axis=0) != 0).any(axis=1).all(), n  # each row once
@@ -646,11 +652,13 @@ def test_pf_blocks_are_pf_each_once():
 def test_function_blocks_follow_all_functions():
     for n in range(1, 6):
         for m in range(1, 6):
-            assert _rows(ensemble.function_blocks(n, m)) == list(all_functions(n, m)), (n, m)
+            blocks = list(ensemble.function_blocks(n, m))
+            assert _column_major_int64(blocks), (n, m)
+            assert _rows(blocks) == list(all_functions(n, m)), (n, m)
     # many blocks, the last one partial: 21845 rows a block at n = 3
     blocks = list(ensemble.function_blocks(3, 50))
     assert len(blocks) == 6 and all(b.size <= ensemble.BLOCK_ELEMENTS for b in blocks)
-    assert all(b.dtype == np.int64 for b in blocks)
+    assert _column_major_int64(blocks)
     assert _rows(blocks) == list(all_functions(3, 50))
 
 
@@ -726,6 +734,95 @@ def test_weak_peak_check_matches_enumerated_census():
             report = weak_peak_check(n, i)
             assert (report.pf_count, report.f_count) == (peaks(pf), peaks(fn)), (n, i)
             assert report.equal == (peaks(fn) == (n + 1) * peaks(pf))
+
+
+def test_weak_peak_check_raises_when_inclusion_exclusion_fails(monkeypatch):
+    # a chain kernel that holds everywhere counts as many double rises as
+    # rises; the check must raise, also under python -O
+    monkeypatch.setattr(stats, "_chains_hold", lambda block, chains: np.ones(len(block), bool))
+    with pytest.raises(RuntimeError, match=r"n=4, i=2.*PF_n.*125 - .*125 != .*125"):
+        weak_peak_check(4, 2)
+
+
+# Row counts at and just below the cutover of each kernel's column form, and
+# further out on both sides; n at the column forms' limits on n (n <= 15 for
+# valid_shifts, n + 1 and m below 64 for lucky), while the block stays near
+# the size of a block of the exhaustive sources.
+_CUTOVERS = (stats._LUCKY_COLUMN_ROWS, stats._RUN_COLUMN_ROWS, sample._SHIFT_COLUMN_ROWS,
+             ensemble._KEYS_COLUMN_ROWS)
+_CUTOVER_ROWS = sorted({1, 9} | {c + d for c in _CUTOVERS for d in (-1, 0)}
+                       | {2 * max(_CUTOVERS)})
+_CUTOVER_N = (1, 2, 3, 4, 6, 8, 15, 16, 62, 63)
+
+
+@st_h.composite
+def tall_shapes(draw):
+    rows = draw(st_h.sampled_from(_CUTOVER_ROWS))
+    n = draw(st_h.sampled_from([k for k in _CUTOVER_N if rows * k <= 1 << 14]))
+    return rows, n, draw(st_h.sampled_from(ensemble.ENSEMBLES)), draw(st_h.integers(0, 2**32 - 1))
+
+
+def _tall_block(rows, n, ensemble_name, seed):
+    """(block, raw, m): a row-major block of functions [n] -> [m] of the
+    ensemble, and the functions [n] -> [n+1] it was made from."""
+    raw = np.random.default_rng(seed).integers(1, n + 2, size=(rows, n))
+    if ensemble_name == "pf":
+        return shift_block(raw.copy(), n), raw, n
+    m = n + 1 if ensemble_name == "fn1" else n
+    return np.minimum(raw, m), raw, m
+
+
+# each column form next to its limit: the tuple keys, valid_shifts at
+# n = 15 and 16, lucky at n = 62 and 63, longest-run
+@example((ensemble._KEYS_COLUMN_ROWS, 4, "fn1", 1))
+@example((sample._SHIFT_COLUMN_ROWS, 15, "pf", 2))
+@example((sample._SHIFT_COLUMN_ROWS, 16, "fn1", 3))
+@example((stats._LUCKY_COLUMN_ROWS, 62, "pf", 4))
+@example((stats._LUCKY_COLUMN_ROWS, 63, "pf", 5))
+@example((stats._RUN_COLUMN_ROWS, 8, "fn", 6))
+@settings(max_examples=12, deadline=None)
+@given(tall_shapes())
+def test_column_forms_match_oracles_in_either_memory_order(shape):
+    n = shape[1]
+    block, raw, m = _tall_block(*shape)
+    # the oracles score each distinct row once
+    distinct, inverse = np.unique(block, axis=0, return_inverse=True)
+    funcs = [tuple(f) for f in distinct.tolist()]
+
+    def expected(scalar):
+        values = [scalar(f) for f in funcs]
+        return [values[i] for i in inverse.ravel().tolist()]
+
+    def check(kernel, scalar, codomain, label):
+        try:
+            want = expected(scalar)
+        except ValueError:  # lucky off PF_n
+            for b in (block, np.asfortranarray(block)):
+                with pytest.raises(ValueError):
+                    kernel(b, n, codomain)
+            return
+        censuses = []
+        for b in (block, np.asfortranarray(block)):
+            assert _to_python(kernel(b, n, codomain)) == want, label
+            censuses.append(list(ensemble._census(kernel, iter([b]), n, codomain).items()))
+        assert censuses[0] == censuses[1] == list(Counter(want).items()), label
+
+    for name in STATISTICS:
+        scalar = oracles.lucky if name == "lucky" else \
+            (lambda f, name=name: SCALAR_DEFINITIONS[name](f, n, m))
+        check(STATISTICS[name], scalar, m, name)
+    for relation in ("<", "<=", ">", ">=", "="):
+        check(longest_run_statistic(relation), lambda f: oracles.longest_run(f, relation),
+              m, relation)
+    for feature, kwargs in _feature_cases(n, POSETS):
+        check(_feature_kernel(feature, n, **kwargs),
+              lambda f: _scalar_feature(feature, f, n, **kwargs), n + 1, (feature, kwargs))
+
+    shifts = [oracles.find_valid_shift(f, n) for f in raw.tolist()]
+    shifted = [sample.shift_sequence(f, k, n) for f, k in zip(raw.tolist(), shifts)]
+    for b in (raw, np.asfortranarray(raw)):
+        assert sample.valid_shifts(b, n).tolist() == shifts
+        assert _rows([shift_block(b.copy(order="K"), n)]) == shifted
 
 
 def test_joint_coordinate_bound_matches_enumerated_census():
