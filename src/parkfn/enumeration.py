@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import comb, factorial
 from struct import Struct
 from typing import Iterable, Iterator, Optional, Sequence
@@ -173,9 +173,10 @@ def _value_counts(profile: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
-    """Yield each parking function of size n exactly once: sorted profiles in
+    """Each parking function of size n exactly once: sorted profiles in
     lexicographic order, each expanded into its distinct arrangements in
-    lexicographic order.
+    lexicographic order.  Checks n at once (CapacityError, ValueError) and
+    returns a lazy iterator.
 
     The arrangements are built in numpy blocks and turned into tuples in C,
     so the cost is proportional to the output size (n+1)^{n-1}, not n^n.
@@ -183,9 +184,9 @@ def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFun
     check_enumeration_size(n, limit)
     values = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
     multisets = (_value_counts(profile, n) for profile in _sorted_profiles(n))
-    for block in _arrangement_blocks(multisets, n, values):
-        # the rows are parking functions by construction: skip validation
-        yield from map(tuple.__new__, repeat(ParkingFunction), _tuples(block))
+    # the rows are parking functions by construction: skip validation
+    return chain.from_iterable(map(tuple.__new__, repeat(ParkingFunction), _tuples(block))
+                               for block in _arrangement_blocks(multisets, n, values))
 
 
 def count_pf(n: int) -> int:

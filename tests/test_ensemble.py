@@ -190,6 +190,25 @@ def test_inversions_kernel_at_dtype_edges():
         assert _to_python(kernel(block, n, n)) == [n * (n - 1) // 2]
 
 
+def test_species_column_form_matches_oracle():
+    # the 4-bit fields serve n <= 15 and m <= 16 from _SPECIES_COLUMN_ROWS
+    # rows; one row fewer, n = 16 or m = 17 take the row form
+    kernel = STATISTICS["species"]
+    cutover = stats._SPECIES_COLUMN_ROWS
+    rng = np.random.default_rng(15)
+    for rows, n, m in ((cutover - 1, 15, 16), (cutover, 15, 16), (cutover + 1, 15, 16),
+                       (cutover, 1, 1), (cutover, 15, 1), (cutover, 1, 16), (cutover, 5, 6),
+                       (cutover, 16, 17), (cutover, 16, 16), (cutover, 15, 17)):
+        block = rng.integers(1, m + 1, size=(rows, n))
+        block[0] = m  # mu_n = 1 and mu_0 = m - 1: 15 at m = 16
+        block[1] = np.arange(n) % m + 1  # mu_1 = 15 at n = 15, m = 16
+        want = [oracles.species(row, m) for row in block.tolist()]
+        for b in (block, np.asfortranarray(block)):
+            assert _to_python(kernel(b, n, m)) == want, (rows, n, m)
+            if n <= 15 and m <= 16:
+                assert _to_python(stats._species_columns(b, n, m)) == want, (rows, n, m)
+
+
 @given(function_blocks())
 def test_kernels_match_scalar_definitions(case):
     funcs, n, m = case
@@ -464,6 +483,44 @@ def test_distinct_rows_match_counter(rows, width, top, signed, data):
         assert list(ensemble._distinct(column)) == list(Counter(column.tolist()).items())
 
 
+@pytest.mark.parametrize("dtype, low, span", [
+    (np.int8, -128, 255), (np.int8, -3, 10), (np.uint16, 0, 65535), (np.uint16, 1000, 300),
+    (np.int64, -(1 << 40), 255), (np.int64, -5, 256), (np.int64, -70000, (1 << 16) - 2),
+    (np.int64, -70000, (1 << 16) - 1), (np.int64, -70000, 1 << 16),
+    (np.int64, 0, (1 << 16) + 1), (np.uint64, (1 << 64) - 70000, 65535),
+    (np.int32, -(1 << 31), 65535)])
+def test_distinct_narrowed_keys_match_counter(dtype, low, span):
+    # keys from _NARROW_KEYS on, spanning one value less than, exactly and
+    # one more than 2^8 or 2^16, both ends present and repeated
+    rng = np.random.default_rng(span)
+    for size in (ensemble._NARROW_KEYS - 1, ensemble._NARROW_KEYS, 3000):
+        offsets = rng.integers(0, span + 1, size=size, dtype=np.uint64)
+        offsets[[0, 5, 7]] = (span, 0, span)
+        keys = (offsets + np.uint64(low % (1 << 64))).astype(dtype)
+        assert int(keys.min()) == low and int(keys.max()) == low + span
+        assert list(ensemble._distinct(keys)) == list(Counter(keys.tolist()).items())
+        narrow = ensemble._sort_keys(keys)
+        if size < ensemble._NARROW_KEYS or np.dtype(dtype).itemsize <= 2 or span >> 16:
+            assert narrow is keys
+        else:
+            assert narrow.dtype == (np.uint8 if span < 256 else np.uint16)
+            assert narrow.astype(np.int64).tolist() == [int(k) - low for k in keys.tolist()]
+
+
+def test_distinct_passes_bool_and_float_keys_unchanged():
+    rng = np.random.default_rng(2)
+    size = 2 * ensemble._NARROW_KEYS
+    for keys in (rng.integers(0, 2, size=size).astype(bool),
+                 rng.integers(-3, 300, size=size) / 4,
+                 np.round(rng.normal(size=size), 1)):
+        assert ensemble._sort_keys(keys) is keys
+        assert list(ensemble._distinct(keys)) == list(Counter(keys.tolist()).items())
+    # rows of several columns: packed int64 keys, then narrowed
+    rows = rng.integers(0, 4, size=(size, 5))
+    assert ensemble._sort_keys(ensemble._row_keys(rows)).dtype == np.uint16
+    assert list(ensemble._distinct(rows)) == list(Counter(map(tuple, rows.tolist())).items())
+
+
 @st_h.composite
 def multisets(draw):
     """Ints, floats or both, drawn from a small pool so that values repeat.
@@ -662,6 +719,33 @@ def test_function_blocks_follow_all_functions():
     assert _rows(blocks) == list(all_functions(3, 50))
 
 
+def test_block_sources_at_digit_column_edges():
+    # beyond the n, m <= 5 of test_function_blocks_follow_all_functions:
+    # m = 1 (one run per column), and n = 1 over two blocks (runs of one row)
+    for n, m in ((8, 1), (1, 70000)):
+        blocks = list(ensemble.function_blocks(n, m))
+        assert _column_major_int64(blocks)
+        assert _rows(blocks) == list(product(range(1, m + 1), repeat=n)), (n, m)
+    # at n = 8 the runs of the two leading columns (9^7 and 9^6 rows) are
+    # longer than a whole block of 8192 rows
+    first = next(ensemble.function_blocks(8, 9))
+    assert first.flags.f_contiguous and first.shape == (8192, 8)
+    assert _rows([first]) == list(islice(product(range(1, 10), repeat=8), 8192))
+    first = next(ensemble.pf_blocks(8))
+    functions = islice(product(range(1, 10), repeat=8), 8192)  # those with f_1 = 1
+    assert first.flags.f_contiguous
+    assert _rows([first]) == [sample.shift_sequence(f, oracles.find_valid_shift(f, 8), 8)
+                              for f in functions]
+    # prefixes of [m]^n that stop mid-run, over blocks that start mid-run
+    # (21845 rows a block at n = 3) and the count_pf(n) prefixes of pf_blocks
+    for n, m, total in ((3, 50, 50**3 - 1), (3, 50, 70001), (3, 50, 21845 + 7),
+                        (2, 300, 300 * 150 + 1), (6, 7, count_pf(6)), (7, 8, count_pf(7) - 3)):
+        blocks = list(ensemble._index_blocks(n, m, total))
+        assert _column_major_int64(blocks) and sum(len(b) for b in blocks) == total
+        assert _rows(blocks) == list(islice(product(range(1, m + 1), repeat=n), total)), \
+            (n, m, total)
+
+
 def test_block_sources_reject_edges_before_any_block():
     for n in (0, -1):
         with pytest.raises(ValueError):
@@ -749,7 +833,7 @@ def test_weak_peak_check_raises_when_inclusion_exclusion_fails(monkeypatch):
 # valid_shifts, n + 1 and m below 64 for lucky), while the block stays near
 # the size of a block of the exhaustive sources.
 _CUTOVERS = (stats._LUCKY_COLUMN_ROWS, stats._RUN_COLUMN_ROWS, sample._SHIFT_COLUMN_ROWS,
-             ensemble._KEYS_COLUMN_ROWS)
+             stats._SPECIES_COLUMN_ROWS, ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
 _CUTOVER_ROWS = sorted({1, 9} | {c + d for c in _CUTOVERS for d in (-1, 0)}
                        | {2 * max(_CUTOVERS)})
 _CUTOVER_N = (1, 2, 3, 4, 6, 8, 15, 16, 62, 63)
@@ -773,8 +857,9 @@ def _tall_block(rows, n, ensemble_name, seed):
 
 
 # each column form next to its limit: the tuple keys, valid_shifts at
-# n = 15 and 16, lucky at n = 62 and 63, longest-run
+# n = 15 and 16, lucky at n = 62 and 63, longest-run, species
 @example((ensemble._KEYS_COLUMN_ROWS, 4, "fn1", 1))
+@example((stats._SPECIES_COLUMN_ROWS, 7, "pf", 7))
 @example((sample._SHIFT_COLUMN_ROWS, 15, "pf", 2))
 @example((sample._SHIFT_COLUMN_ROWS, 16, "fn1", 3))
 @example((stats._LUCKY_COLUMN_ROWS, 62, "pf", 4))

@@ -100,9 +100,11 @@ def test_enumerate_capacity_guard():
         list(enumerate_pf(9))
     with pytest.raises(ValueError):
         list(enumerate_pf(0))
-    listed = enumerate_pf(9)  # raised when iterated, as a generator does
+    # raised by the call itself, before anything is iterated
     with pytest.raises(CapacityError):
-        next(listed)
+        enumerate_pf(9)
+    with pytest.raises(ValueError):
+        enumerate_pf(0)
 
 
 def test_count_pf_rejects_empty_size():
