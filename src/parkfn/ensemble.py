@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -206,8 +206,7 @@ def _index_blocks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
     base-m digits of i, most significant first, plus one.  Column j is runs
     of m^(n-1-j) equal digits cycling through 1..m, so each column is
     copied from that cycle (`_fill_digits`), without a division."""
-    if total > np.iinfo(np.int64).max:
-        raise ValueError(f"{total} rows do not fit in int64 row indices")
+    _check_rows(total)
     step = _block_rows(n)
     cycle = np.arange(1, m + 1, dtype=np.int64)
     runs = [m ** (n - 1 - j) for j in range(n)]
@@ -219,6 +218,13 @@ def _index_blocks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
         return block.T
 
     return map(digits, range(0, total, step))
+
+
+def _check_rows(total: int) -> None:
+    """Row indices and exact counts are int64: a source of more rows than
+    int64 holds is refused when it is made, before any block."""
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"{total} rows do not fit in int64 row indices")
 
 
 def _fill_digits(column: np.ndarray, start: int, run: int, cycle: np.ndarray) -> None:
@@ -269,6 +275,56 @@ def pf_blocks(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[np.ndarray]:
     return (shift_block(block, n) for block in _index_blocks(n, n + 1, count_pf(n)))
 
 
+def _sorted_blocks(n: int, caps: Sequence[int]) -> Iterator[np.ndarray]:
+    """The nondecreasing rows whose entry j lies in [1, caps[j]] (caps
+    nondecreasing), in lexicographic order, as column-major int64 blocks of
+    at most BLOCK_ELEMENTS values.  Each row is unranked column by column
+    from its key, the number of rows from it to the last one that shares its
+    prefix: tail[j, v - 1] counts the completions of columns j, ..., n-1
+    whose entry j is at least v, so entry j is the number of v with
+    tail[j, v - 1] at least the key, and the rows after the prefix that ends
+    in v, tail[j, v], leave the key of column j + 1."""
+    tail = np.zeros((n + 1, caps[-1] + 1), dtype=np.int64)
+    tail[n] = 1
+    for j in range(n - 1, -1, -1):
+        tail[j, :caps[j]] = np.cumsum(tail[j + 1, caps[j] - 1::-1])[::-1]
+    total = int(tail[0, 0])
+    rising = -tail  # searchsorted needs sorted rows: the keys are negated too
+    size = _block_rows(n)
+    for start in range(0, total, size):
+        keys = np.arange(start - total, min(start + size, total) - total, dtype=np.int64)
+        block = np.empty((n, keys.size), dtype=np.int64)
+        for j, column in enumerate(block):
+            column[:] = np.searchsorted(rising[j], keys, side="right")
+            keys += tail[j][column]
+        yield block.T
+
+
+def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
+    """The number of distinct arrangements of each sorted row, n!/prod c_v!
+    for c_v entries equal to v: n! over the product of each entry's place in
+    its run of equal entries.  Exact in int64 for n <= 20."""
+    run = np.ones(rows.shape[0], dtype=np.int64)
+    places = np.ones_like(run)
+    for left, right in zip(rows.T, rows.T[1:]):
+        run *= left == right
+        run += 1
+        places *= run
+    return math.factorial(rows.shape[1]) // places
+
+
+def _profile_blocks(n: int, m: int, ensemble: str) -> Iterator[np.ndarray]:
+    """The sorted rows of PF_n (ensemble "pf") or of [m]^n, as blocks: the
+    Catalan(n) nondecreasing rows with entry j at most j, or the
+    C(n + m - 1, n) nondecreasing rows over [1, m].  Counted with
+    `_arrangement_counts`, they give the census of all rows for a statistic
+    in ORDER_FREE_STATISTICS.  Every row count that passes the int64 guard
+    has n <= 16, so those weights and their sums are exact in int64."""
+    pf = ensemble == "pf"
+    _check_rows(count_pf(n) if pf else m**n)
+    return _sorted_blocks(n, range(1, n + 1) if pf else [m] * n)
+
+
 def run_experiment(config: ExperimentConfig) -> Histogram:
     """Sample `count` functions, one stream per sample index, and histogram
     the named statistic.  Deterministic for a given seed."""
@@ -294,18 +350,26 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
     check_enumeration_size(n, limit)
     kernel = statistic_kernel(statistic, relation)
     m = _codomain(ensemble, n)
-    blocks = pf_blocks(n, limit) if ensemble == "pf" else function_blocks(n, m)
+    # by name, not by kernel: a registry entry replaced by a wrapper (as in
+    # perfbench's traced runs) takes the same path and gives the same bins
+    if statistic in st.ORDER_FREE_STATISTICS:
+        blocks, weigh = _profile_blocks(n, m, ensemble), _arrangement_counts
+    else:
+        blocks = pf_blocks(n, limit) if ensemble == "pf" else function_blocks(n, m)
+        weigh = None
     return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
-                     count="exhaustive", bins=_census(kernel, blocks, n, m))
+                     count="exhaustive", bins=_census(kernel, blocks, n, m, weigh))
 
 
-def _census(kernel: Callable, blocks: Iterator[np.ndarray], n: int, m: int) -> dict[Hashable, int]:
+def _census(kernel: Callable, blocks: Iterator[np.ndarray], n: int, m: int,
+            weigh: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> dict[Hashable, int]:
     """Exact count of each kernel value over every row of the blocks, keyed
-    in order of first occurrence.  Each block is counted in numpy, and only
-    its distinct values become Python values."""
+    in order of first occurrence.  With `weigh`, row r of a block counts
+    weigh(block)[r] times.  Each block is counted in numpy, and only its
+    distinct values become Python values."""
     bins: dict[Hashable, int] = {}
     for block in blocks:
-        distinct = _distinct(kernel(block, n, m))
+        distinct = _distinct(kernel(block, n, m), None if weigh is None else weigh(block))
         if not bins:  # the first block hashes each key once (tuples cache no hash)
             bins.update(distinct)
             continue
@@ -314,20 +378,28 @@ def _census(kernel: Callable, blocks: Iterator[np.ndarray], n: int, m: int) -> d
     return bins
 
 
-def _distinct(values: np.ndarray) -> Iterable[tuple[Hashable, int]]:
+def _distinct(values: np.ndarray,
+              weights: Optional[np.ndarray] = None) -> Iterable[tuple[Hashable, int]]:
     """(value, count) of each distinct entry of a 1-D array, or of each
     distinct row of a 2-D one as a tuple of ints, in order of first
-    occurrence.  `np.unique` sorts one key per entry (`_row_keys` for rows)
-    with a stable sort, so narrowing the keys (`_sort_keys`) changes its
-    speed but not which entry comes first."""
+    occurrence; with int64 `weights`, the count of a value is the sum of its
+    entries' weights.  `np.unique` sorts one key per entry (`_row_keys` for
+    rows) with a stable sort, so narrowing the keys (`_sort_keys`) changes
+    its speed but not which entry comes first."""
     if values.ndim == 2:
         rows, width = values.shape
         if not rows or not width:  # no min() of no rows, no zero-width np.void
-            return [((), rows)] if rows else []
+            return [((), rows if weights is None else int(weights.sum()))] if rows else []
         keys = _row_keys(values)
     else:
         keys = values
-    _keys, first, counts = np.unique(_sort_keys(keys), return_index=True, return_counts=True)
+    if weights is None:
+        _keys, first, counts = np.unique(_sort_keys(keys), return_index=True, return_counts=True)
+    else:  # summed in int64: np.bincount would add the weights as float64
+        _keys, first, inverse = np.unique(_sort_keys(keys), return_index=True,
+                                          return_inverse=True)
+        counts = np.zeros(first.size, dtype=np.int64)
+        np.add.at(counts, inverse, weights)
     order = np.argsort(first)
     distinct = values[first[order]].tolist()
     if values.ndim == 2:
@@ -472,8 +544,14 @@ def exact_equidistribution(n: int, feature: str, relation: str = "<",
     """Brute-force joint feature distribution over PF_n versus all functions
     [n] -> [n+1]; equality must hold exactly after scaling by n+1."""
     kernel = _feature_kernel(feature, n, relation=relation, poset=poset, position=position)
-    pf_counts = _census(kernel, pf_blocks(n, limit), n, n + 1)
-    f_counts = _census(kernel, function_blocks(n, n + 1), n, n + 1)
+    # both sources check their size before either census starts
+    if feature in st.ORDER_FREE_STATISTICS:  # by name, as in exhaustive_histogram
+        check_enumeration_size(n, limit)
+        sources = _profile_blocks(n, n + 1, "pf"), _profile_blocks(n, n + 1, "fn1")
+        weigh = _arrangement_counts
+    else:
+        sources, weigh = (pf_blocks(n, limit), function_blocks(n, n + 1)), None
+    pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh) for blocks in sources)
     for v in _str_sorted(set(pf_counts) | set(f_counts)):
         if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0):
             return EquidistributionReport(n=n, feature=feature, equal=False, witness=v)

@@ -56,14 +56,15 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # scores one function as a one-row block.
 #
 # A kernel's result does not depend on the block's memory order.  Sampled
-# blocks are row-major; the exhaustive sources (`ensemble.pf_blocks` and
-# `function_blocks`) are column-major and tall, PF_n and [m]^n for n <= 8
-# at 65536 // n rows a block.  Numpy loops along the short row axis of such a
-# block one row at a time, so a few kernels work column by column, with n
-# vector passes over all rows, once the block has enough rows to pay for the
-# passes: `lucky` from 64 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below
-# 64), `longest-run` from 512 (_RUN_COLUMN_ROWS), `sample.valid_shifts` from
-# 1024 (its _SHIFT_COLUMN_ROWS, for n <= 15), `species` from 2048
+# blocks are row-major; the exhaustive sources (`ensemble.pf_blocks`,
+# `function_blocks` and, for ORDER_FREE_STATISTICS, the sorted rows of
+# `_sorted_blocks`) are column-major and tall, at 65536 // n rows a block.
+# Numpy loops along the short row axis of such a block one row at a time,
+# so a few kernels work column by column, with n vector passes over all
+# rows, once the block has enough rows to pay for the passes: `lucky` from
+# 64 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below 64), `longest-run` from
+# 512 (_RUN_COLUMN_ROWS), `sample.valid_shifts` from 1024 (its
+# _SHIFT_COLUMN_ROWS, for n <= 15), `species` from 2048
 # (_SPECIES_COLUMN_ROWS, for n <= 15 and m <= 16) and the bit-field keys of
 # `ensemble._census` from 4096 (its _KEYS_COLUMN_ROWS).  `_census` also
 # narrows its sort keys from 1024 keys (`ensemble._NARROW_KEYS`).  Wide
@@ -256,6 +257,12 @@ STATISTICS: dict[str, Callable] = {
     "scaled-max-discrepancy": _stat_scaled_max_discrepancy,
     "kmax": _stat_kmax,
 }
+
+# The statistics whose value depends only on the multiset of a function's
+# values, so that every arrangement of a sorted row scores as the row does:
+# exhaustive counts score the sorted rows only (`ensemble.exhaustive_histogram`).
+ORDER_FREE_STATISTICS = frozenset({"area", "scaled-area", "ones", "species",
+                                   "max-discrepancy", "scaled-max-discrepancy"})
 
 
 # The running run length beats the row form from 512 rows (at 256 rows it

@@ -4,7 +4,7 @@ import json
 import math
 import statistics
 from collections import Counter
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, permutations, product
 
 import numpy as np
 import oracles
@@ -25,7 +25,7 @@ from parkfn import (
     tv_distance,
     weak_peak_check,
 )
-from parkfn import ensemble, sample, stats
+from parkfn import ensemble, enumeration, sample, stats
 from parkfn.core import inconvenience
 from parkfn.enumeration import CapacityError, all_functions, count_pf, enumerate_pf
 from parkfn.ensemble import _feature_kernel, sample_blocks
@@ -233,6 +233,30 @@ def test_lucky_kernel_matches_parking_process(case):
     if not all(is_parking_function(f) for f in funcs):
         with pytest.raises(ValueError):
             STATISTICS["lucky"](np.array(funcs, dtype=np.int64), n, n)
+
+
+@given(function_blocks(), st_h.data())
+def test_order_free_statistics_ignore_the_order_of_values(case, data):
+    # exhaustive counts score only the sorted rows of these statistics
+    funcs, n, m = case
+    block = np.array(funcs, dtype=np.int64)
+    order = data.draw(st_h.permutations(range(n)))
+    for name in stats.ORDER_FREE_STATISTICS:
+        kernel = STATISTICS[name]
+        assert _to_python(kernel(block[:, order], n, m)) == _to_python(kernel(block, n, m)), name
+
+
+def test_every_other_statistic_has_an_order_witness():
+    # PF_4 is closed under permuting positions, so lucky is defined on every
+    # rearrangement; each statistic outside the order-free set scores some
+    # rearrangement of some row differently
+    block = np.array(list(enumerate_pf(4)), dtype=np.int64)
+    assert stats.ORDER_FREE_STATISTICS < set(STATISTICS)
+    for name in (set(STATISTICS) - stats.ORDER_FREE_STATISTICS) | {"longest-run"}:
+        kernel = statistic_kernel(name)
+        scores = _to_python(kernel(block, 4, 4))
+        assert any(_to_python(kernel(block[:, list(order)], 4, 4)) != scores
+                   for order in permutations(range(4))), name
 
 
 def _scalar_feature(feature, f, n, relation="<", poset=None, position=2):
@@ -478,6 +502,15 @@ def test_distinct_rows_match_counter(rows, width, top, signed, data):
     block = np.array(values, dtype=np.int64).reshape(rows, width)
     expected = Counter(map(tuple, block.tolist()))  # in order of first occurrence
     assert list(ensemble._distinct(block)) == list(expected.items())
+    # weighted counts are exact int64 sums of weights past 2^53, which float64
+    # would round; 12 rows of weights up to 2^59 stay below 2^63
+    weights = data.draw(st_h.lists(st_h.integers(1 << 54, 1 << 59), min_size=rows,
+                                   max_size=rows))
+    weighted = {}
+    for key, weight in zip(map(tuple, block.tolist()), weights):
+        weighted[key] = weighted.get(key, 0) + weight
+    got = ensemble._distinct(block, np.array(weights, dtype=np.int64))
+    assert list(got) == list(weighted.items())
     if width:
         column = block[:, width - 1]
         assert list(ensemble._distinct(column)) == list(Counter(column.tolist()).items())
@@ -790,6 +823,101 @@ def test_exhaustive_histogram_matches_enumerated_census():
                     continue
                 got = exhaustive_histogram(n, stat, ensemble_name, relation=relation).bins
                 assert got == expected, (n, ensemble_name, stat, relation)
+
+
+def _scan_census(stat, ensemble_name, n):
+    """The census of a registry statistic over every row of the block source."""
+    m = n + 1 if ensemble_name == "fn1" else n
+    blocks = ensemble.pf_blocks(n) if ensemble_name == "pf" else ensemble.function_blocks(n, m)
+    return ensemble._census(STATISTICS[stat], blocks, n, m)
+
+
+def test_profile_census_matches_the_scan():
+    # order-free statistics are counted over the sorted rows only, weighted by
+    # their arrangements; the block scan is the oracle
+    for stat in sorted(stats.ORDER_FREE_STATISTICS):
+        for ensemble_name in ensemble.ENSEMBLES:
+            for n in range(1, 8):
+                bins = exhaustive_histogram(n, stat, ensemble_name).bins
+                assert bins == _scan_census(stat, ensemble_name, n), (stat, ensemble_name, n)
+                _assert_plain_keys(bins, KEY_TYPES.get(stat, int), (stat, ensemble_name, n))
+    for n in range(2, 7):
+        kernel = STATISTICS["species"]
+        pf = ensemble._census(kernel, ensemble.pf_blocks(n), n, n + 1)
+        fn = ensemble._census(kernel, ensemble.function_blocks(n, n + 1), n, n + 1)
+        witness = next((v for v in sorted(set(pf) | set(fn), key=str)
+                        if fn.get(v, 0) != (n + 1) * pf.get(v, 0)), None)
+        report = exact_equidistribution(n, "species")
+        assert (report.equal, report.witness) == (witness is None, witness), n
+
+
+def test_sorted_blocks_are_the_sorted_rows_in_order():
+    # lexicographic, each once, over several blocks of at most BLOCK_ELEMENTS
+    # values: Catalan(10) = 16796 rows of PF_10, C(62, 3) = 37820 of [60]^3
+    for n, caps, rows in ((10, range(1, 11), enumeration._sorted_profiles(10)),
+                          (3, [60] * 3, combinations_with_replacement(range(1, 61), 3))):
+        blocks = list(ensemble._sorted_blocks(n, caps))
+        assert len(blocks) > 1 and _column_major_int64(blocks)
+        assert all(b.size <= ensemble.BLOCK_ELEMENTS for b in blocks)
+        assert _rows(blocks) == list(rows), n
+    for n in range(1, 7):
+        weights = ensemble._arrangement_counts(next(ensemble._sorted_blocks(n, [n] * n)))
+        assert weights.sum() == n**n and weights[0] == 1 and weights[-1] == 1, n
+
+
+def test_profile_census_edges():
+    # counts past int64 are refused before any block is built
+    built = []
+    original = ensemble._sorted_blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble, "_sorted_blocks",
+                      lambda *a: (built.append(b.shape) or b for b in original(*a)))
+        for n, stat, ensemble_name in ((16, "area", "fn"), (17, "max-discrepancy", "pf"),
+                                       (16, "species", "fn1")):
+            with pytest.raises(ValueError, match="int64"):
+                exhaustive_histogram(n, stat, ensemble_name, limit=n)
+        # PF_16 fits in int64 but [17]^16 does not: neither census starts
+        for feature in ("species", "descent-pattern"):
+            with pytest.raises(ValueError, match="int64"):
+                exact_equidistribution(16, feature, limit=16)
+        with pytest.raises(CapacityError):
+            exact_equidistribution(9, "species")
+        assert not built
+    # the max-discrepancy law of PF_10 from its 16796 sorted rows, in blocks
+    # of at most BLOCK_ELEMENTS values: 0 on the 10! permutations, 9 on 1^10
+    sizes = []
+    kernel = STATISTICS["max-discrepancy"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(STATISTICS, "max-discrepancy",
+                      lambda block, n, m: sizes.append(block.size) or kernel(block, n, m))
+        bins = exhaustive_histogram(10, "max-discrepancy", limit=10).bins
+    assert sum(bins.values()) == 11**9
+    assert (bins[0], bins[9], len(bins)) == (math.factorial(10), 1, 10)
+    assert len(sizes) > 1 and max(sizes) <= ensemble.BLOCK_ELEMENTS
+    assert sum(sizes) == 16796 * 10
+
+
+def test_traced_registry_takes_the_profile_path(monkeypatch):
+    # perfbench's traced runs replace each registry entry with a plain
+    # wrapper; the bins must keep their content and their order
+    for ensemble_name in ensemble.ENSEMBLES:
+        for n in range(1, 8):
+            plain = exhaustive_histogram(n, "area", ensemble_name).bins
+            rows = []
+            kernel = STATISTICS["area"]
+
+            def traced(*args, **kwargs):
+                rows.append(len(args[0]))
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setitem(STATISTICS, "area", traced)
+            wrapped = exhaustive_histogram(n, "area", ensemble_name).bins
+            monkeypatch.setitem(STATISTICS, "area", kernel)
+            assert list(wrapped.items()) == list(plain.items()), (ensemble_name, n)
+            m = n + 1 if ensemble_name == "fn1" else n
+            sorted_rows = (math.comb(2 * n, n) // (n + 1) if ensemble_name == "pf"
+                           else math.comb(n + m - 1, n))
+            assert rows and max(rows) <= sorted_rows and sum(rows) == sorted_rows
 
 
 def test_exact_equidistribution_matches_enumerated_census():
