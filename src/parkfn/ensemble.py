@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import marshal
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import stats as st
 from .core import BLOCK_ELEMENTS
-from .enumeration import DEFAULT_ENUM_LIMIT, check_enumeration_size, count_pf
+from .enumeration import (DEFAULT_ENUM_LIMIT, _sorted_blocks, check_enumeration_size,
+                          count_pf)
 from .sample import draw_block, shift_block
 # ensemble.STATISTICS is the registry dict itself, so that patching one of its
 # entries (as perfbench's traced runs do) patches it for every caller.
@@ -43,6 +45,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.count < 1:
             raise ValueError("n and count must be >= 1")
+        operator.index(self.seed)  # TypeError for a float, which would alias a stream
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         statistic_kernel(self.statistic, self.relation)
@@ -275,31 +278,6 @@ def pf_blocks(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[np.ndarray]:
     return (shift_block(block, n) for block in _index_blocks(n, n + 1, count_pf(n)))
 
 
-def _sorted_blocks(n: int, caps: Sequence[int]) -> Iterator[np.ndarray]:
-    """The nondecreasing rows whose entry j lies in [1, caps[j]] (caps
-    nondecreasing), in lexicographic order, as column-major int64 blocks of
-    at most BLOCK_ELEMENTS values.  Each row is unranked column by column
-    from its key, the number of rows from it to the last one that shares its
-    prefix: tail[j, v - 1] counts the completions of columns j, ..., n-1
-    whose entry j is at least v, so entry j is the number of v with
-    tail[j, v - 1] at least the key, and the rows after the prefix that ends
-    in v, tail[j, v], leave the key of column j + 1."""
-    tail = np.zeros((n + 1, caps[-1] + 1), dtype=np.int64)
-    tail[n] = 1
-    for j in range(n - 1, -1, -1):
-        tail[j, :caps[j]] = np.cumsum(tail[j + 1, caps[j] - 1::-1])[::-1]
-    total = int(tail[0, 0])
-    rising = -tail  # searchsorted needs sorted rows: the keys are negated too
-    size = _block_rows(n)
-    for start in range(0, total, size):
-        keys = np.arange(start - total, min(start + size, total) - total, dtype=np.int64)
-        block = np.empty((n, keys.size), dtype=np.int64)
-        for j, column in enumerate(block):
-            column[:] = np.searchsorted(rising[j], keys, side="right")
-            keys += tail[j][column]
-        yield block.T
-
-
 def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
     """The number of distinct arrangements of each sorted row, n!/prod c_v!
     for c_v entries equal to v: n! over the product of each entry's place in
@@ -313,16 +291,28 @@ def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
     return math.factorial(rows.shape[1]) // places
 
 
-def _profile_blocks(n: int, m: int, ensemble: str) -> Iterator[np.ndarray]:
-    """The sorted rows of PF_n (ensemble "pf") or of [m]^n, as blocks: the
-    Catalan(n) nondecreasing rows with entry j at most j, or the
-    C(n + m - 1, n) nondecreasing rows over [1, m].  Counted with
-    `_arrangement_counts`, they give the census of all rows for a statistic
-    in ORDER_FREE_STATISTICS.  Every row count that passes the int64 guard
-    has n <= 16, so those weights and their sums are exact in int64."""
+def _exhaustive_source(statistic: str, n: int, ensemble: str,
+                       limit: int) -> tuple[Iterator[np.ndarray], Optional[Callable]]:
+    """(blocks, weigh) for `_census` of a statistic over every row of PF_n
+    (ensemble "pf") or of [m]^n.  A statistic in ORDER_FREE_STATISTICS
+    scores only the sorted rows, each counted `_arrangement_counts` times:
+    the Catalan(n) nondecreasing rows with entry j at most j, or the
+    C(n + m - 1, n) nondecreasing rows over [1, m].  Every row count that
+    passes the int64 guard has n <= 16, so those weights and their sums are
+    exact in int64.  Any other statistic scans all rows, unweighted.
+    Raises ValueError for an unknown ensemble and `CapacityError` for
+    n > limit, and checks the row count, before any block is built."""
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    check_enumeration_size(n, limit)
     pf = ensemble == "pf"
-    _check_rows(count_pf(n) if pf else m**n)
-    return _sorted_blocks(n, range(1, n + 1) if pf else [m] * n)
+    m = _codomain(ensemble, n)
+    # by name, not by kernel: a registry entry replaced by a wrapper (as in
+    # perfbench's traced runs) takes the same path and gives the same bins
+    if statistic in st.ORDER_FREE_STATISTICS:
+        _check_rows(count_pf(n) if pf else m**n)
+        return _sorted_blocks(n, range(1, n + 1) if pf else [m] * n), _arrangement_counts
+    return (pf_blocks(n, limit) if pf else function_blocks(n, m)), None
 
 
 def run_experiment(config: ExperimentConfig) -> Histogram:
@@ -345,18 +335,12 @@ def run_experiment(config: ExperimentConfig) -> Histogram:
 def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
                          relation: str = "<", limit: int = DEFAULT_ENUM_LIMIT) -> Histogram:
     """Exact histogram of a statistic over all of PF_n or an all-functions
-    ensemble; counts are exact integers.  Raises `CapacityError` for
-    n > limit on every ensemble, before any block is built."""
-    check_enumeration_size(n, limit)
+    ensemble; counts are exact integers.  Raises ValueError for an ensemble
+    not in ENSEMBLES and `CapacityError` for n > limit on every ensemble,
+    before any block is built."""
+    blocks, weigh = _exhaustive_source(statistic, n, ensemble, limit)
     kernel = statistic_kernel(statistic, relation)
     m = _codomain(ensemble, n)
-    # by name, not by kernel: a registry entry replaced by a wrapper (as in
-    # perfbench's traced runs) takes the same path and gives the same bins
-    if statistic in st.ORDER_FREE_STATISTICS:
-        blocks, weigh = _profile_blocks(n, m, ensemble), _arrangement_counts
-    else:
-        blocks = pf_blocks(n, limit) if ensemble == "pf" else function_blocks(n, m)
-        weigh = None
     return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
                      count="exhaustive", bins=_census(kernel, blocks, n, m, weigh))
 
@@ -545,13 +529,8 @@ def exact_equidistribution(n: int, feature: str, relation: str = "<",
     [n] -> [n+1]; equality must hold exactly after scaling by n+1."""
     kernel = _feature_kernel(feature, n, relation=relation, poset=poset, position=position)
     # both sources check their size before either census starts
-    if feature in st.ORDER_FREE_STATISTICS:  # by name, as in exhaustive_histogram
-        check_enumeration_size(n, limit)
-        sources = _profile_blocks(n, n + 1, "pf"), _profile_blocks(n, n + 1, "fn1")
-        weigh = _arrangement_counts
-    else:
-        sources, weigh = (pf_blocks(n, limit), function_blocks(n, n + 1)), None
-    pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh) for blocks in sources)
+    sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
+    pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh) for blocks, weigh in sources)
     for v in _str_sorted(set(pf_counts) | set(f_counts)):
         if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0):
             return EquidistributionReport(n=n, feature=feature, equal=False, witness=v)

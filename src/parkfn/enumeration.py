@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import BLOCK_ELEMENTS, ParkingFunction
+from .stats import row_counts
 
 DEFAULT_ENUM_LIMIT = 8
 
@@ -34,19 +35,29 @@ def _ipow(base: int, exp: int) -> int:
     return 1
 
 
-def _sorted_profiles(n: int) -> Iterator[tuple[int, ...]]:
-    # Nondecreasing sequences with a_i <= i (sorted parking functions).
-    profile = [0] * n
-
-    def extend(i: int, low: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(profile)
-            return
-        for v in range(low, i + 2):
-            profile[i] = v
-            yield from extend(i + 1, v)
-
-    yield from extend(0, 1)
+def _sorted_blocks(n: int, caps: Sequence[int]) -> Iterator[np.ndarray]:
+    """The nondecreasing rows whose entry j lies in [1, caps[j]] (caps
+    nondecreasing), in lexicographic order, as column-major int64 blocks of
+    at most BLOCK_ELEMENTS values.  Each row is unranked column by column
+    from its key, the number of rows from it to the last one that shares its
+    prefix: tail[j, v - 1] counts the completions of columns j, ..., n-1
+    whose entry j is at least v, so entry j is the number of v with
+    tail[j, v - 1] at least the key, and the rows after the prefix that ends
+    in v, tail[j, v], leave the key of column j + 1."""
+    tail = np.zeros((n + 1, caps[-1] + 1), dtype=np.int64)
+    tail[n] = 1
+    for j in range(n - 1, -1, -1):
+        tail[j, :caps[j]] = np.cumsum(tail[j + 1, caps[j] - 1::-1])[::-1]
+    total = int(tail[0, 0])
+    rising = -tail  # searchsorted needs sorted rows: the keys are negated too
+    size = max(1, BLOCK_ELEMENTS // n)
+    for start in range(0, total, size):
+        keys = np.arange(start - total, min(start + size, total) - total, dtype=np.int64)
+        block = np.empty((n, keys.size), dtype=np.int64)
+        for j, column in enumerate(block):
+            column[:] = np.searchsorted(rising[j], keys, side="right")
+            keys += tail[j][column]
+        yield block.T
 
 
 # --- arrangements of multisets, a block at a time -------------------------
@@ -165,25 +176,20 @@ def check_enumeration_size(n: int, limit: int) -> None:
         raise CapacityError(f"n={n} exceeds enumeration limit {limit}; raise `limit` to opt in")
 
 
-def _value_counts(profile: tuple[int, ...], n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for v in profile:
-        counts[v - 1] += 1
-    return tuple(counts)
-
-
 def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
     """Each parking function of size n exactly once: sorted profiles in
-    lexicographic order, each expanded into its distinct arrangements in
-    lexicographic order.  Checks n at once (CapacityError, ValueError) and
-    returns a lazy iterator.
+    lexicographic order (the rows of `_sorted_blocks` with a_i <= i), each
+    expanded into its distinct arrangements in lexicographic order.  Checks
+    n at once (CapacityError, ValueError) and returns a lazy iterator.
 
     The arrangements are built in numpy blocks and turned into tuples in C,
     so the cost is proportional to the output size (n+1)^{n-1}, not n^n.
     """
     check_enumeration_size(n, limit)
     values = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
-    multisets = (_value_counts(profile, n) for profile in _sorted_profiles(n))
+    # each profile as its vector of value counts, the count of v at v - 1
+    multisets = chain.from_iterable(map(tuple, row_counts(block, n + 1)[:, 1:].tolist())
+                                    for block in _sorted_blocks(n, range(1, n + 1)))
     # the rows are parking functions by construction: skip validation
     return chain.from_iterable(map(tuple.__new__, repeat(ParkingFunction), _tuples(block))
                                for block in _arrangement_blocks(multisets, n, values))

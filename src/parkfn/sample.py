@@ -8,6 +8,7 @@ given seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,8 +26,9 @@ SLACK = 32
 
 def _philox_state(seed: int, index: int) -> dict:
     """Philox state of stream `index` under `seed`: key words [index, seed],
-    counter 0, empty output buffer.  Both must lie in [0, 2^64); values
-    outside would alias another stream."""
+    counter 0, empty output buffer.  Both must be ints in [0, 2^64); values
+    outside would alias another stream, and so would a float, which numpy
+    truncates (callers take `operator.index` of them once)."""
     if not 0 <= seed < _U64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if not 0 <= index < _U64:
@@ -49,7 +51,8 @@ class RngStream:
 
     def __post_init__(self) -> None:
         bitgen = np.random.Philox(0)
-        bitgen.state = _philox_state(self.seed, self.stream_index)
+        bitgen.state = _philox_state(operator.index(self.seed),
+                                     operator.index(self.stream_index))
         self._gen = np.random.Generator(bitgen)
 
     def integers(self, low: int, high: int, size=None):
@@ -119,6 +122,7 @@ def draw_block(seed: int, start: int, stop: int, n: int, high: int,
     """
     if not 1 <= high < 1 << 32:
         raise ValueError(f"high must be in [1, 2^32), got {high}")
+    seed = operator.index(seed)  # the row indices come from range(): ints
     rows = stop - start
     block = np.empty((rows, n), dtype=np.int64) if out is None else out[:rows]
     threshold = (1 << 32) % high

@@ -58,20 +58,22 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # A kernel's result does not depend on the block's memory order.  Sampled
 # blocks are row-major; the exhaustive sources (`ensemble.pf_blocks`,
 # `function_blocks` and, for ORDER_FREE_STATISTICS, the sorted rows of
-# `_sorted_blocks`) are column-major and tall, at 65536 // n rows a block.
+# `enumeration._sorted_blocks`) are column-major and tall, at 65536 // n
+# rows a block.
 # Numpy loops along the short row axis of such a block one row at a time,
 # so a few kernels work column by column, with n vector passes over all
 # rows, once the block has enough rows to pay for the passes: `lucky` from
 # 64 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below 64), `longest-run` from
 # 512 (_RUN_COLUMN_ROWS), `sample.valid_shifts` from 1024 (its
-# _SHIFT_COLUMN_ROWS, for n <= 15), `species` from 2048
-# (_SPECIES_COLUMN_ROWS, for n <= 15 and m <= 16) and the bit-field keys of
+# _SHIFT_COLUMN_ROWS, for n <= 15) and the bit-field keys of
 # `ensemble._census` from 4096 (its _KEYS_COLUMN_ROWS).  `_census` also
 # narrows its sort keys from 1024 keys (`ensemble._NARROW_KEYS`).  Wide
 # blocks (the Monte Carlo samples at n >= 100) keep the row forms.  The
 # cutovers were timed on C- and Fortran-ordered random blocks with 3-60
 # columns (numpy 2.4, one core of a shared 2-core Xeon): both costs grow
-# with n, so the crossover sits at a row count.
+# with n, so the crossover sits at a row count.  `species` has only its row
+# form: exhaustive counts score it on the sorted rows alone, and a column
+# form saved about 1% of `run_experiment` on tall sampled blocks (n = 5-15).
 
 def _stat_first(block, n, m):
     return block[:, 0]
@@ -158,57 +160,16 @@ def descent_pattern_statistic(relation: str) -> Callable:
     return lambda block, n, m: op(block[:, 1:], block[:, :-1]).view(np.int8)
 
 
-# The 4-bit count fields of `_species_columns` beat the row form from 2048
-# rows at n <= 15 and m <= 16: 0.3-0.75 times its time at 4096 rows, 0.65-1.2
-# at 2048 (below 1 on every column-major block), 0.9-1.5 at 1024.
-_SPECIES_COLUMN_ROWS = 2048
-# _NIBBLE[c] = 1 << 4c; _NIBBLE_PAIR[b] adds one to the fields numbered by
-# the two 4-bit halves of the byte b, _NIBBLE_LOW[b] by its low half only.
-_NIBBLE = np.left_shift(1, np.arange(0, 64, 4))
-_NIBBLE_LOW = _NIBBLE[np.arange(256) & 15]
-_NIBBLE_PAIR = _NIBBLE_LOW + _NIBBLE[np.arange(256) >> 4]
-
-
 def _stat_species(block, n, m):
-    rows = block.shape[0]
-    if rows >= _SPECIES_COLUMN_ROWS and n <= 15 and m <= 16:
-        return _species_columns(block, n, m)
     # mu_r = number of values in [1, m] occurring exactly r times: row_counts
     # of the value counts, written out so that the value counts are freed
     # before the second bincount allocates.  Holding both made glibc hand the
     # block's memory back and fault it in again for every block (380 faults
-    # and 0.9 ms of a 1.4 ms kernel per block of PF_8).
+    # and 0.9 ms of a 1.4 ms kernel on each 8192 x 8 block of a full scan of
+    # PF_8).
+    rows = block.shape[0]
     flat = row_counts(block, m + 1)[:, 1:] + (np.arange(rows) * (n + 1))[:, None]
     return np.bincount(flat.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
-
-
-def _species_columns(block, n, m):
-    """`_stat_species` for n <= 15 and m <= 16, with no temporary larger than
-    one column.  Each row's value counts go into 4-bit fields of one int64,
-    the count of v in field v - 1, column by column (as in
-    `sample.valid_shifts`).  Then each count c adds one to field c of a
-    second int64, two counts per table lookup: field r ends up holding mu_r,
-    at most 15, since mu_0 < m and r * mu_r <= n for r >= 1."""
-    rows = block.shape[0]
-    unit = np.zeros(m + 1, dtype=np.int64)
-    unit[1:] = _NIBBLE[:m]
-    counts = np.zeros(rows, dtype=np.int64)
-    term = np.empty(rows, dtype=np.int64)
-    # values lie in [1, m], and bytes index a 256-entry table: clip never acts
-    for column in block.T:
-        np.take(unit, column, out=term, mode="clip")
-        counts += term
-    pairs = counts.astype("<i8", copy=False).view(np.uint8).reshape(rows, 8)
-    mu = np.zeros(rows, dtype=np.int64)
-    for byte in range((m + 1) // 2):  # an odd m leaves one high half unused
-        table = _NIBBLE_PAIR if 2 * byte + 1 < m else _NIBBLE_LOW
-        np.take(table, pairs[:, byte], out=term, mode="clip")
-        mu += term
-    fields = mu.astype("<i8", copy=False).view(np.uint8).reshape(rows, 8).T
-    species = np.empty((n + 1, rows), dtype=np.int64)
-    np.bitwise_and(fields[:(n + 2) // 2], 15, out=species[0::2])
-    np.right_shift(fields[:(n + 1) // 2], 4, out=species[1::2])
-    return species.T
 
 
 def _stat_inversions(block, n, m):
@@ -260,7 +221,7 @@ STATISTICS: dict[str, Callable] = {
 
 # The statistics whose value depends only on the multiset of a function's
 # values, so that every arrangement of a sorted row scores as the row does:
-# exhaustive counts score the sorted rows only (`ensemble.exhaustive_histogram`).
+# exhaustive counts score the sorted rows only (`ensemble._exhaustive_source`).
 ORDER_FREE_STATISTICS = frozenset({"area", "scaled-area", "ones", "species",
                                    "max-discrepancy", "scaled-max-discrepancy"})
 

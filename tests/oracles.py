@@ -9,13 +9,24 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from parkfn.core import ParkingFunction, PrefSequence, park, queue_profile
-from parkfn.enumeration import (
-    DEFAULT_ENUM_LIMIT,
-    _sorted_profiles,
-    all_functions,
-    check_enumeration_size,
-)
+from parkfn.enumeration import DEFAULT_ENUM_LIMIT, all_functions, check_enumeration_size
 from parkfn.stats import _RELATIONS, ChainPoset, value_counts
+
+
+def sorted_profiles(n: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing sequences with a_i <= i (sorted parking functions), in
+    lexicographic order."""
+    profile = [0] * n
+
+    def extend(i: int, low: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(profile)
+            return
+        for v in range(low, i + 2):
+            profile[i] = v
+            yield from extend(i + 1, v)
+
+    yield from extend(0, 1)
 
 
 def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -44,7 +55,7 @@ def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFun
     is proportional to the output size (n+1)^{n-1}, not n^n.
     """
     check_enumeration_size(n, limit)
-    for profile in _sorted_profiles(n):
+    for profile in sorted_profiles(n):
         for perm in multiset_permutations(profile):
             yield ParkingFunction._trusted(perm)
 

@@ -25,7 +25,7 @@ from parkfn import (
     tv_distance,
     weak_peak_check,
 )
-from parkfn import ensemble, enumeration, sample, stats
+from parkfn import ensemble, sample, stats
 from parkfn.core import inconvenience
 from parkfn.enumeration import CapacityError, all_functions, count_pf, enumerate_pf
 from parkfn.ensemble import _feature_kernel, sample_blocks
@@ -54,9 +54,17 @@ def test_config_validation():
         ("'bogus'", lambda: exhaustive_histogram(3, "bogus")),
         ("'~'", lambda: exact_equidistribution(3, "longest-run", relation="~")),
     ]
+    # an unknown ensemble, on the sorted rows and on the scan (a case-folded
+    # "PF" would count [3]^3 as PF_3)
+    bad_names += [(repr(name), lambda stat=stat, name=name: exhaustive_histogram(3, stat, name))
+                  for stat in ("area", "first") for name in ("bogus", "PF")]
     for name, call in bad_names:
         with pytest.raises(ValueError, match=name):
             call()
+    # a float seed would draw the streams of its integer part
+    for seed in (1.5, 1.0, np.float64(1)):
+        with pytest.raises(TypeError):
+            ExperimentConfig(n=3, count=1, seed=seed)
 
 
 def test_run_experiment_deterministic_and_total():
@@ -190,23 +198,21 @@ def test_inversions_kernel_at_dtype_edges():
         assert _to_python(kernel(block, n, n)) == [n * (n - 1) // 2]
 
 
-def test_species_column_form_matches_oracle():
-    # the 4-bit fields serve n <= 15 and m <= 16 from _SPECIES_COLUMN_ROWS
-    # rows; one row fewer, n = 16 or m = 17 take the row form
+def test_species_kernel_matches_oracle_at_its_count_limits():
+    # tall blocks in either memory order whose counts reach 15 (mu_0 = 15,
+    # mu_1 = 15), and go past it (n = 16, m = 17)
     kernel = STATISTICS["species"]
-    cutover = stats._SPECIES_COLUMN_ROWS
+    tall = 2048
     rng = np.random.default_rng(15)
-    for rows, n, m in ((cutover - 1, 15, 16), (cutover, 15, 16), (cutover + 1, 15, 16),
-                       (cutover, 1, 1), (cutover, 15, 1), (cutover, 1, 16), (cutover, 5, 6),
-                       (cutover, 16, 17), (cutover, 16, 16), (cutover, 15, 17)):
+    for rows, n, m in ((tall - 1, 15, 16), (tall, 15, 16), (tall + 1, 15, 16),
+                       (tall, 1, 1), (tall, 15, 1), (tall, 1, 16), (tall, 5, 6),
+                       (tall, 16, 17), (tall, 16, 16), (tall, 15, 17)):
         block = rng.integers(1, m + 1, size=(rows, n))
         block[0] = m  # mu_n = 1 and mu_0 = m - 1: 15 at m = 16
         block[1] = np.arange(n) % m + 1  # mu_1 = 15 at n = 15, m = 16
         want = [oracles.species(row, m) for row in block.tolist()]
         for b in (block, np.asfortranarray(block)):
             assert _to_python(kernel(b, n, m)) == want, (rows, n, m)
-            if n <= 15 and m <= 16:
-                assert _to_python(stats._species_columns(b, n, m)) == want, (rows, n, m)
 
 
 @given(function_blocks())
@@ -854,7 +860,7 @@ def test_profile_census_matches_the_scan():
 def test_sorted_blocks_are_the_sorted_rows_in_order():
     # lexicographic, each once, over several blocks of at most BLOCK_ELEMENTS
     # values: Catalan(10) = 16796 rows of PF_10, C(62, 3) = 37820 of [60]^3
-    for n, caps, rows in ((10, range(1, 11), enumeration._sorted_profiles(10)),
+    for n, caps, rows in ((10, range(1, 11), oracles.sorted_profiles(10)),
                           (3, [60] * 3, combinations_with_replacement(range(1, 61), 3))):
         blocks = list(ensemble._sorted_blocks(n, caps))
         assert len(blocks) > 1 and _column_major_int64(blocks)
@@ -956,12 +962,13 @@ def test_weak_peak_check_raises_when_inclusion_exclusion_fails(monkeypatch):
         weak_peak_check(4, 2)
 
 
-# Row counts at and just below the cutover of each kernel's column form, and
-# further out on both sides; n at the column forms' limits on n (n <= 15 for
-# valid_shifts, n + 1 and m below 64 for lucky), while the block stays near
-# the size of a block of the exhaustive sources.
+# Row counts at and just below the cutover of each kernel's column form (and
+# 2048, a tall block for the row forms), and further out on both sides; n at
+# the column forms' limits on n (n <= 15 for valid_shifts, n + 1 and m below
+# 64 for lucky), while the block stays near the size of a block of the
+# exhaustive sources.
 _CUTOVERS = (stats._LUCKY_COLUMN_ROWS, stats._RUN_COLUMN_ROWS, sample._SHIFT_COLUMN_ROWS,
-             stats._SPECIES_COLUMN_ROWS, ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
+             2048, ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
 _CUTOVER_ROWS = sorted({1, 9} | {c + d for c in _CUTOVERS for d in (-1, 0)}
                        | {2 * max(_CUTOVERS)})
 _CUTOVER_N = (1, 2, 3, 4, 6, 8, 15, 16, 62, 63)
@@ -985,9 +992,9 @@ def _tall_block(rows, n, ensemble_name, seed):
 
 
 # each column form next to its limit: the tuple keys, valid_shifts at
-# n = 15 and 16, lucky at n = 62 and 63, longest-run, species
+# n = 15 and 16, lucky at n = 62 and 63, longest-run; and a tall block of PF_7
 @example((ensemble._KEYS_COLUMN_ROWS, 4, "fn1", 1))
-@example((stats._SPECIES_COLUMN_ROWS, 7, "pf", 7))
+@example((2048, 7, "pf", 7))
 @example((sample._SHIFT_COLUMN_ROWS, 15, "pf", 2))
 @example((sample._SHIFT_COLUMN_ROWS, 16, "fn1", 3))
 @example((stats._LUCKY_COLUMN_ROWS, 62, "pf", 4))

@@ -56,6 +56,21 @@ def test_out_of_range_keys_rejected():
         draw_block(0, 2**64 - 1, 2**64 + 1, 3, 4)
 
 
+def test_non_integer_keys_rejected():
+    # numpy truncates a float key word, so seed 1.5 or 1.0 would draw the
+    # streams of seed 1; integer types of numpy key the same streams as ints
+    for seed, index in ((1.5, 0), (1.0, 0), (np.float64(1), 0), (1, 0.0), (1, 2.5)):
+        with pytest.raises(TypeError):
+            RngStream(seed=seed, stream_index=index)
+    for seed in (1.5, 1.0):
+        with pytest.raises(TypeError):
+            draw_block(seed, 0, 2, 3, 4)
+    want = RngStream(1, 2).integers(1, 4, size=3)
+    for seed, index in ((np.int64(1), np.uint64(2)), (np.uint8(1), np.int32(2))):
+        assert (RngStream(seed, index).integers(1, 4, size=3) == want).all()
+        assert (draw_block(seed, index, index + 1, 3, 4)[0] == want).all()
+
+
 def test_sample_uniform_function_range():
     rng = split_stream(9, 0)
     seq = sample_uniform_function(5, 6, rng)
