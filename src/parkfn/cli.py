@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate, islice, repeat, takewhile
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import __version__, ensemble, enumeration, limits, stats
@@ -17,6 +19,8 @@ from .sample import shift_block
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
+# Most rows `parkfn dist` tabulates: a larger grid is refused, not started.
+DIST_MAX_ROWS = 100_000
 
 
 class UsageError(Exception):
@@ -154,9 +158,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    limit = args.n_max if args.n_max is not None else max(enumeration.DEFAULT_ENUM_LIMIT, n)
     if args.stat:
-        poly = enumeration.gf_statistic(n, args.stat, limit=limit)
+        if n > args.n_max:
+            raise UsageError(f"--stat enumerates PF_{n}, above --n-max {args.n_max}; "
+                             "raise --n-max to opt in")
+        poly = enumeration.gf_statistic(n, args.stat, limit=args.n_max)
         meta = _metadata(args, statistic=args.stat, polynomial="coefficients by power of q")
         _emit_rows(args, ("power", "coefficient"), list(enumerate(poly)), meta)
         return EXIT_OK
@@ -173,16 +179,22 @@ def cmd_dist(args: argparse.Namespace) -> int:
         params["x"] = args.x
     if not args.step > 0:
         raise UsageError(f"--step must be positive, got {args.step}")
+    for option, value in (("--min", args.min), ("--max", args.max)):
+        if not math.isfinite(value):
+            raise UsageError(f"{option} must be finite, got {value}")
     handle = limits.distribution_handle(args.dist, **params)
-    rows = []
     if handle.kind == "pmf":
-        for j in range(max(handle.support_min, int(args.min)), int(args.max) + 1):
-            rows.append((j, handle.evaluate(j)))
-    else:
-        t = args.min
-        while t <= args.max + 1e-12:
-            rows.append((round(t, 10), handle.evaluate(t)))
-            t += args.step
+        points = range(max(handle.support_min, int(args.min)), int(args.max) + 1)
+    else:  # t += step from --min while t <= --max
+        points = takewhile(lambda t: t <= args.max + 1e-12,
+                           accumulate(repeat(args.step), initial=args.min))
+    # counted before any is evaluated; a step below the spacing of doubles
+    # near --min never moves t, and stops here too
+    grid = list(islice(points, DIST_MAX_ROWS + 1))
+    if len(grid) > DIST_MAX_ROWS:
+        raise UsageError(f"--min {args.min} --max {args.max} --step {args.step} "
+                         f"gives more than {DIST_MAX_ROWS} rows")
+    rows = [(x if handle.kind == "pmf" else round(x, 10), handle.evaluate(x)) for x in grid]
     meta = _metadata(args, distribution=handle.name,
                      **{k: v for k, v in handle.parameters})
     _emit_rows(args, ("argument", "value"), rows, meta)
@@ -331,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="exact counts, first-coordinate table, GF polynomials")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", choices=enumeration.GF_STATISTICS, default=None)
-    p.add_argument("--n-max", type=int, default=None, help="enumeration size cap override")
+    p.add_argument("--n-max", type=int, default=enumeration.DEFAULT_ENUM_LIMIT,
+                   help="largest n that --stat enumerates (default %(default)s)")
     common(p, seed=False)
     p.set_defaults(fn=cmd_enumerate)
 

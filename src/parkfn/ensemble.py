@@ -195,6 +195,8 @@ def sample_blocks(n: int, count: int, seed: int, ensemble: str = "pf") -> Iterat
     one buffer (large-n rows reuse its pages), so use each before the next."""
     if count < 0:
         raise ValueError("count must be >= 0")
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
     step = _block_rows(n)
     high = n + 1 if ensemble == "pf" else _codomain(ensemble, n)
     buffer = np.empty((min(step, count), n), dtype=np.int64)

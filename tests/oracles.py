@@ -6,10 +6,16 @@ definitions of what the vectorised code computes.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from itertools import count
 from typing import Iterator, Optional, Sequence
+
+import mpmath
 
 from parkfn.core import ParkingFunction, PrefSequence, park, queue_profile
 from parkfn.enumeration import DEFAULT_ENUM_LIMIT, all_functions, check_enumeration_size
+from parkfn.limits import _airy_zero
 from parkfn.stats import _RELATIONS, ChainPoset, value_counts
 
 
@@ -187,3 +193,57 @@ def brute_pattern_counts(n: int, m: int, relation: str = "<") -> dict[tuple[int,
         pat = descent_pattern(f, relation)
         counts[pat] = counts.get(pat, 0) + 1
     return counts
+
+
+@lru_cache(maxsize=None)
+def airy_zero_mp(k: int, dps: int) -> mpmath.mpf:
+    """The k-th zero of Ai to about `dps` digits, for dps = 16 * 2^j: one
+    Newton step, which doubles the digits, from the zero to dps / 2 digits."""
+    if dps <= 16:
+        return mpmath.mpf(_airy_zero(k))
+    a = airy_zero_mp(k, dps // 2)
+    with mpmath.workdps(dps + 5):
+        return a - mpmath.airyai(a) / mpmath.airyai(a, derivative=1)
+
+
+def airy_area_density_mp(x: float) -> float:
+    """Takacs's series of the Airy area density in mpmath.  Its terms are of
+    order 1 and its sum of order e^{-6x^2}, so about 6x^2 / ln 10 digits
+    cancel; the sum carries 20 more, and stops at the first term below its
+    last digit.
+
+    A term is about e^{-z} in size, so it needs about z / ln 10 digits fewer
+    than the sum, and so does its Airy zero.  Where mpmath's asymptotic
+    series of U reaches that many digits (z above 3 times them), the term is
+    e^{-z} U(a, b, z).  Elsewhere it is C M(b-a, b, -z) + D z^{1-b}
+    M(1-a, 2-b, -z) at the sum's precision (DLMF 13.2.42 and Kummer's
+    transformation 13.2.39), with Gamma factors C, D that do not depend on
+    z: there two 1F1 sums cost less than one U.  Those two cancel to about
+    e^{-z} of their size, beyond the sum's precision once the first z nears
+    60: below x ~ 0.25 the result is off (1.6% at x = 0.126), so this
+    serves the tail only."""
+    dps = 20 + math.ceil(6 * x * x / math.log(10))
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(-5) / 6, mpmath.mpf(4) / 3
+        c = mpmath.gamma(1 - b) / mpmath.gamma(a - b + 1)
+        d = mpmath.gamma(b - 1) / mpmath.gamma(a)
+        s = 1 / mpmath.mpf(x) ** 2
+        total = magnitude = mpmath.mpf(0)
+        for k in count(1):
+            z_float = -2 * _airy_zero(k) ** 3 / 27 / (x * x)
+            digits = max(20, dps - int(z_float / math.log(10)))
+            zero = airy_zero_mp(k, 16 * 2 ** math.ceil(math.log2(digits / 16)))
+            b_k = -2 * zero**3 / 27
+            z = b_k * s
+            if z > 3 * digits:
+                with mpmath.workdps(digits):
+                    scaled_u = mpmath.exp(-z) * mpmath.hyperu(a, b, z)
+            else:
+                scaled_u = (c * mpmath.hyp1f1(b - a, b, -z)
+                            + d / mpmath.cbrt(z) * mpmath.hyp1f1(1 - a, 2 - b, -z))
+            term = mpmath.cbrt(b_k) ** 2 * scaled_u
+            total += term
+            magnitude += abs(term)
+            if abs(term) < mpmath.mp.eps * magnitude:
+                break
+        return float(2 * mpmath.sqrt(6) * s ** (mpmath.mpf(5) / 3) * total)

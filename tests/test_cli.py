@@ -22,6 +22,7 @@ from parkfn import (
 )
 from parkfn import cli, stats
 from parkfn.core import dyck_encode, inconvenience, park, queue_profile
+from parkfn.enumeration import gf_closed_form
 from parkfn.stats import max_first_coordinate
 from parkfn.cli import (
     EXIT_OK,
@@ -244,6 +245,18 @@ def test_enumerate_gf(capsys):
     assert coeffs[0] == 0  # every parking function uses the value 1
 
 
+def test_enumerate_stat_is_capped_by_n_max(capsys):
+    # PF_9 has 10^8 functions: refused at the default cap, not started
+    proc = run_cli_process("enumerate", "--n", "9", "--stat", "lucky", timeout=20)
+    assert proc.returncode == EXIT_USAGE
+    assert "--n-max" in proc.stderr
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "9", "--stat", "ones", "--n-max", "9")
+    assert code == EXIT_OK
+    coeffs = [int(line.split(",")[1]) for line in out.splitlines()
+              if line and not line.startswith("#") and not line.startswith("power")]
+    assert tuple(coeffs) == gf_closed_form(9, "ones")
+
+
 def test_dist_borel_table(capsys):
     code, out, _ = run_cli(
         capsys, "dist", "--dist", "borel", "--min", "1", "--max", "5"
@@ -281,6 +294,18 @@ def test_dist_rejects_nonpositive_step():
         proc = run_cli_process("dist", "--dist", "excursion-max", "--step", step)
         assert proc.returncode == EXIT_USAGE
         assert "--step" in proc.stderr
+
+
+def test_dist_refuses_grids_that_never_finish():
+    # 3 * 10^9 rows; a step that never moves t past 10^17; an int() overflow
+    for argv, option in (
+        (("--dist", "excursion-max", "--step", "1e-9"), "--step"),
+        (("--dist", "excursion-max", "--min", "1e17", "--max", "2e17", "--step", "1"), "--step"),
+        (("--dist", "poisson", "--max", "1e400"), "--max"),
+    ):
+        proc = run_cli_process("dist", *argv, timeout=20)
+        assert proc.returncode == EXIT_USAGE, argv
+        assert option in proc.stderr and "Traceback" not in proc.stderr, argv
 
 
 def test_sample_rejects_out_of_range_seed(capsys):

@@ -102,6 +102,9 @@ def test_sample_blocks_match_one_sample_api():
     assert list(sample_blocks(4, 0, 5)) == []
     with pytest.raises(ValueError):
         list(sample_blocks(4, -1, 5))
+    for name in ("PF", "bogus"):  # case matters: "PF" is not "pf"
+        with pytest.raises(ValueError, match="unknown ensemble"):
+            next(sample_blocks(3, 6, 0, name))
 
 
 def test_registry_statistics_match_reference_functions():

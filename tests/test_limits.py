@@ -6,12 +6,14 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import oracles
 import pytest
 from scipy import integrate
 
 from parkfn import descents
 from parkfn.enumeration import all_functions
 from parkfn.limits import (
+    _AIRY_TAIL_X,
     _max_cdf_large_t,
     _max_cdf_small_t,
     airy_area_density,
@@ -174,28 +176,32 @@ def test_airy_density_normalization_and_mean():
         airy_area_density(0.0)
 
 
-# The density in its tail, summed at 100 digits over the first 60 zeros with
-# mpmath.airyaizero and mpmath.hyperu: each value is good to over 40 digits.
+# The density in its tail, summed at 100 digits beyond the cancellation with
+# the series of `oracles.airy_area_density_mp`: each value is good to over 40
+# digits.
 AIRY_TAIL = {
+    1.8: 1.1229637905615349407e-06,
+    2.0: 1.4604258102041403699e-08,
     2.5: 3.1610780119984715934e-14,
     2.9: 1.0053775086004788041e-19,
     3.2: 2.0908633320938569607e-24,
     4.0: 3.2110702126908859633e-39,
+    6.0: 5.5613958080923600507e-91,
+    8.0: 1.0818749347140951335e-163,
+    10.0: 2.6342746805194721276e-257,
 }
-# Values of the double-precision sum, which is kept where it has its digits.
+# Values of the double-precision sum, which is kept below the tail switch.
 AIRY_BODY = {
     0.2: 7.101284392240609e-07,
     0.5: 2.4295478730963667,
     1.0: 0.2181190840957174,
     1.5: 0.00029152382780447587,
-    1.8: 1.1229637905299333e-06,
-    2.0: 1.4604258128302229e-08,
 }
 
 
 def test_airy_density_tail_is_not_roundoff():
     for x, want in AIRY_TAIL.items():
-        assert airy_area_density(x) == pytest.approx(want, rel=1e-9, abs=0), x
+        assert airy_area_density(x) == pytest.approx(want, rel=1e-13, abs=0), x
     for x, want in AIRY_BODY.items():
         assert airy_area_density(x) == want, x
     grid = [airy_area_density(i / 10) for i in range(1, 41)]
@@ -203,6 +209,18 @@ def test_airy_density_tail_is_not_roundoff():
     # past the mode the density falls
     assert all(a > b for a, b in zip(grid[9:], grid[10:]))
     assert airy_area_density(12.0) == 0.0  # below the least double
+    for x in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            airy_area_density(x)
+
+
+def test_airy_density_meets_the_mpmath_series_at_the_tail_switch():
+    # the double sum has lost digits to cancellation just below the switch;
+    # from it on, the tail expansion is within its truncation error
+    for x in (1.65, 1.69, 1.7, 1.85, 2.03, 2.1):
+        rel = 1e-11 if x < _AIRY_TAIL_X else 5e-13
+        want = oracles.airy_area_density_mp(x)
+        assert airy_area_density(x) == pytest.approx(want, rel=rel, abs=0), x
 
 
 def test_descent_sum_moments_match_exhaustive():
