@@ -166,9 +166,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         meta = _metadata(args, statistic=args.stat, polynomial="coefficients by power of q")
         _emit_rows(args, ("power", "coefficient"), list(enumerate(poly)), meta)
         return EXIT_OK
+    # Python prints ints of at most this many digits (0: any); an n whose
+    # total, (n+1)^(n-1), is longer is refused before anything is counted.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
+    too_long = UsageError(f"--n {n}: the counts of PF_{n} have more than {digits} digits, "
+                          "Python's limit for printing an int (sys.set_int_max_str_digits)")
+    if digits and n >= 1 and (n - 1) * math.log10(n + 1) >= digits:
+        raise too_long
     rows = [("total", str(enumeration.count_pf(n)))]
-    rows += [(f"first={k}", str(enumeration.count_first(n, k))) for k in range(1, n + 1)]
-    rows.append(("mean_first", str(enumeration.exact_mean_first(n))))
+    rows += [(f"first={k}", str(c)) for k, c in enumerate(enumeration.first_counts(n), start=1)]
+    try:
+        rows.append(("mean_first", str(enumeration.exact_mean_first(n))))
+    except ValueError:  # its numerator can have a few digits more than the total
+        raise too_long from None
     _emit_rows(args, ("quantity", "value"), rows, _metadata(args))
     return EXIT_OK
 
@@ -262,16 +272,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check(f"count_pf({n}) = {expected}", observed == expected,
               f"module=enumerate op=count_pf n={n} expected={expected} actual={observed}")
     for n, census in censuses.items():
-        ok = all(enumeration.count_first(n, k) == census.get(k, 0) for k in range(1, n + 1))
-        check(f"count_first census n={n}", ok,
-              f"module=enumerate op=count_first n={n} expected={[enumeration.count_first(n, k) for k in range(1, n + 1)]} actual={census}")
+        expected = enumeration.first_counts(n)
+        check(f"count_first census n={n}", expected == [census.get(k, 0) for k in range(1, n + 1)],
+              f"module=enumerate op=count_first n={n} expected={expected} actual={census}")
     for n in range(1, min(n_max, 10) + 1):
         lhs, rhs = enumeration.abel_identity_check(Fraction(1), Fraction(1), n)
         check(f"abel identity n={n}", lhs == rhs,
               f"module=enumerate op=abel_identity_check n={n} expected={rhs} actual={lhs}")
     for n in range(1, n_max + 1):
         brute = Fraction(
-            sum(k * enumeration.count_first(n, k) for k in range(1, n + 1)),
+            sum(k * c for k, c in enumerate(enumeration.first_counts(n), start=1)),
             enumeration.count_pf(n),
         )
         exact = enumeration.exact_mean_first(n)

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import accumulate, chain, permutations, product, repeat, starmap
 from math import comb, factorial
+from operator import index
 from struct import Struct
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -19,6 +20,13 @@ from .core import BLOCK_ELEMENTS, ParkingFunction
 from .stats import row_counts
 
 DEFAULT_ENUM_LIMIT = 8
+# Up to this n, `enumerate_pf` takes each sorted row's arrangements from one
+# table of the n! permutations (315 KB at n = 8); beyond it the breadth-first
+# expander serves.  Filtering all 9! permutations per profile took the first
+# 10^5 items of PF_9 0.53 s, against 0.067 s for the expander (best of 3, one
+# core of a shared 2-core Xeon); at n = 6 the table took 1.0 ms of
+# `enumerate_pf(6)`'s arrangements against the expander's 2.9 ms.
+_PERMUTATION_TABLE_MAX_N = 8
 
 
 class CapacityError(ValueError):
@@ -176,45 +184,107 @@ def check_enumeration_size(n: int, limit: int) -> None:
         raise CapacityError(f"n={n} exceeds enumeration limit {limit}; raise `limit` to opt in")
 
 
+def _table_arrangement_blocks(blocks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """Every arrangement of each nondecreasing row of `blocks` (n columns,
+    values below 256), in order, each row's lexicographically, as uint8
+    blocks of at most BLOCK_ELEMENTS values (a chunk's mask holds at most
+    that many too while n! does: n <= 8).  By standardization, the
+    distinct arrangements of a nondecreasing row s, in lexicographic order,
+    are s[p] for the permutations p of range(n), in lexicographic order, that
+    never place j + 1 left of j where s_j = s_{j+1}.  So one table of the n!
+    permutations serves every row: bit j of `des` marks p's inverse descent
+    at j, bit j of `ties` marks s_j = s_{j+1}, and a row keeps the p with no
+    bit in both."""
+    size = factorial(n)
+    perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.uint8,
+                        count=size * n).reshape(size, n)
+    des = np.zeros(size, dtype=np.uint16)
+    seen = np.zeros(size, dtype=np.uint16)  # bit v: v is left of this column
+    for column in perms.T:
+        des |= ((seen >> (column + 1)) & 1) << column
+        seen |= np.left_shift(1, column, dtype=np.uint16)
+    des = des.astype(np.uint8)
+    chunk = max(1, BLOCK_ELEMENTS // size)  # rows whose (row, p) mask fits a block
+    out_rows = max(1, BLOCK_ELEMENTS // n)
+    for block in blocks:
+        rows = np.ascontiguousarray(block, dtype=np.uint8)
+        ties = np.zeros(rows.shape[0], dtype=np.uint8)
+        for j in range(n - 1):
+            ties |= (rows[:, j] == rows[:, j + 1]).view(np.uint8) << j
+        flat = rows.ravel()
+        for start in range(0, rows.shape[0], chunk):
+            # (row, p) pairs in row-major order: rows in order, each row's p ascending
+            row, p = np.nonzero((des & ties[start:start + chunk, None]) == 0)
+            row += start
+            row *= n
+            for lo in range(0, row.size, out_rows):
+                hi = lo + out_rows
+                yield flat.take(perms.take(p[lo:hi], axis=0) + row[lo:hi, None])
+
+
 def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
     """Each parking function of size n exactly once: sorted profiles in
     lexicographic order (the rows of `_sorted_blocks` with a_i <= i), each
     expanded into its distinct arrangements in lexicographic order.  Checks
-    n at once (CapacityError, ValueError) and returns a lazy iterator.
+    n at once (CapacityError, ValueError; TypeError unless n and limit are
+    integers) and returns a lazy iterator.
 
-    The arrangements are built in numpy blocks and turned into tuples in C,
-    so the cost is proportional to the output size (n+1)^{n-1}, not n^n.
+    Up to n = 8 each profile keeps its arrangements from one table of the n!
+    permutations (`_table_arrangement_blocks`); beyond, the breadth-first
+    expander of `multiset_permutations` expands the profiles' value counts.
+    Either way the rows come in numpy blocks and become tuples in C, so the
+    cost is proportional to the output size (n+1)^{n-1}, not n^n.
     """
+    n, limit = index(n), index(limit)
     check_enumeration_size(n, limit)
-    values = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
-    # each profile as its vector of value counts, the count of v at v - 1
-    multisets = chain.from_iterable(map(tuple, row_counts(block, n + 1)[:, 1:].tolist())
-                                    for block in _sorted_blocks(n, range(1, n + 1)))
-    # the rows are parking functions by construction: skip validation
-    return chain.from_iterable(map(tuple.__new__, repeat(ParkingFunction), _tuples(block))
-                               for block in _arrangement_blocks(multisets, n, values))
+    profiles = _sorted_blocks(n, range(1, n + 1))
+    if n <= _PERMUTATION_TABLE_MAX_N:
+        blocks = _table_arrangement_blocks(profiles, n)
+    else:
+        values = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
+        # each profile as its vector of value counts, the count of v at v - 1
+        multisets = chain.from_iterable(map(tuple, row_counts(block, n + 1)[:, 1:].tolist())
+                                        for block in profiles)
+        blocks = _arrangement_blocks(multisets, n, values)
+    # the rows are parking functions by construction: skip validation; zip
+    # reuses its argument tuple for each call of tuple.__new__
+    return chain.from_iterable(starmap(tuple.__new__, zip(repeat(ParkingFunction), _tuples(block)))
+                               for block in blocks)
 
 
 def count_pf(n: int) -> int:
     """|PF_n| = (n+1)^(n-1)."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return (n + 1) ** (n - 1)
+
+
+def _first_term(n: int, s: int) -> int:
+    """count_first(n, k) - count_first(n, k + 1) for k = n - s."""
+    return comb(n - 1, s) * _ipow(s + 1, s - 1) * _ipow(n - s, n - s - 2)
 
 
 def count_first(n: int, k: int) -> int:
     """Number of parking functions of size n with first coordinate k:
     sum_{s=0}^{n-k} C(n-1,s) (s+1)^{s-1} (n-s)^{n-s-2}.  For n >= 2 the full
     sum is the k = 1 count 2(n+1)^{n-2}, so the shorter side is summed."""
+    n, k = index(n), index(k)
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
-
-    def term(s: int) -> int:
-        return comb(n - 1, s) * _ipow(s + 1, s - 1) * _ipow(n - s, n - s - 2)
-
     if n >= 2 and k - 1 < n - k + 1:
-        return 2 * (n + 1) ** (n - 2) - sum(term(s) for s in range(n - k + 1, n))
-    return sum(term(s) for s in range(0, n - k + 1))
+        return 2 * (n + 1) ** (n - 2) - sum(_first_term(n, s) for s in range(n - k + 1, n))
+    return sum(_first_term(n, s) for s in range(0, n - k + 1))
+
+
+def first_counts(n: int) -> list[int]:
+    """[count_first(n, k) for k in 1..n] from n terms in all: count_first(n, k)
+    is the running sum of the terms s = 0..n-k, so the list is those running
+    sums in reverse."""
+    n = index(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return list(accumulate(_first_term(n, s) for s in range(n)))[::-1]
 
 
 def abel_identity_check(x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:
@@ -257,6 +327,7 @@ def exact_mean_first(n: int) -> Fraction:
     S = sum_{k=0}^{n-2} (n+1)^k (n-2)!/k!, exact.  S is summed by binary
     splitting, so its cost is a few big products rather than n big
     multiply-adds."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
@@ -269,6 +340,7 @@ def exact_mean_first(n: int) -> Fraction:
 
 def k_pi_law(n: int, k: int) -> Fraction:
     """P(K_pi = k): the law of the maximal feasible first coordinate."""
+    n, k = index(n), index(k)
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
     num = k * comb(n - 1, k - 1) * _ipow(k, k - 2) * _ipow(n - k + 1, n - k - 1)

@@ -233,6 +233,31 @@ def test_enumerate_table(capsys):
     assert rows["mean_first"] == str(exact_mean_first(4))
 
 
+def test_enumerate_table_at_large_n(capsys):
+    # the rows of the per-k sums, from one running sum
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "300")
+    assert code == EXIT_OK
+    rows = [line.split(",", 1) for line in out.splitlines()
+            if line and not line.startswith("#") and not line.startswith("quantity")]
+    assert rows == ([["total", str(count_pf(300))]]
+                    + [[f"first={k}", str(count_first(300, k))] for k in range(1, 301)]
+                    + [["mean_first", str(exact_mean_first(300))]])
+
+
+def test_enumerate_table_refuses_unprintable_n(capsys):
+    # (n+1)^(n-1) has 4402 digits at n = 1400, above Python's default 4300;
+    # at n = 1366 the total has 4281 digits but the mean's numerator 4284
+    saved = sys.get_int_max_str_digits()
+    try:
+        for n, digits in ((1400, 4300), (1366, 4283)):
+            sys.set_int_max_str_digits(digits)
+            code, out, err = run_cli(capsys, "enumerate", "--n", str(n))
+            assert code == EXIT_USAGE and not out
+            assert f"--n {n}" in err and f"{digits} digits" in err
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_enumerate_gf(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--stat", "ones")
     assert code == EXIT_OK

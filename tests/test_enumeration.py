@@ -4,8 +4,9 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby, islice, permutations, zip_longest
-from math import comb, factorial
+from math import comb, factorial, prod
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, strategies as st_h
@@ -30,8 +31,11 @@ from parkfn import (
 from parkfn.core import ParkingFunction
 from parkfn.enumeration import (
     CapacityError,
+    _sorted_blocks,
+    _table_arrangement_blocks,
     all_functions,
     consecutive_blocks,
+    first_counts,
     multiset_permutations,
 )
 
@@ -49,9 +53,50 @@ def test_enumerate_is_exact_and_distinct():
 
 
 def test_enumerate_matches_oracle_item_by_item():
+    # n = 1 has no pair to tie; n = 2 has one tie bit, set only in (1, 1)
+    assert list(enumerate_pf(1)) == [(1,)]
+    assert list(enumerate_pf(2)) == [(1, 1), (1, 2), (2, 1)]
     for n in range(1, 8):
         for got, want in zip_longest(enumerate_pf(n), oracles.enumerate_pf(n)):
             assert got == want and type(got) is ParkingFunction, (n, got, want)
+
+
+@given(st_h.lists(st_h.integers(1, 8), min_size=1, max_size=8))
+def test_table_arrangements_match_oracle(items):
+    row = sorted(items)
+    got = [tuple(r) for block in _table_arrangement_blocks([np.array([row])], len(row))
+           for r in block.tolist()]
+    assert got == list(oracles.multiset_permutations(row))
+
+
+def test_table_blocks_cover_pf8_in_runs():
+    # every block of PF_8 at once: each sorted profile is one run of
+    # n!/prod c_v! rows, and the (profile, row) keys strictly increase
+    n = 8
+    digits = (n + 1) ** np.arange(n, -1, -1, dtype=np.int64)  # digits[v] = 9^(n - v)
+    ones = np.ones(n, dtype=np.int64)
+    total, runs, last_key = 0, [], None
+    for block in _table_arrangement_blocks(_sorted_blocks(n, range(1, n + 1)), n):
+        assert block.dtype == np.uint8 and block.size <= 2**16
+        # the value counts c_1..c_n as base-9 digits: sorted profiles in
+        # lexicographic order have decreasing count vectors
+        profile_keys = -(digits.take(block) @ ones)
+        keys = profile_keys * (n + 1) ** n + block @ digits[1:]
+        assert (np.diff(keys) > 0).all() and (last_key is None or keys[0] > last_key)
+        last_key = keys[-1]
+        starts = np.flatnonzero(np.diff(profile_keys, prepend=1))
+        lengths = np.diff(starts, append=len(block))
+        for start, length in zip(starts.tolist(), lengths.tolist()):
+            if runs and runs[-1][0] == profile_keys[start]:  # a run across blocks
+                runs[-1][1] += length
+            else:
+                runs.append([profile_keys[start], length, sorted(block[start].tolist())])
+        total += len(block)
+    assert total == (n + 1) ** (n - 1)
+    assert len(runs) == comb(2 * n, n) // (n + 1)  # Catalan(8) sorted profiles
+    for _key, length, profile in runs:
+        assert all(a <= i for i, a in enumerate(profile, start=1))
+        assert length == factorial(n) // prod(map(factorial, Counter(profile).values()))
 
 
 @given(st_h.lists(st_h.integers(-2, 4), max_size=6))
@@ -95,6 +140,19 @@ def test_enumeration_memory_stays_flat():
         assert peak < 32 * 2**20, peak
 
 
+def test_enumerate_beyond_table_stays_flat():
+    # from n = 9 on the expander serves; the start of PF_10 matches the oracle
+    tracemalloc.start()
+    try:
+        for got, want in islice(zip_longest(enumerate_pf(10, limit=10),
+                                            oracles.enumerate_pf(10, limit=10)), 10**5):
+            assert got == want and type(got) is ParkingFunction
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+
+
 def test_enumerate_capacity_guard():
     with pytest.raises(CapacityError):
         list(enumerate_pf(9))
@@ -122,6 +180,31 @@ def test_count_first_matches_census():
         count_first(3, 0)
     with pytest.raises(ValueError):
         count_first(3, 4)
+
+
+def test_first_counts_match_count_first():
+    for n in (*range(1, 41), 150):
+        assert first_counts(n) == [count_first(n, k) for k in range(1, n + 1)], n
+    assert sum(first_counts(300)) == count_pf(300)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            first_counts(n)
+
+
+def test_exact_counts_take_integer_sizes_only():
+    # numpy integers act as the Python ints they hold; floats are refused
+    assert count_pf(np.int64(30)) == 31**29 and type(count_pf(np.int64(30))) is int
+    assert count_first(np.int64(30), np.int8(5)) == count_first(30, 5)
+    assert first_counts(np.int16(30)) == first_counts(30)
+    assert k_pi_law(np.int64(9), np.uint8(4)) == k_pi_law(9, 4)
+    assert exact_mean_first(np.int32(40)) == exact_mean_first(40)
+    assert list(enumerate_pf(np.int64(4), np.int64(4))) == list(enumerate_pf(4))
+    for call in (lambda: count_pf(5.5), lambda: count_pf(5.0), lambda: count_first(5.0, 2),
+                 lambda: count_first(5, 2.0), lambda: first_counts(5.0),
+                 lambda: k_pi_law(5, 2.0), lambda: exact_mean_first(4.0),
+                 lambda: enumerate_pf(4.0), lambda: enumerate_pf(3, 8.5)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_count_first_corner_closed_forms():
