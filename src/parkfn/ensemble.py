@@ -23,7 +23,7 @@ from . import stats as st
 from .core import BLOCK_ELEMENTS
 from .enumeration import (DEFAULT_ENUM_LIMIT, _sorted_blocks, check_enumeration_size,
                           count_pf)
-from .sample import draw_block, shift_block
+from .sample import _U64, draw_block, shift_block, shifted_profiles
 # ensemble.STATISTICS is the registry dict itself, so that patching one of its
 # entries (as perfbench's traced runs do) patches it for every caller.
 from .stats import STATISTICS, statistic_kernel
@@ -43,9 +43,14 @@ class ExperimentConfig:
     relation: str = "<"  # used by longest-run only
 
     def __post_init__(self) -> None:
+        # plain ints: a float raises TypeError (seed 1.5 would alias seed 1's
+        # streams), and a numpy int would reach the shift and the JSON output
+        for name in ("n", "count", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n < 1 or self.count < 1:
             raise ValueError("n and count must be >= 1")
-        operator.index(self.seed)  # TypeError for a float, which would alias a stream
+        if not 0 <= self.seed < _U64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         statistic_kernel(self.statistic, self.relation)
@@ -197,12 +202,18 @@ def sample_blocks(n: int, count: int, seed: int, ensemble: str = "pf") -> Iterat
         raise ValueError("count must be >= 0")
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
+    pf = ensemble == "pf"
+    for block in _draws(n, count, seed, n + 1 if pf else _codomain(ensemble, n)):
+        yield shift_block(block, n) if pf else block
+
+
+def _draws(n: int, count: int, seed: int, high: int) -> Iterator[np.ndarray]:
+    """Rows 0..count-1 of an experiment's draws on [1, high]^n, a block of
+    rows at a time, all in one buffer."""
     step = _block_rows(n)
-    high = n + 1 if ensemble == "pf" else _codomain(ensemble, n)
     buffer = np.empty((min(step, count), n), dtype=np.int64)
     for start in range(0, count, step):
-        block = draw_block(seed, start, min(start + step, count), n, high, out=buffer)
-        yield shift_block(block, n) if ensemble == "pf" else block
+        yield draw_block(seed, start, min(start + step, count), n, high, out=buffer)
 
 
 def _index_blocks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
@@ -317,13 +328,27 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
     return (pf_blocks(n, limit) if pf else function_blocks(n, m)), None
 
 
+def _sample_source(config: ExperimentConfig) -> tuple[Iterator[np.ndarray], Callable]:
+    """(blocks, kernel) for `run_experiment`.  On pf, a statistic in
+    PROFILE_STATISTICS scores each draw's queue profile after the shift,
+    which `shifted_profiles` rotates from the walk that finds the shift,
+    without shifting the row or counting it again.  Any other statistic
+    scores the rows of `sample_blocks`."""
+    n, count, seed = config.n, config.count, config.seed
+    # by name, not by kernel, as in `_exhaustive_source`
+    if config.ensemble == "pf" and config.statistic in st.PROFILE_STATISTICS:
+        blocks = (shifted_profiles(block, n) for block in _draws(n, count, seed, n + 1))
+        return blocks, st.PROFILE_STATISTICS[config.statistic]
+    return (sample_blocks(n, count, seed, config.ensemble),
+            statistic_kernel(config.statistic, config.relation))
+
+
 def run_experiment(config: ExperimentConfig) -> Histogram:
     """Sample `count` functions, one stream per sample index, and histogram
     the named statistic.  Deterministic for a given seed."""
-    kernel = statistic_kernel(config.statistic, config.relation)
+    blocks, kernel = _sample_source(config)
     n = config.n
     m = _codomain(config.ensemble, n)
-    blocks = sample_blocks(n, config.count, config.seed, config.ensemble)
     return Histogram.from_bins(
         _census(kernel, blocks, n, m),
         n=n,
@@ -462,6 +487,8 @@ def ks_distance_to_limit(histogram: Histogram, limit_cdf: Callable[[float], floa
     support point v, F(v) is compared with F_emp(v-) and with F_emp(v)."""
     items = sorted((float(v), c) for v, c in histogram.bins.items())
     total = sum(c for _v, c in items)
+    if not total:
+        raise ValueError("empty distribution")
     running = 0
     worst = 0.0
     for v, c in items:

@@ -117,10 +117,14 @@ def max_discrepancy_cdf(t: float) -> float:
     That series needs about 4/t terms and cancels to roundoff below t ~ 0.4,
     so for t < 1 its Jacobi theta transform is summed instead:
     P(M <= t) = sqrt(2) pi^{5/2} t^{-3} sum_{k>=1} k^2 e^{-pi^2 k^2/(2 t^2)},
-    whose terms are all positive.
+    whose terms are all positive.  Raises ValueError for nan.
     """
+    if math.isnan(t):  # no series stops at nan, nor at inf (0 * inf is nan)
+        raise ValueError("t must not be nan")
     if t <= 0:
         return 0.0
+    if t == math.inf:
+        return 1.0
     if t < 1:
         return _max_cdf_small_t(t)
     return _max_cdf_large_t(t)
@@ -131,6 +135,8 @@ def _max_cdf_large_t(t: float) -> float:
     k = 1
     while True:
         e = math.exp(-2 * k * k * t * t)
+        if not e:  # past t ~ 1e154 the stop test below would read 0 * inf
+            break
         term = (1 - 4 * k * k * t * t) * e
         total += 2 * term
         if e * (1 + 4 * k * k * t * t) < 1e-14:
@@ -154,7 +160,10 @@ def _max_cdf_small_t(t: float) -> float:
 
 
 def bridge_max_cdf(t: float) -> float:
-    """P(M_1 <= t) = 1 - e^{-2 t^2}: the all-functions (bridge) analog."""
+    """P(M_1 <= t) = 1 - e^{-2 t^2}: the all-functions (bridge) analog.
+    Raises ValueError for nan."""
+    if math.isnan(t):
+        raise ValueError("t must not be nan")
     if t <= 0:
         return 0.0
     return 1.0 - math.exp(-2 * t * t)

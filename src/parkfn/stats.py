@@ -184,13 +184,31 @@ def _stat_inversions(block, n, m):
     return acc.sum(axis=0, dtype=np.int64)
 
 
+def _profile_max_discrepancy(profiles, n, m):
+    # max(0, max_k P_k) of the queue profiles P_k = #{i : f_i <= k} - k
+    return np.maximum(profiles.max(axis=1), 0)
+
+
+def _profile_scaled_max_discrepancy(profiles, n, m):
+    return _profile_max_discrepancy(profiles, n, m) / math.sqrt(n)
+
+
+# The statistics that read a function only through its queue profile, as
+# kernels of the profiles (the rows of `queue_profiles(block, m)`).  The
+# harness scores sampled parking functions with them on the profiles that
+# `sample.shifted_profiles` rotates from the shift's own walk.
+PROFILE_STATISTICS: dict[str, Callable] = {
+    "max-discrepancy": _profile_max_discrepancy,
+    "scaled-max-discrepancy": _profile_scaled_max_discrepancy,
+}
+
+
 def _stat_max_discrepancy(block, n, m):
-    # max(0, max_k #{i : f_i <= k} - k) over k = 1..m
-    return np.maximum(queue_profiles(block, m).max(axis=1), 0)
+    return _profile_max_discrepancy(queue_profiles(block, m), n, m)
 
 
 def _stat_scaled_max_discrepancy(block, n, m):
-    return _stat_max_discrepancy(block, n, m) / math.sqrt(n)
+    return _profile_scaled_max_discrepancy(queue_profiles(block, m), n, m)
 
 
 def _stat_kmax(block, n, m):

@@ -67,6 +67,23 @@ def test_config_validation():
             ExperimentConfig(n=3, count=1, seed=seed)
 
 
+def test_config_stores_plain_int_sizes():
+    # numpy ints become Python ints: the shift and the JSON output see ints
+    config = ExperimentConfig(n=np.int64(3), count=np.int64(3), seed=np.uint64(1))
+    assert [type(v) for v in (config.n, config.count, config.seed)] == [int, int, int]
+    record = run_experiment(config).to_json_dict()
+    assert record["count"] == 3 and type(record["count"]) is int
+    assert json.loads(json.dumps(record)) == record
+    for size in ({"n": 3.0}, {"count": 3.0}, {"n": np.float64(3)}):
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{"n": 3, "count": 3, "seed": 1, **size})
+    # a seed outside [0, 2^64) is refused at construction, not at the draw
+    ExperimentConfig(n=3, count=1, seed=2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(n=3, count=1, seed=seed)
+
+
 def test_run_experiment_deterministic_and_total():
     config = ExperimentConfig(n=12, count=400, seed=77, statistic="lucky")
     h1 = run_experiment(config)
@@ -105,6 +122,43 @@ def test_sample_blocks_match_one_sample_api():
     for name in ("PF", "bogus"):  # case matters: "PF" is not "pf"
         with pytest.raises(ValueError, match="unknown ensemble"):
             next(sample_blocks(3, 6, 0, name))
+
+
+def test_profile_statistics_score_the_rotated_walk():
+    # on pf, the profile statistics score `shifted_profiles`; their bins,
+    # in order, are those of the row kernels on the shifted rows: one-row
+    # blocks (two slices), wide blocks and tall ones, where `valid_shifts`
+    # counts in bit fields
+    assert ensemble._block_rows(32_769) == 1
+    assert ensemble._block_rows(15) >= sample._SHIFT_COLUMN_ROWS
+    for n, count in ((32_769, 4), (200, 150), (15, 3000), (1, 5)):
+        for stat in stats.PROFILE_STATISTICS:
+            rows = ensemble._census(STATISTICS[stat], sample_blocks(n, count, 9), n, n)
+            bins = run_experiment(ExperimentConfig(n=n, count=count, seed=9,
+                                                   statistic=stat)).bins
+            assert list(bins.items()) == list(rows.items()), (n, stat)
+
+
+def test_sampled_max_discrepancy_matches_its_exact_law():
+    # the KS distance between the sampled and exact CDFs of N samples stays
+    # below sqrt(ln(2/alpha) / (2N)) but with probability alpha (the DKW
+    # inequality with Massart's constant; the bound is conservative for a
+    # discrete law)
+    n, count, alpha = 7, 20_000, 1e-6
+    bound = math.sqrt(math.log(2 / alpha) / (2 * count))
+    for ensemble_name in ensemble.ENSEMBLES:
+        exact = exhaustive_histogram(n, "max-discrepancy", ensemble_name).bins
+        sampled = run_experiment(ExperimentConfig(n=n, count=count, seed=2024,
+                                                  ensemble=ensemble_name,
+                                                  statistic="max-discrepancy")).bins
+        assert set(sampled) <= set(exact)
+        total = sum(exact.values())
+        gap = exact_cdf = sampled_cdf = 0
+        for value in sorted(exact):
+            exact_cdf += exact[value]
+            sampled_cdf += sampled.get(value, 0)
+            gap = max(gap, abs(exact_cdf / total - sampled_cdf / count))
+        assert gap < bound, (ensemble_name, gap)
 
 
 def test_registry_statistics_match_reference_functions():
@@ -628,6 +682,11 @@ def test_ks_distance_to_limit():
     # the gap can sit at the left limit: F_emp(0.9-) = 0 against F(0.9) = 0.9
     h = Histogram(n=1, statistic="x", ensemble="pf", seed=0, count=1, bins={0.9: 1})
     assert ks_distance_to_limit(h, lambda t: t) == pytest.approx(0.9)
+    # no samples is no fit, not a perfect one
+    for bins in ({}, {0.5: 0}):
+        h = Histogram(n=1, statistic="x", ensemble="pf", seed=0, count=0, bins=bins)
+        with pytest.raises(ValueError, match="empty distribution"):
+            ks_distance_to_limit(h, lambda t: t)
 
 
 def test_equidistribution_positive_features():

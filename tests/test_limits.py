@@ -120,6 +120,18 @@ def test_excursion_max_cdf_small_t():
     assert time.perf_counter() - start < 0.5
 
 
+def test_max_cdfs_at_non_finite_and_huge_arguments():
+    # nan and +inf are checked before any series runs; past t ~ 1e154 the
+    # large-t series stops when its first term underflows
+    inf = math.inf
+    for cdf in (max_discrepancy_cdf, bridge_max_cdf):
+        assert cdf(inf) == 1.0
+        assert cdf(-inf) == 0.0
+        assert cdf(1e160) == 1.0 and cdf(1.7e308) == 1.0
+        with pytest.raises(ValueError, match="nan"):
+            cdf(math.nan)
+
+
 def test_excursion_max_series_agree_on_overlap():
     for t in (0.5, 0.8, 1.0, 1.2, 1.5):
         assert _max_cdf_small_t(t) == pytest.approx(_max_cdf_large_t(t), abs=1e-15)

@@ -19,7 +19,8 @@ from parkfn import (
 )
 from parkfn import sample
 from parkfn.enumeration import all_functions, count_pf
-from parkfn.sample import draw_block, shift_block
+from parkfn.sample import _walks, draw_block, shift_block, shifted_profiles
+from parkfn.stats import queue_profiles
 
 
 def test_stream_is_reproducible():
@@ -197,3 +198,53 @@ def test_shift_block_matches_scalar_shift(data, n, rows):
     for f, row in zip(funcs, shifted.tolist()):
         assert tuple(row) == shift_sequence(f, oracles.find_valid_shift(f, n), n)
         assert is_parking_function(row, n)
+
+
+def _profiles_after_shift(block, n):
+    return queue_profiles(shift_block(block.copy(), n), n)
+
+
+@given(st_h.integers(1, 300), st_h.integers(1, 50), st_h.integers(0, 2**32 - 1))
+def test_shifted_profiles_rotate_the_walk(n, rows, seed):
+    # the Vervaat identity: the shifted row's profile is the unshifted row's
+    # walk rotated at its first minimum, in one-row and multi-row blocks
+    block = np.random.default_rng(seed).integers(1, n + 2, size=(rows, n))
+    profiles = shifted_profiles(block.copy(), n)
+    assert profiles.shape == (rows, n)
+    assert np.array_equal(profiles, _profiles_after_shift(block, n))
+
+
+def test_shifted_profiles_at_the_rotation_edges():
+    n = 6
+    parking = [1, 4, 2, 1, 6, 3]  # already parking: first minimum W_{n+1} = -1
+    no_ones = [2, 2, 7, 3, 2, 5]  # W_1 = -1: first minimum at column 1
+    middle = [7, 7, 1, 1, 7, 1]  # W = 2, 1, 0, -1, -2, -3, -1
+    rows = [parking, no_ones, middle]
+    block = np.array(rows, dtype=np.int64)
+    assert _walks(block, n)[1].tolist() == [n + 1, 1, n]
+    assert sample.valid_shifts(block, n).tolist() == [0, n, 1]
+    expected = _profiles_after_shift(block, n)
+    assert np.array_equal(shifted_profiles(block.copy(), n), expected)
+    for row, want in zip(rows, expected):  # one-row blocks take two slices
+        assert shifted_profiles(np.array([row]), n).tolist() == [want.tolist()]
+    # n = 1: [1] parks as it is, and [2] is shifted onto [1]
+    one = np.array([[1], [2]], dtype=np.int64)
+    assert _walks(one, 1)[1].tolist() == [2, 1]
+    assert shifted_profiles(one.copy(), 1).tolist() == [[0], [0]]
+    for row in ([1], [2]):
+        assert shifted_profiles(np.array([row]), 1).tolist() == [[0]]
+    # the rotated walk is held in int16 up to n = 16383 and in int32 above
+    rng = np.random.default_rng(3)
+    for n in (16_383, 16_384):
+        block = np.vstack([np.ones(n, dtype=np.int64), np.full(n, n + 1),
+                           rng.integers(1, n + 2, size=n)])
+        assert np.array_equal(shifted_profiles(block.copy(), n), _profiles_after_shift(block, n))
+
+
+def test_shifted_profiles_of_tall_blocks():
+    # n <= 15 from 1024 rows, where `valid_shifts` counts in bit fields
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 15):
+        block = rng.integers(1, n + 2, size=(sample._SHIFT_COLUMN_ROWS + 5, n))
+        assert np.array_equal(shifted_profiles(block.copy(), n),
+                              _profiles_after_shift(block, n)), n
