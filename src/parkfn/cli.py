@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile
 from typing import Iterator, Optional, Sequence, TextIO
 
-from . import __version__, ensemble, enumeration, limits, stats
+from . import __version__, ensemble, enumeration, stats
 from .core import PrefSequence, dyck_encode, is_parking_function, park, queue_profile
 from .sample import shift_block
 
@@ -184,6 +184,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
+    from . import limits  # with mpmath, loaded only by the subcommands that use it
+
     params = {}
     if args.x is not None:
         params["x"] = args.x
@@ -215,6 +217,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     n = args.n
     rows = []
     if args.ks:
+        from . import limits
+
         seed = parse_seed(args.seed)
         config = ensemble.ExperimentConfig(
             n=n, count=args.count, seed=seed, ensemble=args.ensemble,

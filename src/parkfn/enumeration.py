@@ -6,8 +6,8 @@ rational; floating point never enters.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, chain, permutations, product, repeat, starmap
 from math import comb, factorial
 from operator import index
@@ -17,16 +17,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import BLOCK_ELEMENTS, ParkingFunction
-from .stats import row_counts
 
 DEFAULT_ENUM_LIMIT = 8
-# Up to this n, `enumerate_pf` takes each sorted row's arrangements from one
-# table of the n! permutations (315 KB at n = 8); beyond it the breadth-first
-# expander serves.  Filtering all 9! permutations per profile took the first
-# 10^5 items of PF_9 0.53 s, against 0.067 s for the expander (best of 3, one
-# core of a shared 2-core Xeon); at n = 6 the table took 1.0 ms of
-# `enumerate_pf(6)`'s arrangements against the expander's 2.9 ms.
-_PERMUTATION_TABLE_MAX_N = 8
+# `enumerate_pf` arranges at most this many last entries of a sorted row by
+# one table of their permutations (8! rows); leading entries are split first.
+_TABLE_WIDTH = 8
 
 
 class CapacityError(ValueError):
@@ -68,114 +63,6 @@ def _sorted_blocks(n: int, caps: Sequence[int]) -> Iterator[np.ndarray]:
         yield block.T
 
 
-# --- arrangements of multisets, a block at a time -------------------------
-#
-# A multiset is a tuple of counts, one per rank 0..k-1 of its distinct values.
-# Its arrangements are expanded breadth first, one position per step: the
-# children of each partial arrangement are its nonzero counts, in rank order,
-# so a block lists the arrangements of its multisets in order, each multiset's
-# lexicographically.
-
-def _arrangements(counts: Sequence[int]) -> int:
-    """The multinomial coefficient: how many distinct arrangements."""
-    total, placed = 1, 0
-    for c in counts:
-        placed += c
-        total *= comb(placed, c)
-    return total
-
-
-def _children(prefix: tuple[int, ...], counts: tuple[int, ...],
-              size: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    left = sum(counts)
-    for rank, c in enumerate(counts):
-        if c:
-            child = list(counts)
-            child[rank] -= 1
-            yield prefix + (rank,), tuple(child), size * c // left
-
-
-def _nodes(counts: tuple[int, ...],
-           rows: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """The arrangements of `counts` as (prefix, remaining counts, size) nodes in
-    lexicographic order, each with at most `rows` arrangements: a larger node
-    is split by its leading rank, depth first (a stack, not recursion)."""
-    stack = [iter([((), counts, _arrangements(counts))])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        elif node[2] <= rows:
-            yield node
-        else:
-            stack.append(_children(*node))
-
-
-def _expand(nodes: list[tuple[tuple[int, ...], tuple[int, ...]]], size: int, width: int,
-            values: np.ndarray) -> np.ndarray:
-    """The `size` arrangements of `nodes` (prefixes of one length), in order,
-    as a (size, width) block of `values[rank]`."""
-    depth = len(nodes[0][0])
-    counts = np.array([c for _p, c in nodes], dtype=np.min_scalar_type(width))
-    unit = np.eye(counts.shape[1], dtype=counts.dtype)
-    steps = []
-    for _ in range(depth, width - 1):
-        parent, rank = np.nonzero(counts)
-        counts = counts[parent] - unit[rank]
-        steps.append((parent, values[rank]))
-    block = np.empty((size, width), dtype=values.dtype)
-    if width > depth:  # one item is left in each row: the last column
-        block[:, -1] = values[np.nonzero(counts)[1]]
-    row = slice(None)  # the rows' ancestors at the level being written
-    for j, (parent, column) in zip(range(width - 2, depth - 1, -1), reversed(steps)):
-        block[:, j] = column[row]
-        row = parent[row]
-    if depth:
-        block[:, :depth] = values[np.array([p for p, _c in nodes])][row]
-    return block
-
-
-def _arrangement_blocks(multisets: Iterable[tuple[int, ...]], width: int,
-                        values: np.ndarray) -> Iterator[np.ndarray]:
-    """Every arrangement of each multiset of `width` items, in order, as blocks
-    of at most BLOCK_ELEMENTS values (one row each); a multiset with more
-    arrangements than a block holds is split by its leading values."""
-    rows = max(1, BLOCK_ELEMENTS // max(width, 1))
-    batch: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    filled = 0
-    for counts in multisets:
-        for prefix, rest, size in _nodes(counts, rows):
-            if batch and (filled + size > rows or len(prefix) != len(batch[0][0])):
-                yield _expand(batch, filled, width, values)
-                batch, filled = [], 0
-            batch.append((prefix, rest))
-            filled += size
-    if batch:
-        yield _expand(batch, filled, width, values)
-
-
-def _tuples(block: np.ndarray) -> Iterator[tuple]:
-    """The rows of a block as tuples of Python scalars, built in C."""
-    rows, width = block.shape
-    if width == 0:
-        return repeat((), rows)
-    if block.dtype == object:
-        return map(tuple, block.tolist())
-    return Struct(f"{width}{block.dtype.char}").iter_unpack(block.tobytes())
-
-
-def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Each distinct permutation of a multiset once, in lexicographic order."""
-    tally = Counter(items)
-    distinct = sorted(tally)
-    values = np.array(distinct)
-    if values.dtype.kind not in "iu":  # ints beyond 64 bits, or no ints at all
-        values = np.array(distinct, dtype=object)
-    counts = tuple(tally[v] for v in distinct)
-    for block in _arrangement_blocks([counts], sum(counts), values):
-        yield from _tuples(block)
-
-
 def check_enumeration_size(n: int, limit: int) -> None:
     """The guard of every enumeration of PF_n: n >= 1, and n <= limit."""
     if n < 1:
@@ -184,42 +71,86 @@ def check_enumeration_size(n: int, limit: int) -> None:
         raise CapacityError(f"n={n} exceeds enumeration limit {limit}; raise `limit` to opt in")
 
 
-def _table_arrangement_blocks(blocks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """Every arrangement of each nondecreasing row of `blocks` (n columns,
-    values below 256), in order, each row's lexicographically, as uint8
-    blocks of at most BLOCK_ELEMENTS values (a chunk's mask holds at most
-    that many too while n! does: n <= 8).  By standardization, the
-    distinct arrangements of a nondecreasing row s, in lexicographic order,
-    are s[p] for the permutations p of range(n), in lexicographic order, that
-    never place j + 1 left of j where s_j = s_{j+1}.  So one table of the n!
-    permutations serves every row: bit j of `des` marks p's inverse descent
-    at j, bit j of `ties` marks s_j = s_{j+1}, and a row keeps the p with no
-    bit in both."""
-    size = factorial(n)
-    perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.uint8,
-                        count=size * n).reshape(size, n)
+def _leading_splits(rows: np.ndarray, j: int, stop: int) -> Iterator[np.ndarray]:
+    """Every row of the uint8 block `rows` whose entries from j on are
+    sorted, split by its entries j, ..., stop - 1: in order, each distinct
+    value of a row's sorted rest moves to column j, the rest staying sorted,
+    so the arrangements of each row keep lexicographic order.  Parents are
+    split a chunk at a time, so one column's children fill at most a block."""
+    if j == stop:
+        yield rows
+        return
+    n = rows.shape[1]
+    columns = np.arange(n)
+    step = max(1, BLOCK_ELEMENTS // n // (n - j))
+    for start in range(0, rows.shape[0], step):
+        part = rows[start:start + step]
+        rest = part[:, j:]
+        first = np.ones(rest.shape, dtype=bool)  # the first of its value in the rest
+        np.not_equal(rest[:, 1:], rest[:, :-1], out=first[:, 1:])
+        parent, i = np.nonzero(first)
+        i += j
+        # the child's column j is the parent's column i; columns j..i-1 move right
+        source = columns - ((columns > j) & (columns <= i[:, None]))
+        source[:, j] = i
+        source += parent[:, None] * n
+        yield from _leading_splits(part.ravel().take(source), j + 1, stop)
+
+
+@cache
+def _arrangement_lists(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The permutations p of range(k) in lexicographic order, as uint8 rows,
+    and for each tie pattern of k sorted entries s (bit j: s_j = s_{j+1})
+    the indices of the p that arrange s, in order: each pattern's count, and
+    the lists of all 2^(k-1) patterns as one uint16 array with each list's
+    end.  By standardization, the distinct arrangements of s in
+    lexicographic order are s[p] for the p that never place j + 1 left of j
+    where s_j = s_{j+1}: bit j of `des` marks p's inverse descent at j, and
+    a pattern keeps the p with no bit in both.  Cached per k: building them
+    takes about a third of `enumerate_pf(5)`."""
+    size = factorial(k)
+    perms = np.fromiter(chain.from_iterable(permutations(range(k))), dtype=np.uint8,
+                        count=size * k).reshape(size, k)
     des = np.zeros(size, dtype=np.uint16)
     seen = np.zeros(size, dtype=np.uint16)  # bit v: v is left of this column
     for column in perms.T:
         des |= ((seen >> (column + 1)) & 1) << column
         seen |= np.left_shift(1, column, dtype=np.uint16)
     des = des.astype(np.uint8)
-    chunk = max(1, BLOCK_ELEMENTS // size)  # rows whose (row, p) mask fits a block
+    lists = [np.flatnonzero((des & ties) == 0).astype(np.uint16) for ties in range(1 << (k - 1))]
+    counts = np.array([kept.size for kept in lists])
+    return perms, counts, np.cumsum(counts), np.concatenate(lists)
+
+
+def _table_arrangement_blocks(blocks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """Every arrangement of each nondecreasing row of `blocks` (n columns,
+    values below 256), in order, each row's lexicographically, as uint8
+    blocks of at most BLOCK_ELEMENTS values.  The rows are split by their
+    leading n - k entries (`_leading_splits`), k = min(n, 8), and each split
+    row takes the arrangements of its sorted last k entries from the list of
+    its tie pattern (`_arrangement_lists`), so a row costs only its number of
+    arrangements."""
+    k = min(n, _TABLE_WIDTH)
+    lead = n - k
+    perms, counts, list_ends, lists = _arrangement_lists(k)
+    table = np.empty((perms.shape[0], n), dtype=np.uint8)  # the leading entries stay put
+    table[:, :lead] = np.arange(lead)
+    table[:, lead:] = perms + lead
     out_rows = max(1, BLOCK_ELEMENTS // n)
     for block in blocks:
-        rows = np.ascontiguousarray(block, dtype=np.uint8)
-        ties = np.zeros(rows.shape[0], dtype=np.uint8)
-        for j in range(n - 1):
-            ties |= (rows[:, j] == rows[:, j + 1]).view(np.uint8) << j
-        flat = rows.ravel()
-        for start in range(0, rows.shape[0], chunk):
-            # (row, p) pairs in row-major order: rows in order, each row's p ascending
-            row, p = np.nonzero((des & ties[start:start + chunk, None]) == 0)
-            row += start
-            row *= n
-            for lo in range(0, row.size, out_rows):
-                hi = lo + out_rows
-                yield flat.take(perms.take(p[lo:hi], axis=0) + row[lo:hi, None])
+        for rows in _leading_splits(np.ascontiguousarray(block, dtype=np.uint8), 0, lead):
+            ties = np.zeros(rows.shape[0], dtype=np.uint8)
+            for j in range(lead, n - 1):
+                ties |= (rows[:, j] == rows[:, j + 1]).view(np.uint8) << (j - lead)
+            ends = np.cumsum(counts[ties])  # each row's arrangements end there
+            shift = list_ends[ties] - ends  # output i of row r is p = lists[i + shift[r]]
+            flat = rows.ravel()
+            for lo in range(0, int(ends[-1]), out_rows):
+                out = np.arange(lo, min(lo + out_rows, ends[-1]))
+                row = ends.searchsorted(out, side="right")
+                p = lists[out + shift[row]]
+                row *= n
+                yield flat.take(table.take(p, axis=0) + row[:, None])
 
 
 def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
@@ -229,26 +160,24 @@ def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFun
     n at once (CapacityError, ValueError; TypeError unless n and limit are
     integers) and returns a lazy iterator.
 
-    Up to n = 8 each profile keeps its arrangements from one table of the n!
-    permutations (`_table_arrangement_blocks`); beyond, the breadth-first
-    expander of `multiset_permutations` expands the profiles' value counts.
-    Either way the rows come in numpy blocks and become tuples in C, so the
-    cost is proportional to the output size (n+1)^{n-1}, not n^n.
+    Each profile is split by its leading n - 8 entries, if any, and keeps
+    its last min(n, 8) entries' arrangements from one table of their
+    permutations (`_table_arrangement_blocks`).  The rows come in numpy
+    blocks and become tuples in C, so the cost is proportional to the output
+    size (n+1)^{n-1}, not n^n.  The profiles are counted in int64, so n is at
+    most 35: Catalan(36) > 2^63.
     """
     n, limit = index(n), index(limit)
     check_enumeration_size(n, limit)
-    profiles = _sorted_blocks(n, range(1, n + 1))
-    if n <= _PERMUTATION_TABLE_MAX_N:
-        blocks = _table_arrangement_blocks(profiles, n)
-    else:
-        values = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
-        # each profile as its vector of value counts, the count of v at v - 1
-        multisets = chain.from_iterable(map(tuple, row_counts(block, n + 1)[:, 1:].tolist())
-                                        for block in profiles)
-        blocks = _arrangement_blocks(multisets, n, values)
-    # the rows are parking functions by construction: skip validation; zip
-    # reuses its argument tuple for each call of tuple.__new__
-    return chain.from_iterable(starmap(tuple.__new__, zip(repeat(ParkingFunction), _tuples(block)))
+    if comb(2 * n, n) // (n + 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"PF_{n} has more sorted profiles than int64 counts; n may be at most 35")
+    blocks = _table_arrangement_blocks(_sorted_blocks(n, range(1, n + 1)), n)
+    # the rows are parking functions by construction: skip validation; struct
+    # unpacks each uint8 block's rows into tuples in C, and zip reuses its
+    # argument tuple for each call of tuple.__new__
+    unpack = Struct(f"{n}B").iter_unpack
+    return chain.from_iterable(starmap(tuple.__new__, zip(repeat(ParkingFunction),
+                                                          unpack(block.tobytes())))
                                for block in blocks)
 
 

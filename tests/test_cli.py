@@ -415,15 +415,16 @@ def test_out_file_closed_when_writing_fails(tmp_path, capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_and_sympy_out():
+    # mpmath serves only `dist` and `compare --ks`, which import `limits` themselves
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import sys, parkfn, parkfn.cli, parkfn.limits; "
+    code = ("import sys, parkfn, parkfn.cli; print('mpmath' in sys.modules); import parkfn.limits; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["False", "[]"]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

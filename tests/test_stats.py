@@ -23,6 +23,7 @@ from parkfn import (
     ones,
     repeats,
     scaled_area,
+    shift_sequence,
     species,
     value_counts,
 )
@@ -59,6 +60,11 @@ def test_out_of_domain_inputs_raise_value_error():
         "species((1,), m=2**21)": lambda: species((1,), m=2**21),
         "find_valid_shift((0, 1), 2)": lambda: find_valid_shift((0, 1), 2),
         "find_valid_shift((4, 1), 2)": lambda: find_valid_shift((4, 1), 2),
+        "find_valid_shift([1, 2, 3], 2)": lambda: find_valid_shift([1, 2, 3], 2),
+        "find_valid_shift([1, 1], 5)": lambda: find_valid_shift([1, 1], 5),
+        "shift_sequence([1, 2, 3], 1, 1)": lambda: shift_sequence([1, 2, 3], 1, 1),
+        "shift_sequence((0, 1), 1)": lambda: shift_sequence((0, 1), 1),
+        "shift_sequence((1, 4), 1)": lambda: shift_sequence((1, 4), 1),
         "scaled_area(())": lambda: scaled_area(()),
         "longest_run(())": lambda: longest_run(()),
         "max_discrepancy((3, 1))": lambda: max_discrepancy((3, 1)),
