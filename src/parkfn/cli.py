@@ -255,6 +255,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
+    if n_max < 1:
+        raise UsageError(f"--n-max must be >= 1, got {n_max}")
     failures = 0
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pf", default=None, help='inline function, e.g. "1,3,5,3,1"')
     p.add_argument("--file", default=None, help="file containing the function")
     p.add_argument("--relation", choices=("<", "<=", ">", ">="), default="<")
-    common(p, seed=False)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("enumerate", help="exact counts, first-coordinate table, GF polynomials")

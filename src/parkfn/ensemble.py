@@ -21,8 +21,8 @@ import numpy as np
 
 from . import stats as st
 from .core import BLOCK_ELEMENTS
-from .enumeration import (DEFAULT_ENUM_LIMIT, _sorted_blocks, check_enumeration_size,
-                          count_pf)
+from .enumeration import (DEFAULT_ENUM_LIMIT, _pf_rows, _sorted_blocks,
+                          check_enumeration_size, count_pf)
 from .sample import _U64, draw_block, shift_block, shifted_profiles
 # ensemble.STATISTICS is the registry dict itself, so that patching one of its
 # entries (as perfbench's traced runs do) patches it for every caller.
@@ -216,26 +216,6 @@ def _draws(n: int, count: int, seed: int, high: int) -> Iterator[np.ndarray]:
         yield draw_block(seed, start, min(start + step, count), n, high, out=buffer)
 
 
-def _index_blocks(n: int, m: int, total: int) -> Iterator[np.ndarray]:
-    """Rows 0..total-1 of [m]^n in the order of itertools.product, as
-    column-major blocks of at most BLOCK_ELEMENTS values: row i holds the n
-    base-m digits of i, most significant first, plus one.  Column j is runs
-    of m^(n-1-j) equal digits cycling through 1..m, so each column is
-    copied from that cycle (`_fill_digits`), without a division."""
-    _check_rows(total)
-    step = _block_rows(n)
-    cycle = np.arange(1, m + 1, dtype=np.int64)
-    runs = [m ** (n - 1 - j) for j in range(n)]
-
-    def digits(start: int) -> np.ndarray:
-        block = np.empty((n, min(step, total - start)), dtype=np.int64)
-        for column, run in zip(block, runs):
-            _fill_digits(column, start, run, cycle)
-        return block.T
-
-    return map(digits, range(0, total, step))
-
-
 def _check_rows(total: int) -> None:
     """Row indices and exact counts are int64: a source of more rows than
     int64 holds is refused when it is made, before any block."""
@@ -273,22 +253,34 @@ def _fill_digits(column: np.ndarray, start: int, run: int, cycle: np.ndarray) ->
 
 
 def function_blocks(n: int, m: int) -> Iterator[np.ndarray]:
-    """All m^n functions [n] -> [m], in the order of `all_functions`, one
-    function per row of column-major int64 blocks."""
+    """All m^n functions [n] -> [m], in the order of `all_functions`, as
+    column-major int64 blocks of at most BLOCK_ELEMENTS values: row i holds
+    the n base-m digits of i, most significant first, plus one.  Column j is
+    runs of m^(n-1-j) equal digits cycling through 1..m, so each column is
+    copied from that cycle (`_fill_digits`), without a division."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    return _index_blocks(n, m, m**n)
+    total = m**n
+    _check_rows(total)
+    step = _block_rows(n)
+    cycle = np.arange(1, m + 1, dtype=np.int64)
+    runs = [m ** (n - 1 - j) for j in range(n)]
+
+    def digits(start: int) -> np.ndarray:
+        block = np.empty((n, min(step, total - start)), dtype=np.int64)
+        for column, run in zip(block, runs):
+            _fill_digits(column, start, run, cycle)
+        return block.T
+
+    return map(digits, range(0, total, step))
 
 
 def pf_blocks(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[np.ndarray]:
-    """Each parking function of size n once, one per row of column-major
-    int64 blocks.  Adding a constant mod n+1 splits [n+1]^n into orbits of
-    n+1 functions, and each orbit holds one function with f_1 = 1 and one
-    parking function (the cycle lemma), so shifting the (n+1)^(n-1)
-    functions with f_1 = 1 gives PF_n."""
+    """Each parking function of size n once, in the order of
+    `enumerate_pf`, one per row of column-major int64 blocks."""
     check_enumeration_size(n, limit)
-    # in product order the functions with f_1 = 1 come first
-    return (shift_block(block, n) for block in _index_blocks(n, n + 1, count_pf(n)))
+    _check_rows(count_pf(n))
+    return (np.asfortranarray(block, dtype=np.int64) for block in _pf_rows(n))
 
 
 def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
@@ -546,8 +538,7 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
         chains = (st.Chain((1, 2, 3), "<"), st.Chain((4, 2, 5), "<"))
     else:
         raise ValueError(f"unknown feature {feature!r}")
-    if max((p for c in chains for p in c.positions), default=0) > n:
-        raise ValueError(f"{feature} reads a position beyond n = {n}")
+    st._check_chain_positions(chains, n)
     return lambda block, n, m: st._chains_hold(block, chains)
 
 
@@ -615,7 +606,9 @@ def joint_coordinate_bound_check(n: int, k: int,
                                  limit: int = DEFAULT_ENUM_LIMIT) -> JointBoundReport:
     """Exact joint CDF of k coordinates of a uniform parking function versus
     the product form for uniform functions [n] -> [n], over the full grid
-    x_j = i_j/n; asserts the 2k sqrt(log n / n) + k(k-1)/n bound (n >= 4)."""
+    x_j = i_j/n; asserts the 2k sqrt(log n / n) + k(k-1)/n bound (n >= 4).
+    Checks n against `limit` before it allocates the n^k grid."""
+    check_enumeration_size(n, limit)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n], got k = {k} for n = {n}")
     total = count_pf(n)

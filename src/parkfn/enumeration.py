@@ -153,6 +153,14 @@ def _table_arrangement_blocks(blocks: Iterable[np.ndarray], n: int) -> Iterator[
                 yield flat.take(table.take(p, axis=0) + row[:, None])
 
 
+def _pf_rows(n: int) -> Iterator[np.ndarray]:
+    """PF_n in the order of `enumerate_pf`, as row-major uint8 blocks of at
+    most BLOCK_ELEMENTS values: the sorted profiles (the rows of
+    `_sorted_blocks` with a_i <= i), each arranged by
+    `_table_arrangement_blocks`.  Unchecked: callers guard n."""
+    return _table_arrangement_blocks(_sorted_blocks(n, range(1, n + 1)), n)
+
+
 def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFunction]:
     """Each parking function of size n exactly once: sorted profiles in
     lexicographic order (the rows of `_sorted_blocks` with a_i <= i), each
@@ -171,7 +179,7 @@ def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFun
     check_enumeration_size(n, limit)
     if comb(2 * n, n) // (n + 1) > np.iinfo(np.int64).max:
         raise ValueError(f"PF_{n} has more sorted profiles than int64 counts; n may be at most 35")
-    blocks = _table_arrangement_blocks(_sorted_blocks(n, range(1, n + 1)), n)
+    blocks = _pf_rows(n)
     # the rows are parking functions by construction: skip validation; struct
     # unpacks each uint8 block's rows into tuples in C, and zip reuses its
     # argument tuple for each call of tuple.__new__

@@ -162,13 +162,6 @@ def draw_block(seed: int, start: int, stop: int, n: int, high: int,
     return block
 
 
-# The profile loop of `valid_shifts` beats the row-wise cumsum and argmin
-# from 1024 rows at n <= 15 (0.45-0.8 times their time; at 512 rows
-# 0.65-1.25).  It needs no temporary larger than one column, where a bincount
-# of the block made glibc return and re-fault about 1.5 MB a block of PF_8.
-_SHIFT_COLUMN_ROWS = 1024
-
-
 def _walks(block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's walk W_j = #{i : f_i <= j} - j, j = 1..n+1, of a block of
     functions [n] -> [n+1], and the 1-based column J of its first minimum.
@@ -182,32 +175,7 @@ def valid_shifts(block: np.ndarray, n: int) -> np.ndarray:
     [0, n] such that the row +_{n+1} k(1,...,1) is in PF_n.  The valid
     rotation of the walk (`_walks`) starts just after its first minimum J,
     and k = n + 1 - J."""
-    mod = n + 1
-    rows = block.shape[0]
-    if rows < _SHIFT_COLUMN_ROWS or n > 15:
-        return mod - _walks(block, n)[1]
-    # Each row's value counts in 4-bit fields of one int64, the count of v in
-    # field v - 1.  Multiplying by 0x1111... adds every field into the ones
-    # above it (no carries: the sums are at most n <= 15), so field j - 1
-    # becomes #{i : f_i <= j}, the partial sum plus j.  The first minimum
-    # is then the running minimum of (partial sum << bits) | j, value by value.
-    unit = np.zeros(mod + 1, dtype=np.int64)
-    unit[1:] = np.left_shift(1, 4 * np.arange(mod))
-    fields = np.zeros(rows, dtype=np.int64)
-    for column in block.T:
-        fields += unit[column]
-    fields *= 0x1111111111111111  # wraps: fields past 15 fall off
-    bits = mod.bit_length()
-    key = np.empty(rows, dtype=np.int64)
-    first_min = np.full(rows, np.iinfo(np.int64).max)
-    for j in range(1, mod + 1):
-        np.right_shift(fields, 4 * (j - 1), out=key)
-        key &= 15
-        key <<= bits
-        key -= j * ((1 << bits) - 1)
-        np.minimum(first_min, key, out=first_min)
-    first_min &= (1 << bits) - 1
-    return mod - first_min
+    return n + 1 - _walks(block, n)[1]
 
 
 def shift_block(block: np.ndarray, n: int) -> np.ndarray:

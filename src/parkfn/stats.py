@@ -21,6 +21,14 @@ _RELATIONS = {
     "=": operator.eq,
 }
 
+
+def _relation(relation: str) -> Callable:
+    """The comparison named by `relation`; ValueError for any other name."""
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    return _RELATIONS[relation]
+
+
 # One function is scored with values up to max(n + 1, MAX_VALUE): the kernels
 # hold arrays of length m + 1.
 MAX_VALUE = 1 << 20
@@ -58,16 +66,15 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # A kernel's result does not depend on the block's memory order.  Sampled
 # blocks are row-major; the exhaustive sources (`ensemble.pf_blocks`,
 # `function_blocks` and, for ORDER_FREE_STATISTICS, the sorted rows of
-# `enumeration._sorted_blocks`) are column-major and tall, at 65536 // n
-# rows a block.
+# `enumeration._sorted_blocks`) are column-major and tall, at up to
+# 65536 // n rows a block.
 # Numpy loops along the short row axis of such a block one row at a time,
 # so a few kernels work column by column, with n vector passes over all
 # rows, once the block has enough rows to pay for the passes: `lucky` from
 # 64 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below 64), `longest-run` from
-# 512 (_RUN_COLUMN_ROWS), `sample.valid_shifts` from 1024 (its
-# _SHIFT_COLUMN_ROWS, for n <= 15) and the bit-field keys of
-# `ensemble._census` from 4096 (its _KEYS_COLUMN_ROWS).  `_census` also
-# narrows its sort keys from 1024 keys (`ensemble._NARROW_KEYS`).  Wide
+# 512 (_RUN_COLUMN_ROWS) and the bit-field keys of `ensemble._census` from
+# 4096 (its _KEYS_COLUMN_ROWS).  `_census` also narrows its sort keys from
+# 1024 keys (`ensemble._NARROW_KEYS`).  Wide
 # blocks (the Monte Carlo samples at n >= 100) keep the row forms.  The
 # cutovers were timed on C- and Fortran-ordered random blocks with 3-60
 # columns (numpy 2.4, one core of a shared 2-core Xeon): both costs grow
@@ -156,7 +163,7 @@ def _stat_descents(block, n, m):
 
 def descent_pattern_statistic(relation: str) -> Callable:
     """Kernel of `descent_pattern`: X_i = 1 iff f_{i+1} rel f_i."""
-    op = _RELATIONS[relation]
+    op = _relation(relation)
     return lambda block, n, m: op(block[:, 1:], block[:, :-1]).view(np.int8)
 
 
@@ -254,7 +261,7 @@ def longest_run_statistic(relation: str) -> Callable:
     j = 1..n-1: the run of pairs that hold the relation and end at pair j is
     j minus the last pair <= j that fails it (0 if none), and the longest run
     of values is one more than the longest run of pairs."""
-    op = _RELATIONS[relation]
+    op = _relation(relation)
 
     def kernel(block, n, m):
         if block.shape[0] >= _RUN_COLUMN_ROWS:  # the run ending at each pair, pair by pair
@@ -276,8 +283,7 @@ def longest_run_statistic(relation: str) -> Callable:
 def statistic_kernel(statistic: str, relation: str = "<") -> Callable:
     """The kernel of a statistic: a registry entry, or longest-run under the
     relation.  Raises ValueError for an unknown statistic or relation."""
-    if relation not in _RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
+    _relation(relation)
     if statistic == "longest-run":
         return longest_run_statistic(relation)
     if statistic not in STATISTICS:
@@ -435,8 +441,7 @@ class Chain:
     relation: str
 
     def __post_init__(self) -> None:
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+        _relation(self.relation)
         if len(self.positions) < 2:
             raise ValueError("chains need at least 2 positions")
         if len(set(self.positions)) != len(self.positions):
@@ -478,7 +483,15 @@ def _chains_hold(block: np.ndarray, chains: Sequence[Chain]) -> np.ndarray:
     return holds
 
 
+def _check_chain_positions(chains: Sequence[Chain], n: int) -> None:
+    """ValueError unless every chain position lies in [1, n]."""
+    beyond = max((p for c in chains for p in c.positions), default=0)
+    if beyond > n:
+        raise ValueError(f"chain position {beyond} is beyond n = {n}")
+
+
 def chain_monotone(seq: Sequence[int], poset: ChainPoset) -> bool:
     """True iff every chain's relation holds along consecutive chain positions."""
     block, _m = row_block(seq)
+    _check_chain_positions(poset.chains, block.shape[1])
     return _chains_hold(block, poset.chains)[0].tolist()

@@ -217,6 +217,9 @@ def test_stats_requires_input(capsys):
     code, _, err = run_cli(capsys, "stats")
     assert code == EXIT_USAGE
     assert "error" in err
+    # stats always prints JSON, so it takes no --format
+    code, out, err = run_cli(capsys, "stats", "--pf", "1,2", "--format", "csv")
+    assert code == EXIT_USAGE and out == "" and "--format" in err
 
 
 def test_enumerate_table(capsys):
@@ -380,6 +383,10 @@ def test_verify_passes(capsys):
     assert "[ok]" in out
     assert "FAIL" not in out
     assert "all identities verified" in out
+    # a cap below 1 would check nothing and still report success
+    for n_max in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--n-max", n_max)
+        assert code == EXIT_USAGE and "verified" not in out and "--n-max" in err
 
 
 def test_out_file_writing(tmp_path, capsys):

@@ -127,10 +127,9 @@ def test_sample_blocks_match_one_sample_api():
 def test_profile_statistics_score_the_rotated_walk():
     # on pf, the profile statistics score `shifted_profiles`; their bins,
     # in order, are those of the row kernels on the shifted rows: one-row
-    # blocks (two slices), wide blocks and tall ones, where `valid_shifts`
-    # counts in bit fields
+    # blocks (two slices), wide blocks and tall ones
     assert ensemble._block_rows(32_769) == 1
-    assert ensemble._block_rows(15) >= sample._SHIFT_COLUMN_ROWS
+    assert ensemble._block_rows(15) >= 3000
     for n, count in ((32_769, 4), (200, 150), (15, 3000), (1, 5)):
         for stat in stats.PROFILE_STATISTICS:
             rows = ensemble._census(STATISTICS[stat], sample_blocks(n, count, 9), n, n)
@@ -754,6 +753,11 @@ def test_joint_coordinate_bound():
     for n, k in ((4, 0), (2, 3), (1, 2)):
         with pytest.raises(ValueError):
             joint_coordinate_bound_check(n, k)
+    # n beyond the limit is refused before the n^k grid is allocated (20^20
+    # cells are too many for numpy, and 9^9 would take 3.1 GB)
+    for n, k in ((20, 20), (9, 9)):
+        with pytest.raises(CapacityError):
+            joint_coordinate_bound_check(n, k)
 
 
 def test_first_coordinate_marginal_is_exact():
@@ -779,10 +783,6 @@ def _enumerated(ensemble_name, n):
     return np.array(funcs, dtype=np.int64).reshape(-1, n)
 
 
-def _lex_sorted(block):
-    return block[np.lexsort(block.T[::-1])]
-
-
 def test_exhaustive_histogram_limit_applies_to_every_ensemble():
     # fn and fn1 ignored limit: exhaustive_histogram(12, "first", "fn") started
     # on 12^12 rows
@@ -798,13 +798,14 @@ def _column_major_int64(blocks):
 
 
 def test_pf_blocks_are_pf_each_once():
+    # row for row, in order, the scalar recursion's enumeration (whose rows
+    # are distinct parking functions)
     for n in range(1, 8):
         blocks = list(ensemble.pf_blocks(n))
         assert _column_major_int64(blocks), n
-        rows = _lex_sorted(np.concatenate(blocks))
-        assert rows.shape == (count_pf(n), n)
-        assert np.array_equal(rows, _lex_sorted(_enumerated("pf", n))), n
-        assert (np.diff(rows, axis=0) != 0).any(axis=1).all(), n  # each row once
+        assert all(b.size <= ensemble.BLOCK_ELEMENTS for b in blocks), n
+        rows = _rows(blocks)
+        assert len(rows) == count_pf(n) and rows == list(oracles.enumerate_pf(n)), n
 
 
 def test_function_blocks_follow_all_functions():
@@ -833,18 +834,16 @@ def test_block_sources_at_digit_column_edges():
     assert first.flags.f_contiguous and first.shape == (8192, 8)
     assert _rows([first]) == list(islice(product(range(1, 10), repeat=8), 8192))
     first = next(ensemble.pf_blocks(8))
-    functions = islice(product(range(1, 10), repeat=8), 8192)  # those with f_1 = 1
-    assert first.flags.f_contiguous
-    assert _rows([first]) == [sample.shift_sequence(f, oracles.find_valid_shift(f, 8), 8)
-                              for f in functions]
-    # prefixes of [m]^n that stop mid-run, over blocks that start mid-run
-    # (21845 rows a block at n = 3) and the count_pf(n) prefixes of pf_blocks
-    for n, m, total in ((3, 50, 50**3 - 1), (3, 50, 70001), (3, 50, 21845 + 7),
-                        (2, 300, 300 * 150 + 1), (6, 7, count_pf(6)), (7, 8, count_pf(7) - 3)):
-        blocks = list(ensemble._index_blocks(n, m, total))
-        assert _column_major_int64(blocks) and sum(len(b) for b in blocks) == total
-        assert _rows(blocks) == list(islice(product(range(1, m + 1), repeat=n), total)), \
-            (n, m, total)
+    assert first.flags.f_contiguous and first.dtype == np.int64
+    assert _rows([first]) == list(islice(oracles.enumerate_pf(8), first.shape[0]))
+    # blocks that start and stop mid-run (as at n = 3, m = 50 in
+    # test_function_blocks_follow_all_functions): 32768 rows a block at
+    # n = 2, whose leading runs are 300 rows, and 16384 at n = 4, whose
+    # leading runs are 8000 and 400 rows
+    for n, m in ((2, 300), (4, 20)):
+        blocks = list(ensemble.function_blocks(n, m))
+        assert _column_major_int64(blocks) and len(blocks) > 1
+        assert _rows(blocks) == list(product(range(1, m + 1), repeat=n)), (n, m)
 
 
 def test_block_sources_reject_edges_before_any_block():
@@ -1026,11 +1025,10 @@ def test_weak_peak_check_raises_when_inclusion_exclusion_fails(monkeypatch):
 
 # Row counts at and just below the cutover of each kernel's column form (and
 # 2048, a tall block for the row forms), and further out on both sides; n at
-# the column forms' limits on n (n <= 15 for valid_shifts, n + 1 and m below
-# 64 for lucky), while the block stays near the size of a block of the
-# exhaustive sources.
-_CUTOVERS = (stats._LUCKY_COLUMN_ROWS, stats._RUN_COLUMN_ROWS, sample._SHIFT_COLUMN_ROWS,
-             2048, ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
+# the column forms' limits on n (n + 1 and m below 64 for lucky), while the
+# block stays near the size of a block of the exhaustive sources.
+_CUTOVERS = (stats._LUCKY_COLUMN_ROWS, stats._RUN_COLUMN_ROWS, 2048,
+             ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
 _CUTOVER_ROWS = sorted({1, 9} | {c + d for c in _CUTOVERS for d in (-1, 0)}
                        | {2 * max(_CUTOVERS)})
 _CUTOVER_N = (1, 2, 3, 4, 6, 8, 15, 16, 62, 63)
@@ -1053,12 +1051,13 @@ def _tall_block(rows, n, ensemble_name, seed):
     return np.minimum(raw, m), raw, m
 
 
-# each column form next to its limit: the tuple keys, valid_shifts at
-# n = 15 and 16, lucky at n = 62 and 63, longest-run; and a tall block of PF_7
+# each column form next to its limit: the tuple keys, lucky at n = 62 and
+# 63, longest-run; a tall block of PF_7, and tall blocks of the shift at
+# n = 15 and 16
 @example((ensemble._KEYS_COLUMN_ROWS, 4, "fn1", 1))
 @example((2048, 7, "pf", 7))
-@example((sample._SHIFT_COLUMN_ROWS, 15, "pf", 2))
-@example((sample._SHIFT_COLUMN_ROWS, 16, "fn1", 3))
+@example((1024, 15, "pf", 2))
+@example((1024, 16, "fn1", 3))
 @example((stats._LUCKY_COLUMN_ROWS, 62, "pf", 4))
 @example((stats._LUCKY_COLUMN_ROWS, 63, "pf", 5))
 @example((stats._RUN_COLUMN_ROWS, 8, "fn", 6))

@@ -242,9 +242,8 @@ def test_shifted_profiles_at_the_rotation_edges():
 
 
 def test_shifted_profiles_of_tall_blocks():
-    # n <= 15 from 1024 rows, where `valid_shifts` counts in bit fields
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 15):
-        block = rng.integers(1, n + 2, size=(sample._SHIFT_COLUMN_ROWS + 5, n))
+        block = rng.integers(1, n + 2, size=(1029, n))
         assert np.array_equal(shifted_profiles(block.copy(), n),
                               _profiles_after_shift(block, n)), n

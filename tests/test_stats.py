@@ -28,6 +28,7 @@ from parkfn import (
     value_counts,
 )
 from parkfn.enumeration import all_functions, enumerate_pf
+from parkfn.stats import descent_pattern_statistic, longest_run_statistic
 
 EXAMPLE = (1, 3, 5, 3, 1)
 
@@ -68,9 +69,18 @@ def test_out_of_domain_inputs_raise_value_error():
         "scaled_area(())": lambda: scaled_area(()),
         "longest_run(())": lambda: longest_run(()),
         "max_discrepancy((3, 1))": lambda: max_discrepancy((3, 1)),
+        "chain_monotone((1, 2), chain (1, 3))":
+            lambda: chain_monotone((1, 2), ChainPoset((Chain((1, 3), "<"),))),
+        "descent_pattern((1, 2), '!')": lambda: descent_pattern((1, 2), "!"),
+        "longest_run((1, 2), '!')": lambda: longest_run((1, 2), "!"),
+        "descent_pattern_statistic('!')": lambda: descent_pattern_statistic("!"),
+        "longest_run_statistic('!')": lambda: longest_run_statistic("!"),
     }
+    # the error names what is out of the domain
+    messages = {"chain_monotone((1, 2), chain (1, 3))": "position 3"}
+    messages.update((label, "unknown relation") for label in cases if "'!'" in label)
     for label, call in cases.items():
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=messages.get(label)):
             call()
             pytest.fail(label)
 
@@ -112,7 +122,7 @@ def test_descent_pattern_relations():
     assert descent_pattern((1, 1, 2), "=") == (1, 0)
     assert descent_pattern((3, 3, 1), "<=") == (1, 1)
     assert descent_pattern((3, 3, 1), ">=") == (1, 0)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown relation"):
         descent_pattern(EXAMPLE, "!=")
 
 
