@@ -184,7 +184,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    from . import limits  # with mpmath, loaded only by the subcommands that use it
+    from . import limits  # loaded only by the subcommands that use it
 
     params = {}
     if args.x is not None:

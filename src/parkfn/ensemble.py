@@ -612,20 +612,23 @@ def joint_coordinate_bound_check(n: int, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n], got k = {k} for n = {n}")
     total = count_pf(n)
-    # joint counts over the first k coordinates (PF_n is permutation-symmetric)
+    # joint counts over the first k coordinates (PF_n is permutation-symmetric),
+    # summed along each axis in place: exact in int64, and the grid is the
+    # one array of its size
     counts = np.zeros((n,) * k, dtype=np.int64)
     for block in pf_blocks(n, limit):
         np.add.at(counts, tuple(block[:, :k].T - 1), 1)
-    # CDF by cumulative sums along each axis
-    cdf = counts.astype(np.float64)
     for axis in range(k):
-        cdf = np.cumsum(cdf, axis=axis)
-    cdf /= total
+        np.cumsum(counts, axis=axis, out=counts)
+    # the CDF against the product CDF one slab of the first axis at a time,
+    # each product's factors taken in the order of np.multiply.outer
     axes_grid = np.arange(1, n + 1) / n
-    product_cdf = axes_grid
-    for _ in range(k - 1):
-        product_cdf = np.multiply.outer(product_cdf, axes_grid)
-    max_diff = float(np.abs(cdf - product_cdf).max())
+    max_diff = 0.0
+    for first, slab in zip(axes_grid, counts):
+        product_cdf = first
+        for _ in range(k - 1):
+            product_cdf = np.multiply.outer(product_cdf, axes_grid)
+        max_diff = max(max_diff, float(np.abs(slab / total - product_cdf).max()))
     bound = 2 * k * math.sqrt(math.log(n) / n) + k * (k - 1) / n
     return JointBoundReport(n=n, k=k, holds=(n >= 4 and max_diff <= bound),
                             max_difference=max_diff, bound=bound)

@@ -15,7 +15,7 @@ import mpmath
 
 from parkfn.core import ParkingFunction, PrefSequence, park, queue_profile
 from parkfn.enumeration import DEFAULT_ENUM_LIMIT, all_functions, check_enumeration_size
-from parkfn.limits import _airy_zero
+from parkfn.limits import _AIRY_ZEROS
 from parkfn.stats import _RELATIONS, ChainPoset, value_counts
 
 
@@ -198,9 +198,10 @@ def brute_pattern_counts(n: int, m: int, relation: str = "<") -> dict[tuple[int,
 @lru_cache(maxsize=None)
 def airy_zero_mp(k: int, dps: int) -> mpmath.mpf:
     """The k-th zero of Ai to about `dps` digits, for dps = 16 * 2^j: one
-    Newton step, which doubles the digits, from the zero to dps / 2 digits."""
+    Newton step, which doubles the digits, from the zero to dps / 2 digits,
+    starting from the library's correctly rounded zero."""
     if dps <= 16:
-        return mpmath.mpf(_airy_zero(k))
+        return mpmath.mpf(_AIRY_ZEROS[k - 1])
     a = airy_zero_mp(k, dps // 2)
     with mpmath.workdps(dps + 5):
         return a - mpmath.airyai(a) / mpmath.airyai(a, derivative=1)
@@ -230,7 +231,7 @@ def airy_area_density_mp(x: float) -> float:
         s = 1 / mpmath.mpf(x) ** 2
         total = magnitude = mpmath.mpf(0)
         for k in count(1):
-            z_float = -2 * _airy_zero(k) ** 3 / 27 / (x * x)
+            z_float = -2 * _AIRY_ZEROS[k - 1] ** 3 / 27 / (x * x)
             digits = max(20, dps - int(z_float / math.log(10)))
             zero = airy_zero_mp(k, 16 * 2 ** math.ceil(math.log2(digits / 16)))
             b_k = -2 * zero**3 / 27

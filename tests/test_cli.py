@@ -23,6 +23,7 @@ from parkfn import (
 from parkfn import cli, stats
 from parkfn.core import dyck_encode, inconvenience, park, queue_profile
 from parkfn.enumeration import gf_closed_form
+from parkfn.limits import xi_moment
 from parkfn.stats import max_first_coordinate
 from parkfn.cli import (
     EXIT_OK,
@@ -422,16 +423,42 @@ def test_out_file_closed_when_writing_fails(tmp_path, capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_and_sympy_out():
-    # mpmath serves only `dist` and `compare --ks`, which import `limits` themselves
+    # scipy, sympy and mpmath are test oracles; neither the CLI nor `limits` loads them
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import sys, parkfn, parkfn.cli; print('mpmath' in sys.modules); import parkfn.limits; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))")
+    code = ("import sys, parkfn, parkfn.cli, parkfn.limits; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy', 'mpmath')))")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "[]"]
+    assert proc.stdout.split() == ["[]"]
+
+
+def test_limit_laws_run_without_mpmath():
+    # with mpmath blocked, `parkfn dist` tabulates every law on its default
+    # grid, and the other evaluators that once used mpmath run too
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "\n".join((
+        "import sys",
+        "sys.modules['mpmath'] = None",
+        "from parkfn import limits",
+        "from parkfn.cli import main",
+        "for name in ('borel', 'maxwell', 'excursion-max', 'bridge-max', 'airy-area',",
+        "             'poisson', 'gaussian'):",
+        "    assert main(['dist', '--dist', name] + (['--x', '0.5'] * (name == 'maxwell'))) == 0",
+        "print(limits.borel_identity(1.0), limits.xi_moment(1.5), limits.airy_zeros(50)[-1])",
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    identity, moment, zero = map(float, proc.stdout.splitlines()[-1].split())
+    assert identity == pytest.approx(1.0, abs=1e-10)
+    assert moment == pytest.approx(xi_moment(1.5), rel=1e-15)
+    assert zero == pytest.approx(-38.021, abs=1e-3)
+    assert proc.stdout.count("argument,value") == 7
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

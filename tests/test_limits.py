@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import oracles
 import pytest
 from scipy import integrate
@@ -14,8 +15,11 @@ from parkfn import descents
 from parkfn.enumeration import all_functions
 from parkfn.limits import (
     _AIRY_TAIL_X,
+    _borel_tail,
+    _hyperu,
     _max_cdf_large_t,
     _max_cdf_small_t,
+    _zeta,
     airy_area_density,
     airy_zeros,
     borel_identity,
@@ -45,6 +49,8 @@ def test_borel_pmf_values_and_mass():
     assert borel_tail(2) == pytest.approx(1 - math.exp(-1), abs=1e-15)
     with pytest.raises(ValueError):
         borel_pmf(0)
+    with pytest.raises(TypeError):  # not rounded to P(X = 2)
+        borel_pmf(2.5)
 
 
 def test_borel_tail_is_decreasing():
@@ -53,12 +59,26 @@ def test_borel_tail_is_decreasing():
 
 
 def test_borel_identity_on_grid():
-    for x in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+    # near x = 1 the tail past the 100k summed terms is largest (0.0025 at 1)
+    for x in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999, 1.0):
         assert borel_identity(x) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         borel_identity(0.0)
     with pytest.raises(ValueError):
         borel_identity(1.5)
+
+
+def test_borel_tail_matches_lerch_transcendents():
+    # the tail r^a [Phi(r,3/2,a) - Phi(r,5/2,a)/12 + Phi(r,7/2,a)/288] in
+    # mpmath; below x = 0.97198, r^a is below e^{-40} and the tail is taken as 0
+    a = 100_001  # past the 100k terms that borel_identity sums
+    for x in (0.972, 0.98, 0.99, 0.995, 0.999, 0.9999, 1.0):
+        with mpmath.workdps(30):
+            r = x * mpmath.exp(1 - mpmath.mpf(x))
+            want = r**a * (mpmath.lerchphi(r, 1.5, a) - mpmath.lerchphi(r, 2.5, a) / 12
+                           + mpmath.lerchphi(r, 3.5, a) / 288)
+        assert _borel_tail(x) == pytest.approx(float(want), rel=1e-12, abs=0), x
+    assert _borel_tail(0.97) == 0.0 and _borel_tail(0.5) == 0.0
 
 
 def test_first_coordinate_limit_corners():
@@ -78,6 +98,8 @@ def test_maxwell_density_normalizes():
     assert coordinate_count_density(0.5, -1.0) == 0.0
     with pytest.raises(ValueError):
         coordinate_count_density(0.0, 1.0)
+    with pytest.raises(ValueError, match="nan"):
+        coordinate_count_density(0.5, math.nan)
 
 
 def test_maxwell_cdf_monotone():
@@ -96,6 +118,8 @@ def test_maxwell_cdf_matches_quadrature():
             assert coordinate_count_cdf(x, t) == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
         coordinate_count_cdf(1.0, 0.5)
+    with pytest.raises(ValueError, match="nan"):
+        coordinate_count_cdf(0.5, math.nan)
 
 
 def test_excursion_max_cdf_and_mean():
@@ -164,6 +188,9 @@ def test_xi_moment_matches_quadrature():
         assert xi_moment(s) == pytest.approx(direct, abs=1e-9)
     with pytest.raises(ValueError):
         xi_moment(2.5)
+    # the Euler-Maclaurin zeta against mpmath's, up to the pole at s = 1
+    for s in [1 + i / 100 for i in range(1, 100)] + [1 + 1e-9, 2 - 1e-9]:
+        assert _zeta(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-15, abs=0), s
 
 
 def test_airy_zeros():
@@ -171,12 +198,24 @@ def test_airy_zeros():
     assert zeros[0] == pytest.approx(-2.3381, abs=5e-5)
     assert zeros[1] == pytest.approx(-4.0879, abs=5e-5)
     assert zeros[2] == pytest.approx(-5.5206, abs=5e-5)
-    # k = 4..7 is where a root of mpmath's double-precision Ai is off by up to 1e-9
+    # all 50 stored zeros against mpmath's root finder at 30 digits
     with mpmath.workdps(30):
-        for k, got in enumerate(airy_zeros(8), start=1):
-            assert got == pytest.approx(float(mpmath.airyaizero(k)), abs=1e-14)
-    with pytest.raises(ValueError):
-        airy_zeros(0)
+        for k, got in enumerate(airy_zeros(50), start=1):
+            assert got == pytest.approx(float(mpmath.airyaizero(k)), abs=1e-15), k
+    for count in (0, 51):
+        with pytest.raises(ValueError):
+            airy_zeros(count)
+
+
+def test_hyperu_matches_mpmath():
+    # U(-5/6, 4/3, z) by quadrature over the z the Airy body reaches,
+    # [0.32, 745.2], against mpmath at 40 digits on a geometric grid
+    zs = np.geomspace(0.3, 745, 100)
+    with mpmath.workdps(40):
+        want = [mpmath.hyperu(mpmath.mpf(-5) / 6, mpmath.mpf(4) / 3, mpmath.mpf(z))
+                for z in zs.tolist()]
+    for z, got, w in zip(zs.tolist(), _hyperu(zs).tolist(), want):
+        assert got == pytest.approx(float(w), rel=1e-15, abs=0), z
 
 
 def test_airy_density_normalization_and_mean():
@@ -202,20 +241,22 @@ AIRY_TAIL = {
     8.0: 1.0818749347140951335e-163,
     10.0: 2.6342746805194721276e-257,
 }
-# Values of the double-precision sum, which is kept below the tail switch.
+# The density below the tail switch: Takacs's series summed at 60 digits
+# with mpmath's zeros and U, to 40 digits.  Each is paired with the relative
+# error the double sum must meet: at 1.5 its terms cancel 3650-fold.
 AIRY_BODY = {
-    0.2: 7.101284392240609e-07,
-    0.5: 2.4295478730963667,
-    1.0: 0.2181190840957174,
-    1.5: 0.00029152382780447587,
+    0.2: (7.101284392240579432527879711424874944619e-07, 1e-14),
+    0.5: (2.429547873096364750980544169528606561279, 1e-14),
+    1.0: (0.2181190840957169423097500673099270712096, 1e-14),
+    1.5: (2.915238278044315793146209850038430504969e-04, 1e-12),
 }
 
 
 def test_airy_density_tail_is_not_roundoff():
     for x, want in AIRY_TAIL.items():
         assert airy_area_density(x) == pytest.approx(want, rel=1e-13, abs=0), x
-    for x, want in AIRY_BODY.items():
-        assert airy_area_density(x) == want, x
+    for x, (want, rel) in AIRY_BODY.items():
+        assert airy_area_density(x) == pytest.approx(want, rel=rel, abs=0), x
     grid = [airy_area_density(i / 10) for i in range(1, 41)]
     assert all(v > 0 for v in grid)
     # past the mode the density falls
