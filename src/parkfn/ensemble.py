@@ -23,7 +23,7 @@ from . import stats as st
 from .core import BLOCK_ELEMENTS
 from .enumeration import (DEFAULT_ENUM_LIMIT, _pf_rows, _sorted_blocks,
                           check_enumeration_size, count_pf)
-from .sample import _U64, draw_block, shift_block, shifted_profiles
+from .sample import _U64, draw_block, shift_block
 # ensemble.STATISTICS is the registry dict itself, so that patching one of its
 # entries (as perfbench's traced runs do) patches it for every caller.
 from .stats import STATISTICS, statistic_kernel
@@ -322,15 +322,14 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
 
 def _sample_source(config: ExperimentConfig) -> tuple[Iterator[np.ndarray], Callable]:
     """(blocks, kernel) for `run_experiment`.  On pf, a statistic in
-    PROFILE_STATISTICS scores each draw's queue profile after the shift,
-    which `shifted_profiles` rotates from the walk that finds the shift,
-    without shifting the row or counting it again.  Any other statistic
-    scores the rows of `sample_blocks`."""
+    RAW_DRAW_STATISTICS scores the raw draws of [n+1]^n: its kernel reads
+    the statistic of each shifted row from the draw and the walk that finds
+    the shift, so the row is never shifted.  Any other statistic scores the
+    rows of `sample_blocks`."""
     n, count, seed = config.n, config.count, config.seed
     # by name, not by kernel, as in `_exhaustive_source`
-    if config.ensemble == "pf" and config.statistic in st.PROFILE_STATISTICS:
-        blocks = (shifted_profiles(block, n) for block in _draws(n, count, seed, n + 1))
-        return blocks, st.PROFILE_STATISTICS[config.statistic]
+    if config.ensemble == "pf" and config.statistic in st.RAW_DRAW_STATISTICS:
+        return _draws(n, count, seed, n + 1), st.RAW_DRAW_STATISTICS[config.statistic]
     return (sample_blocks(n, count, seed, config.ensemble),
             statistic_kernel(config.statistic, config.relation))
 

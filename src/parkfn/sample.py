@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ParkingFunction, PrefSequence
-from .stats import queue_profiles, row_block
+from .stats import _walks, row_block
 
 _U64 = 1 << 64
 _ZEROS = (0, 0, 0, 0)
@@ -91,7 +90,9 @@ def find_valid_shift(values: Sequence[int], n: int | None = None) -> int:
 
 
 def shift_sequence(values: Sequence[int], k: int, n: int | None = None) -> tuple[int, ...]:
-    """Add k(1,...,1) mod n+1 to values in [1, n+1], representatives in [1, n+1]."""
+    """Add k(1,...,1) mod n+1 to values in [1, n+1], representatives in
+    [1, n+1].  k must be an integer (TypeError otherwise)."""
+    k = operator.index(k)
     row = _shift_row(values, n)[0].tolist()
     mod = len(row) + 1
     return tuple((v + k - 1) % mod + 1 for v in row)
@@ -162,14 +163,6 @@ def draw_block(seed: int, start: int, stop: int, n: int, high: int,
     return block
 
 
-def _walks(block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's walk W_j = #{i : f_i <= j} - j, j = 1..n+1, of a block of
-    functions [n] -> [n+1], and the 1-based column J of its first minimum.
-    Its steps c_j - 1 sum to W_{n+1} = -1."""
-    walk = queue_profiles(block, n + 1)
-    return walk, np.argmin(walk, axis=1) + 1
-
-
 def valid_shifts(block: np.ndarray, n: int) -> np.ndarray:
     """For each row of a block of functions [n] -> [n+1], the unique k in
     [0, n] such that the row +_{n+1} k(1,...,1) is in PF_n.  The valid
@@ -187,34 +180,4 @@ def shift_block(block: np.ndarray, n: int) -> np.ndarray:
     # product in the narrowest dtype that holds n + 1
     block -= np.multiply(block >= mod, mod, dtype=np.min_scalar_type(mod))
     block += 1
-    return block
-
-
-def shifted_profiles(block: np.ndarray, n: int) -> np.ndarray:
-    """`queue_profiles(shift_block(block, n), n)` of a block of functions
-    [n] -> [n+1], written over the block, which it returns: the walk of
-    `_walks` rotated at its first minimum J (the discrete Vervaat
-    transform).  The shift maps values above J to v - J and the others to
-    v + n + 1 - J, so the shifted row's profile is
-    P_i = W_{J+i} - W_J for i <= n + 1 - J, then W_{i+J-n-1} - W_J - 1."""
-    walk, first = _walks(block, n)
-    rows = block.shape[0]
-    if rows == 1:  # two slices of the walk
-        j = first[0]
-        w = walk[0]
-        np.subtract(w[j:], w[j - 1], out=block[0, :n + 1 - j])
-        np.subtract(w[:j - 1], w[j - 1] + 1, out=block[0, n + 1 - j:])
-        return block
-    # row r of `wrapped` is [W - W_J, W - W_J - 1], and the profile is its
-    # window of n values from 0-based column J.  Its values lie in [-1, 2n],
-    # so it takes the narrowest signed dtype that holds -2n - 2: a 100 x 200
-    # block (`run_experiment` of 100 samples at n = 200) took 0.85-0.91 ms
-    # in int16 against 0.90-0.94 ms in int64, with 86 minor page faults
-    # against 125 (one core of a shared 2-core Xeon).
-    r = np.arange(rows)
-    wrapped = np.empty((rows, 2 * (n + 1)), dtype=np.min_scalar_type(-2 * n - 2))
-    np.subtract(walk, walk[r, first - 1][:, None], out=wrapped[:, :n + 1], casting="unsafe")
-    del walk  # one walk-sized array less while the profile is gathered
-    np.subtract(wrapped[:, :n + 1], 1, out=wrapped[:, n + 1:])
-    block[:] = sliding_window_view(wrapped, n, axis=1)[r, first]
     return block

@@ -60,8 +60,9 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # shape (rows, n), one function per row, with values in [1, m].  A kernel
 # returns a numpy array with one entry per row: 1-D for a scalar statistic,
 # 2-D integer (one row per function) for a tuple-valued one.  The experiment
-# harness scores blocks of samples with them, and the per-function API below
-# scores one function as a one-row block.
+# harness scores blocks of samples with them (on pf, the statistics of
+# RAW_DRAW_STATISTICS below score the draws before the shift instead), and
+# the per-function API scores one function as a one-row block.
 #
 # A kernel's result does not depend on the block's memory order.  Sampled
 # blocks are row-major; the exhaustive sources (`ensemble.pf_blocks`,
@@ -86,12 +87,20 @@ def _stat_first(block, n, m):
     return block[:, 0]
 
 
+def _area(total, n):
+    return n * (n + 1) // 2 - total
+
+
+def _scaled_area(total, n):
+    return (n * n / 2 - total) / n**1.5
+
+
 def _stat_area(block, n, m):
-    return n * (n + 1) // 2 - block.sum(axis=1)
+    return _area(block.sum(axis=1), n)
 
 
 def _stat_scaled_area(block, n, m):
-    return (n * n / 2 - block.sum(axis=1)) / n**1.5
+    return _scaled_area(block.sum(axis=1), n)
 
 
 # The bitmask sweep of `lucky` beats the row loop from 64 rows at every n it
@@ -191,31 +200,13 @@ def _stat_inversions(block, n, m):
     return acc.sum(axis=0, dtype=np.int64)
 
 
-def _profile_max_discrepancy(profiles, n, m):
-    # max(0, max_k P_k) of the queue profiles P_k = #{i : f_i <= k} - k
-    return np.maximum(profiles.max(axis=1), 0)
-
-
-def _profile_scaled_max_discrepancy(profiles, n, m):
-    return _profile_max_discrepancy(profiles, n, m) / math.sqrt(n)
-
-
-# The statistics that read a function only through its queue profile, as
-# kernels of the profiles (the rows of `queue_profiles(block, m)`).  The
-# harness scores sampled parking functions with them on the profiles that
-# `sample.shifted_profiles` rotates from the shift's own walk.
-PROFILE_STATISTICS: dict[str, Callable] = {
-    "max-discrepancy": _profile_max_discrepancy,
-    "scaled-max-discrepancy": _profile_scaled_max_discrepancy,
-}
-
-
 def _stat_max_discrepancy(block, n, m):
-    return _profile_max_discrepancy(queue_profiles(block, m), n, m)
+    # max(0, max_k P_k) of the queue profiles P_k = #{i : f_i <= k} - k
+    return np.maximum(queue_profiles(block, m).max(axis=1), 0)
 
 
 def _stat_scaled_max_discrepancy(block, n, m):
-    return _profile_scaled_max_discrepancy(queue_profiles(block, m), n, m)
+    return _stat_max_discrepancy(block, n, m) / math.sqrt(n)
 
 
 def _stat_kmax(block, n, m):
@@ -249,6 +240,94 @@ STATISTICS: dict[str, Callable] = {
 # exhaustive counts score the sorted rows only (`ensemble._exhaustive_source`).
 ORDER_FREE_STATISTICS = frozenset({"area", "scaled-area", "ones", "species",
                                    "max-discrepancy", "scaled-max-discrepancy"})
+
+
+# --- statistics of the cycle-lemma shift, read from the draw ----------------
+#
+# `sample.shift_block` maps a draw f in [n+1]^n into PF_n by adding
+# k = n + 1 - J to every value mod n + 1, where J is the first minimum of
+# the walk (`_walks`).  The shift sends a value v > J to v - J and v <= J to
+# v + k, so several statistics of the shifted row follow from the draw, J
+# and the walk, and the harness scores sampled parking functions with these
+# kernels on the raw draws (`ensemble._sample_source`).  Each kernel maps a
+# raw block of [n+1]^n to the registry statistic of its shifted rows, with
+# the same values and dtypes; the other statistics read the order of the
+# values and score the shifted rows.
+
+def _walks(block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's walk W_j = #{i : f_i <= j} - j, j = 1..n+1, of a block of
+    functions [n] -> [n+1], and the 1-based column J of its first minimum.
+    Its steps c_j - 1 sum to W_{n+1} = -1."""
+    walk = queue_profiles(block, n + 1)
+    return walk, np.argmin(walk, axis=1) + 1
+
+
+def _draw_first(block, n, m):
+    return (block[:, 0] + n - _walks(block, n)[1]) % (n + 1) + 1
+
+
+def _shifted_sums(block, n):
+    # sum(f) + n k - (n + 1)(n - W_J - J), with #{f_i <= J} = W_J + J values
+    # gaining k and the others losing J: sum(f) + J + (n + 1) W_J
+    walk, first = _walks(block, n)
+    return block.sum(axis=1) + first + (n + 1) * walk[np.arange(block.shape[0]), first - 1]
+
+
+def _draw_area(block, n, m):
+    return _area(_shifted_sums(block, n), n)
+
+
+def _draw_scaled_area(block, n, m):
+    return _scaled_area(_shifted_sums(block, n), n)
+
+
+def _draw_max_discrepancy(block, n, m):
+    # the shifted row's profile is the walk rotated at J (the discrete
+    # Vervaat transform): W_{J+i} - W_J for i <= n + 1 - J, then
+    # W_{i+J-n-1} - W_J - 1.  Its last value P_n is 0 (at j = J - 1, or at
+    # j = n + 1 when J = 1), so the maximum needs no floor at 0.
+    walk, first = _walks(block, n)
+    if block.shape[0] == 1:  # two slices of the walk
+        j, w = first[0], walk[0]
+        top = w[j - 1:].max()
+        if j > 1:
+            top = max(top, w[:j - 1].max() - 1)
+        return np.array([top - w[j - 1]])
+    low = walk[np.arange(block.shape[0]), first - 1]
+    walk -= np.arange(1, n + 2) < first[:, None]
+    return walk.max(axis=1) - low
+
+
+def _draw_scaled_max_discrepancy(block, n, m):
+    return _draw_max_discrepancy(block, n, m) / math.sqrt(n)
+
+
+def _draw_ones(block, n, m):
+    # the value the shift sends to 1 is J + 1, or 1 when J = n + 1
+    return np.count_nonzero(block == (_walks(block, n)[1] % (n + 1) + 1)[:, None], axis=1)
+
+
+def _draw_species(block, n, m):
+    # the shift permutes the values [1, n+1] cyclically, and the value it
+    # sends to n + 1 occurs 0 times: one more mu_0 than on [1, n]
+    mu = _stat_species(block, n, n + 1)
+    mu[:, 0] -= 1
+    return mu
+
+
+# The statistics that `run_experiment` scores on pf draws without the
+# shift, as kernels of the raw block; equal pairs stay equal under the
+# shift, so `repeats` is its row kernel.
+RAW_DRAW_STATISTICS: dict[str, Callable] = {
+    "first": _draw_first,
+    "area": _draw_area,
+    "scaled-area": _draw_scaled_area,
+    "repeats": _stat_repeats,
+    "ones": _draw_ones,
+    "species": _draw_species,
+    "max-discrepancy": _draw_max_discrepancy,
+    "scaled-max-discrepancy": _draw_scaled_max_discrepancy,
+}
 
 
 # The running run length beats the row form from 512 rows (at 256 rows it
@@ -379,7 +458,7 @@ def longest_run(seq: Sequence[int], relation: str = "<") -> int:
 
 def max_discrepancy(pf: Sequence[int]) -> int:
     """max_k #{i : pi_i <= k} - k, i.e. the maximum of the queue profile;
-    values lie in [1, n]."""
+    values lie in [0, n - 1]: 0 on a permutation, n - 1 on (1, ..., 1)."""
     v = tuple(pf)
     return _score(_stat_max_discrepancy, v, len(v))
 

@@ -125,14 +125,14 @@ def test_sample_blocks_match_one_sample_api():
             next(sample_blocks(3, 6, 0, name))
 
 
-def test_profile_statistics_score_the_rotated_walk():
-    # on pf, the profile statistics score `shifted_profiles`; their bins,
-    # in order, are those of the row kernels on the shifted rows: one-row
-    # blocks (two slices), wide blocks and tall ones
+def test_raw_draw_statistics_score_the_shifted_rows():
+    # on pf, the statistics of RAW_DRAW_STATISTICS score the raw draws; their
+    # bins, in order, are those of the row kernels on the shifted rows:
+    # one-row blocks, wide blocks and tall ones
     assert ensemble._block_rows(32_769) == 1
     assert ensemble._block_rows(15) >= 3000
     for n, count in ((32_769, 4), (200, 150), (15, 3000), (1, 5)):
-        for stat in stats.PROFILE_STATISTICS:
+        for stat in stats.RAW_DRAW_STATISTICS:
             rows = ensemble._census(STATISTICS[stat], sample_blocks(n, count, 9), n, n)
             bins = run_experiment(ExperimentConfig(n=n, count=count, seed=9,
                                                    statistic=stat)).bins

@@ -18,9 +18,10 @@ from parkfn import (
     split_stream,
 )
 from parkfn import sample
+from parkfn.ensemble import function_blocks
 from parkfn.enumeration import all_functions, count_pf
-from parkfn.sample import _walks, draw_block, shift_block, shifted_profiles
-from parkfn.stats import queue_profiles
+from parkfn.sample import _walks, draw_block, shift_block
+from parkfn.stats import RAW_DRAW_STATISTICS, STATISTICS
 
 
 def test_stream_is_reproducible():
@@ -85,6 +86,15 @@ def test_shift_sequence_wraps_mod_n_plus_1():
     assert shift_sequence((1, 4, 2), 1) == (2, 1, 3)
     assert shift_sequence((1, 2, 3), 0) == (1, 2, 3)
     assert shift_sequence((4, 4, 4), 4) == (4, 4, 4)
+    assert shift_sequence((1, 2, 3), np.int64(2)) == (3, 4, 1)
+    assert all(type(v) is int for v in shift_sequence((1, 2, 3), np.int64(2)))
+
+
+def test_shift_sequence_rejects_non_integer_shifts():
+    # a float k gave (1.5, 2.5, 3.5) for k = 0.5, and numpy floats for 2.0
+    for k in (0.5, 2.0, np.float64(2)):
+        with pytest.raises(TypeError):
+            shift_sequence((1, 2, 3), k)
 
 
 def test_exactly_one_valid_shift_exhaustive():
@@ -200,21 +210,37 @@ def test_shift_block_matches_scalar_shift(data, n, rows):
         assert is_parking_function(row, n)
 
 
-def _profiles_after_shift(block, n):
-    return queue_profiles(shift_block(block.copy(), n), n)
+def _assert_scores_the_shift(block, n, label=None):
+    # each raw-draw kernel, on the raw block, gives the registry statistic of
+    # the shifted rows: the same values in the same dtype; the block is left
+    # as drawn
+    raw = block.copy()
+    shifted = shift_block(block.copy(), n)
+    for stat, kernel in RAW_DRAW_STATISTICS.items():
+        got, want = kernel(block, n, n), STATISTICS[stat](shifted, n, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (stat, n, label)
+    assert np.array_equal(block, raw)
+
+
+def test_raw_draw_statistics_match_shifted_rows_exhaustively():
+    # every function [n] -> [n+1], in the column-major blocks of the scan,
+    # and each of them as a one-row block up to n = 4
+    for n in range(1, 7):
+        for block in function_blocks(n, n + 1):
+            _assert_scores_the_shift(block, n)
+            if n <= 4:
+                for row in block:
+                    _assert_scores_the_shift(row[None, :], n, row)
 
 
 @given(st_h.integers(1, 300), st_h.integers(1, 50), st_h.integers(0, 2**32 - 1))
-def test_shifted_profiles_rotate_the_walk(n, rows, seed):
-    # the Vervaat identity: the shifted row's profile is the unshifted row's
-    # walk rotated at its first minimum, in one-row and multi-row blocks
+def test_raw_draw_statistics_match_shifted_blocks(n, rows, seed):
+    # one-row and multi-row blocks of uniform draws
     block = np.random.default_rng(seed).integers(1, n + 2, size=(rows, n))
-    profiles = shifted_profiles(block.copy(), n)
-    assert profiles.shape == (rows, n)
-    assert np.array_equal(profiles, _profiles_after_shift(block, n))
+    _assert_scores_the_shift(block, n)
 
 
-def test_shifted_profiles_at_the_rotation_edges():
+def test_raw_draw_statistics_at_the_rotation_edges():
     n = 6
     parking = [1, 4, 2, 1, 6, 3]  # already parking: first minimum W_{n+1} = -1
     no_ones = [2, 2, 7, 3, 2, 5]  # W_1 = -1: first minimum at column 1
@@ -223,27 +249,36 @@ def test_shifted_profiles_at_the_rotation_edges():
     block = np.array(rows, dtype=np.int64)
     assert _walks(block, n)[1].tolist() == [n + 1, 1, n]
     assert sample.valid_shifts(block, n).tolist() == [0, n, 1]
-    expected = _profiles_after_shift(block, n)
-    assert np.array_equal(shifted_profiles(block.copy(), n), expected)
-    for row, want in zip(rows, expected):  # one-row blocks take two slices
-        assert shifted_profiles(np.array([row]), n).tolist() == [want.tolist()]
+    _assert_scores_the_shift(block, n)
+    for row in rows:  # one-row blocks take two slices of the walk
+        _assert_scores_the_shift(np.array([row]), n, row)
     # n = 1: [1] parks as it is, and [2] is shifted onto [1]
     one = np.array([[1], [2]], dtype=np.int64)
     assert _walks(one, 1)[1].tolist() == [2, 1]
-    assert shifted_profiles(one.copy(), 1).tolist() == [[0], [0]]
+    _assert_scores_the_shift(one, 1)
     for row in ([1], [2]):
-        assert shifted_profiles(np.array([row]), 1).tolist() == [[0]]
-    # the rotated walk is held in int16 up to n = 16383 and in int32 above
+        _assert_scores_the_shift(np.array([row]), 1, row)
+    # all ones (J = n + 1), all twos (J = 1) and all n + 1 (J = n) beside a
+    # uniform row
     rng = np.random.default_rng(3)
     for n in (16_383, 16_384):
-        block = np.vstack([np.ones(n, dtype=np.int64), np.full(n, n + 1),
+        block = np.vstack([np.ones(n, dtype=np.int64), np.full(n, 2), np.full(n, n + 1),
                            rng.integers(1, n + 2, size=n)])
-        assert np.array_equal(shifted_profiles(block.copy(), n), _profiles_after_shift(block, n))
+        assert _walks(block, n)[1].tolist()[:3] == [n + 1, 1, n]
+        _assert_scores_the_shift(block, n)
 
 
-def test_shifted_profiles_of_tall_blocks():
+def test_raw_draw_statistics_of_tall_blocks():
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 15):
-        block = rng.integers(1, n + 2, size=(1029, n))
-        assert np.array_equal(shifted_profiles(block.copy(), n),
-                              _profiles_after_shift(block, n)), n
+        _assert_scores_the_shift(rng.integers(1, n + 2, size=(1029, n)), n)
+
+
+def test_raw_draw_statistics_of_one_long_row():
+    # the one-row blocks of `run_experiment` from n = 32769 on, with both
+    # rotation edges: J = n + 1 on all ones, J = 1 on all twos
+    rng = np.random.default_rng(5)
+    for n in (32_769, 100_000):
+        for row in (rng.integers(1, n + 2, size=n), np.ones(n, dtype=np.int64),
+                    np.full(n, 2), np.full(n, n + 1)):
+            _assert_scores_the_shift(row[None, :], n)

@@ -45,6 +45,16 @@ def test_basic_statistics_on_example():
     assert scaled_area((1, 1, 1)) == (4.5 - 3) / 3**1.5
 
 
+def test_max_discrepancy_spans_zero_to_n_minus_one():
+    # 0 on a permutation, n - 1 on the all-ones function, every value between
+    assert max_discrepancy((1, 2, 3)) == 0
+    assert max_discrepancy((3, 1, 2)) == 0
+    assert max_discrepancy((1, 1, 1)) == 2
+    assert max_discrepancy((1,)) == 0
+    for n in range(1, 7):
+        assert {max_discrepancy(pf) for pf in enumerate_pf(n)} == set(range(n)), n
+
+
 def test_lucky_rejects_non_parking():
     for values in ((2, 2), (3, 1), (9, 1), (0, 1)):
         with pytest.raises(ValueError):
