@@ -28,16 +28,6 @@ class CapacityError(ValueError):
     """Raised when an enumeration request exceeds the configured size cap."""
 
 
-def _ipow(base: int, exp: int) -> int:
-    # Conventions like 1^{-1} = 1 appear in the closed forms at boundary
-    # terms; the base is always 1 there.
-    if exp >= 0:
-        return base**exp
-    if base != 1:
-        raise ValueError(f"negative exponent on base {base}")
-    return 1
-
-
 def _sorted_blocks(n: int, caps: Sequence[int]) -> Iterator[np.ndarray]:
     """The nondecreasing rows whose entry j lies in [1, caps[j]] (caps
     nondecreasing), in lexicographic order, as column-major int64 blocks of
@@ -197,21 +187,33 @@ def count_pf(n: int) -> int:
     return (n + 1) ** (n - 1)
 
 
-def _first_term(n: int, s: int) -> int:
-    """count_first(n, k) - count_first(n, k + 1) for k = n - s."""
-    return comb(n - 1, s) * _ipow(s + 1, s - 1) * _ipow(n - s, n - s - 2)
+def _first_terms(n: int, start: int, stop: int) -> list[int]:
+    """The terms T(s) = C(n-1, s) (s+1)^{s-1} (n-s)^{n-s-2} of the Abel sum
+    for start <= s < stop, with 0 <= start <= stop <= n: T(n - k) is
+    count_first(n, k) - count_first(n, k + 1), where count_first(n, n + 1) is
+    0.  One `comb` gives the first binomial, and the loop steps it exactly,
+    C(n-1, s+1) = C(n-1, s) (n-1-s) // (s+1).  An exponent is -1 only where
+    its base is 1 (s = 0, and n - s = 1), so it is taken as 0 there."""
+    binomial = comb(n - 1, start)
+    terms = []
+    for s in range(start, stop):
+        r = n - s
+        terms.append(binomial * (s + 1) ** (s - 1 if s else 0) * r ** (r - 2 if r > 1 else 0))
+        binomial = binomial * (r - 1) // (s + 1)
+    return terms
 
 
 def count_first(n: int, k: int) -> int:
     """Number of parking functions of size n with first coordinate k:
     sum_{s=0}^{n-k} C(n-1,s) (s+1)^{s-1} (n-s)^{n-s-2}.  For n >= 2 the full
-    sum is the k = 1 count 2(n+1)^{n-2}, so the shorter side is summed."""
+    sum is the k = 1 count 2(n+1)^{n-2}, so the shorter side is summed: a
+    call costs min(k - 1, n - k + 1) terms (`_first_terms`)."""
     n, k = index(n), index(k)
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
     if n >= 2 and k - 1 < n - k + 1:
-        return 2 * (n + 1) ** (n - 2) - sum(_first_term(n, s) for s in range(n - k + 1, n))
-    return sum(_first_term(n, s) for s in range(0, n - k + 1))
+        return 2 * (n + 1) ** (n - 2) - sum(_first_terms(n, n - k + 1, n))
+    return sum(_first_terms(n, 0, n - k + 1))
 
 
 def first_counts(n: int) -> list[int]:
@@ -221,7 +223,7 @@ def first_counts(n: int) -> list[int]:
     n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return list(accumulate(_first_term(n, s) for s in range(n)))[::-1]
+    return list(accumulate(_first_terms(n, 0, n)))[::-1]
 
 
 def abel_identity_check(x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:
@@ -276,12 +278,13 @@ def exact_mean_first(n: int) -> Fraction:
 
 
 def k_pi_law(n: int, k: int) -> Fraction:
-    """P(K_pi = k): the law of the maximal feasible first coordinate."""
+    """P(K_pi = k): the law of the maximal feasible first coordinate,
+    k T(n - k) / (n+1)^{n-1} for the Abel term T of `_first_terms`, which is
+    count_first(n, k) - count_first(n, k + 1)."""
     n, k = index(n), index(k)
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
-    num = k * comb(n - 1, k - 1) * _ipow(k, k - 2) * _ipow(n - k + 1, n - k - 1)
-    return Fraction(num, (n + 1) ** (n - 1))
+    return Fraction(k * _first_terms(n, n - k, n - k + 1)[0], (n + 1) ** (n - 1))
 
 
 # --- generating functions -------------------------------------------------
@@ -410,14 +413,14 @@ def species_moment(b: int, B: int, r: int, t: Optional[int] = None) -> Fraction:
     if t == r:
         mean = species_moment(b, B, r)
         extra = Fraction(
-            B * (B - 1) * _falling(b, 2 * r) * _ipow(B - 2, b - 2 * r),
+            B * (B - 1) * _falling(b, 2 * r) * (B - 2) ** (b - 2 * r),
             factorial(r) ** 2 * B**b,
         ) if 2 * r <= b else Fraction(0)
         return mean + extra
     if r + t > b:
         return Fraction(0)
     return Fraction(
-        B * (B - 1) * _falling(b, r + t) * _ipow(B - 2, b - r - t),
+        B * (B - 1) * _falling(b, r + t) * (B - 2) ** (b - r - t),
         factorial(r) * factorial(t) * B**b,
     )
 

@@ -120,9 +120,10 @@ def draw_block(seed: int, start: int, stop: int, n: int, high: int,
     is given: row r is `RngStream(seed, start + r).integers(1, high, size=n)`,
     for 1 <= high < 2^32.
 
-    One bit generator serves the block; each row re-keys it by assigning its
-    state and takes its raw 64-bit words in one call.  The block is then
-    bounded at once as numpy bounds integers below 2^32 (Lemire's method):
+    One bit generator and one state dict serve the block: each row sets the
+    dict's key to its own index, assigns the dict and takes its raw 64-bit
+    words in one call.  The block is then bounded at once as numpy bounds
+    integers below 2^32 (Lemire's method):
     the 32-bit halves u of each word, low half first, map to
     1 + (u * high >> 32), and a word whose product has a low half below
     2^32 mod high is skipped.  A row left with fewer than n words is drawn
@@ -139,8 +140,13 @@ def draw_block(seed: int, start: int, stop: int, n: int, high: int,
     words = (n + SLACK + 2 * (n * threshold >> 32) + 1) // 2
     raw = np.empty((rows, words), dtype=np.uint64)
     bitgen = np.random.Philox(0)
+    state = _philox_state(seed, start)
+    if rows > 0:
+        _philox_state(seed, stop - 1)  # the last index; those between are in range too
+    key = state["state"]
     for r, i in enumerate(range(start, stop)):
-        bitgen.state = _philox_state(seed, i)
+        key["key"] = (i, seed)
+        bitgen.state = state
         raw[r] = bitgen.random_raw(words)
     u = raw.astype("<u8", copy=False).view("<u4")
     drawn = 2 * words

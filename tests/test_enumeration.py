@@ -175,6 +175,12 @@ def test_count_first_matches_census():
 def test_first_counts_match_count_first():
     for n in (*range(1, 41), 150):
         assert first_counts(n) == [count_first(n, k) for k in range(1, n + 1)], n
+    # k = 1, 2 sum the short side down from the top term, k = n - 1, n the
+    # long side up from s = 0
+    for n in range(41, 301):
+        counts = first_counts(n)
+        for k in (1, 2, n - 1, n):
+            assert count_first(n, k) == counts[k - 1], (n, k)
     assert sum(first_counts(300)) == count_pf(300)
     for n in (0, -1):
         with pytest.raises(ValueError):
@@ -204,7 +210,8 @@ def test_count_first_corner_closed_forms():
 
 
 def test_count_first_sums_to_total():
-    for n in range(1, 13):
+    # n = 150 is the exact workload's own check
+    for n in (*range(1, 13), 150, 300):
         assert sum(count_first(n, k) for k in range(1, n + 1)) == count_pf(n)
 
 
@@ -216,6 +223,14 @@ def test_count_first_matches_direct_sum():
                          * (n - s) ** (n - s - 2 if n - s >= 2 else 0)
                          for s in range(n - k + 1))
             assert count_first(n, k) == direct, (n, k)
+
+
+def test_k_pi_law_is_first_coordinate_difference():
+    # P(K_pi = k) = k (count_first(n, k) - count_first(n, k + 1)) / (n+1)^(n-1)
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            above = count_first(n, k + 1) if k < n else 0
+            assert k_pi_law(n, k) == Fraction(k * (count_first(n, k) - above), count_pf(n)), (n, k)
 
 
 def test_abel_identity():

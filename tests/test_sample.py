@@ -185,6 +185,14 @@ def test_draw_block_rows_are_streams(seed, start, rows, n, high, slack):
         assert block[r].tolist() == expected.tolist()
 
 
+def test_draw_block_reaches_the_last_stream():
+    # the block's one state dict is re-keyed up to stream index 2^64 - 1
+    start = 2**64 - 3
+    block = draw_block(5, start, 2**64, 6, 7)
+    for r in range(3):
+        assert block[r].tolist() == RngStream(5, start + r).integers(1, 7, size=6).tolist()
+
+
 def test_draw_block_rejects_high_outside_32_bits():
     draw_block(0, 0, 2, 3, 2**32 - 1)
     for high in (0, -1, 2**32):
