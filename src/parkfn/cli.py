@@ -379,10 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--feature", default=None)
     p.add_argument("--relation", choices=("<", "<=", ">", ">="), default="<")
-    p.add_argument("--ks", action="store_true",
-                   help="KS distance of scaled max-discrepancy to the limit laws")
-    p.add_argument("--tv", action="store_true",
-                   help="TV distance of the first coordinate to uniform")
+    distance = p.add_mutually_exclusive_group()
+    distance.add_argument("--ks", action="store_true",
+                          help="KS distance of scaled max-discrepancy to the limit laws")
+    distance.add_argument("--tv", action="store_true",
+                          help="TV distance of the first coordinate to uniform")
     p.add_argument("--count", type=int, default=20000)
     p.add_argument("--ensemble", choices=ensemble.ENSEMBLES, default="pf")
     common(p)

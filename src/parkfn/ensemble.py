@@ -116,8 +116,8 @@ _STR_RANK = bytes(map(sorted(range(256), key=str).index, range(256)))
 
 def _str_sorted(items: Iterable, key: Callable = lambda item: item) -> list:
     """The items in the order of `sorted(items, key=lambda x: str(key(x)))`,
-    the order of JSON bins and of witness scans, without formatting each key
-    when the keys allow it (see `_byte_keys`)."""
+    the order of JSON bins, without formatting each key when the keys allow
+    it (see `_byte_keys`)."""
     items = list(items)
     byte_keys = _byte_keys(list(map(key, items)))
     if byte_keys is None:
@@ -253,11 +253,12 @@ def _fill_digits(column: np.ndarray, start: int, run: int, cycle: np.ndarray) ->
 
 
 def function_blocks(n: int, m: int) -> Iterator[np.ndarray]:
-    """All m^n functions [n] -> [m], in the order of `all_functions`, as
-    column-major int64 blocks of at most BLOCK_ELEMENTS values: row i holds
-    the n base-m digits of i, most significant first, plus one.  Column j is
-    runs of m^(n-1-j) equal digits cycling through 1..m, so each column is
-    copied from that cycle (`_fill_digits`), without a division."""
+    """All m^n functions [n] -> [m], in the order of
+    `itertools.product(range(1, m + 1), repeat=n)`, as column-major int64
+    blocks of at most BLOCK_ELEMENTS values: row i holds the n base-m digits
+    of i, most significant first, plus one.  Column j is runs of m^(n-1-j)
+    equal digits cycling through 1..m, so each column is copied from that
+    cycle (`_fill_digits`), without a division."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     total = m**n
@@ -497,13 +498,22 @@ class EquidistributionReport:
     n: int
     feature: str
     equal: bool
-    witness: Optional[Hashable]  # first violating feature value, if any
+    witness: Optional[Hashable]  # the violating feature value first in str order, if any
 
 
 # The features whose law on PF_n, scaled by n + 1, equals their law on
 # [n+1]^n: what `parkfn compare` checks by default.
 EQUIDISTRIBUTED_FEATURES = ("descent-pattern", "equality-pattern", "weak-descent-pattern",
                             "species", "inversions", "longest-run")
+
+# The features (f_{i-1} r f_i, f_i r' f_{i+1}) at a position i in [2, n-1],
+# as (r, r').  The strict peak and the mixed chain are negative controls:
+# their laws on PF_n and [n+1]^n differ, as do those of forced-gap and
+# non-disjoint-chain.  The weak peak is not a chain-poset event, but its law
+# is the same: it is a rise f_{i-1} < f_i minus a double rise
+# f_{i-1} < f_i < f_{i+1}, two disjoint-chain events, each equidistributed.
+_PEAK_RELATIONS = {"strict-peak": ("<", ">"), "mixed-chain": ("<=", "<"),
+                  "weak-peak": ("<", ">=")}
 
 
 def _feature_kernel(feature: str, n: int, relation: str = "<",
@@ -517,22 +527,20 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
         if pattern:
             return st.descent_pattern_statistic(pattern)
         return statistic_kernel(feature, relation)
-    # Negative controls (they distinguish the ensembles): all features below but chain-poset.
     if feature == "forced-gap":
         if n < 2:
             raise ValueError("forced-gap needs n >= 2")
         return lambda block, n, m: block[:, 0] < block[:, 1] - 1
-    i = position
-    if feature in ("strict-peak", "mixed-chain") and not 2 <= i <= n - 1:
-        raise ValueError(f"{feature} position must be in [2, n-1], got {i}")
-    if feature == "chain-poset":
+    if feature in _PEAK_RELATIONS:
+        i = position
+        if not 2 <= i <= n - 1:
+            raise ValueError(f"{feature} position must be in [2, n-1], got {i}")
+        left, right = _PEAK_RELATIONS[feature]
+        chains = (st.Chain((i - 1, i), left), st.Chain((i, i + 1), right))
+    elif feature == "chain-poset":
         if poset is None:
             raise ValueError("chain-poset feature needs a poset")
         chains = poset.chains
-    elif feature == "strict-peak":  # f_{i-1} < f_i > f_{i+1}
-        chains = (st.Chain((i - 1, i), "<"), st.Chain((i, i + 1), ">"))
-    elif feature == "mixed-chain":  # f_{i-1} <= f_i < f_{i+1}
-        chains = (st.Chain((i - 1, i), "<="), st.Chain((i, i + 1), "<"))
     elif feature == "non-disjoint-chain":  # 1<2<3 and 4<2<5 share position 2
         chains = (st.Chain((1, 2, 3), "<"), st.Chain((4, 2, 5), "<"))
     else:
@@ -550,10 +558,10 @@ def exact_equidistribution(n: int, feature: str, relation: str = "<",
     # both sources check their size before either census starts
     sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
     pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh) for blocks, weigh in sources)
-    for v in _str_sorted(set(pf_counts) | set(f_counts)):
-        if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0):
-            return EquidistributionReport(n=n, feature=feature, equal=False, witness=v)
-    return EquidistributionReport(n=n, feature=feature, equal=True, witness=None)
+    # one census's values share one type, so no two of them print alike
+    witness = min((v for v in set(pf_counts) | set(f_counts)
+                   if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0)), key=str, default=None)
+    return EquidistributionReport(n=n, feature=feature, equal=witness is None, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -566,28 +574,16 @@ class WeakPeakReport:
 
 
 def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeakReport:
-    """Verify P(f_{i-1} < f_i >= f_{i+1}) is equal across ensembles, exactly,
-    via inclusion-exclusion over two chain posets:
-    #(weak peak) = #(f_{i-1} < f_i) - #(f_{i-1} < f_i < f_{i+1})."""
-    if not 2 <= i <= n - 1:
-        raise ValueError("peak position must be in [2, n-1]")
-    rise = st.Chain((i - 1, i), "<")
-    conditions = ((rise,), (st.Chain((i - 1, i, i + 1), "<"),),
-                  (rise, st.Chain((i, i + 1), ">=")))
-
-    def census(blocks) -> list[int]:
-        return sum(np.array([np.count_nonzero(st._chains_hold(block, c)) for c in conditions])
-                   for block in blocks).tolist()
-
-    pf1, pf2, pf_direct = census(pf_blocks(n, limit))
-    f1, f2, f_direct = census(function_blocks(n, n + 1))
-    for name, rises, runs, direct in (("PF_n", pf1, pf2, pf_direct), ("[n+1]^n", f1, f2, f_direct)):
-        if rises - runs != direct:
-            raise RuntimeError(
-                f"weak_peak_check(n={n}, i={i}): inclusion-exclusion fails on {name}: "
-                f"#(rise) {rises} - #(double rise) {runs} != #(weak peak) {direct}")
-    equal = f_direct == (n + 1) * pf_direct
-    return WeakPeakReport(n=n, position=i, equal=equal, pf_count=pf_direct, f_count=f_direct)
+    """Count the weak peaks f_{i-1} < f_i >= f_{i+1} over PF_n and over
+    [n+1]^n, exactly; they are equidistributed when the second count is n + 1
+    times the first (see _PEAK_RELATIONS)."""
+    kernel = _feature_kernel("weak-peak", n, position=i)
+    # both sources check their size before either count starts
+    sources = [_exhaustive_source("weak-peak", n, ensemble, limit) for ensemble in ("pf", "fn1")]
+    pf_count, f_count = (int(sum(np.count_nonzero(kernel(block, n, n + 1)) for block in blocks))
+                         for blocks, _weigh in sources)
+    return WeakPeakReport(n=n, position=i, equal=f_count == (n + 1) * pf_count,
+                          pf_count=pf_count, f_count=f_count)
 
 
 # --- joint coordinate bound ----------------------------------------------

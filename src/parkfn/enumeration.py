@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, permutations, product, repeat, starmap
+from itertools import accumulate, chain, permutations, repeat, starmap
 from math import comb, factorial
 from operator import index
 from struct import Struct
@@ -437,8 +437,3 @@ def species_joint_prob(b: int, B: int, m: Sequence[int]) -> Fraction:
     for r, count in enumerate(m):
         denom *= factorial(r) ** count * factorial(count)
     return Fraction(factorial(B) * factorial(b), denom)
-
-
-def all_functions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All m^n functions [n] -> [m]; the brute-force canonical-ensemble oracle."""
-    return product(range(1, m + 1), repeat=n)

@@ -8,15 +8,21 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import count
+from itertools import count, product
 from typing import Iterator, Optional, Sequence
 
 import mpmath
 
 from parkfn.core import ParkingFunction, PrefSequence, park, queue_profile
-from parkfn.enumeration import DEFAULT_ENUM_LIMIT, all_functions, check_enumeration_size
+from parkfn.enumeration import DEFAULT_ENUM_LIMIT, check_enumeration_size
 from parkfn.limits import _AIRY_ZEROS
 from parkfn.stats import _RELATIONS, ChainPoset, value_counts
+
+
+def all_functions(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """All m^n functions [n] -> [m] in lexicographic order, the order of
+    `itertools.product`; the brute-force canonical-ensemble oracle."""
+    return product(range(1, m + 1), repeat=n)
 
 
 def sorted_profiles(n: int) -> Iterator[tuple[int, ...]]:

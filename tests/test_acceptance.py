@@ -20,7 +20,6 @@ import pytest
 from scipy import integrate
 
 import parkfn as pk
-from parkfn.enumeration import all_functions
 from parkfn.ensemble import ExperimentConfig, run_experiment
 from parkfn.limits import (
     airy_area_density,
@@ -204,13 +203,13 @@ def test_criterion_09_sampler_exactness(capfd):
     for n in range(1, 4):
         hits = Counter(
             shift_sequence(f, find_valid_shift(f, n), n)
-            for f in all_functions(n, n + 1)
+            for f in oracles.all_functions(n, n + 1)
         )
         ok = ok and len(hits) == pk.count_pf(n)
         ok = ok and set(hits.values()) == {n + 1}
         ok = ok and all(pk.is_parking_function(pf, n) for pf in hits)
     for n in range(1, 6):
-        for f in all_functions(n, n + 1):
+        for f in oracles.all_functions(n, n + 1):
             valid = [
                 k for k in range(n + 1)
                 if pk.is_parking_function(shift_sequence(f, k, n), n)

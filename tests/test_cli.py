@@ -22,6 +22,7 @@ from parkfn import (
 )
 from parkfn import cli, stats
 from parkfn.core import dyck_encode, inconvenience, park, queue_profile
+from parkfn.ensemble import EQUIDISTRIBUTED_FEATURES
 from parkfn.enumeration import gf_closed_form
 from parkfn.limits import xi_moment
 from parkfn.stats import max_first_coordinate
@@ -354,19 +355,26 @@ def test_dist_maxwell_requires_x(capsys):
 
 
 def test_compare_features(capsys):
-    code, out, _ = run_cli(capsys, "compare", "--n", "4")
+    code, out, _ = run_cli(capsys, "compare", "--n", "5")
     assert code == EXIT_OK
     lines = [l for l in out.splitlines() if "," in l and not l.startswith("#")]
+    assert lines[0] == "feature,status"
     statuses = dict(l.split(",", 1) for l in lines[1:])
-    for feature in ("descent-pattern", "species", "inversions"):
-        assert statuses[feature] == "equal"
-    assert statuses["weak-peak@2"] == "equal"
+    features = list(EQUIDISTRIBUTED_FEATURES) + [f"weak-peak@{i}" for i in range(2, 5)]
+    assert statuses == dict.fromkeys(features, "equal")
+    assert list(statuses) == features
 
 
 def test_compare_negative_feature(capsys):
     code, out, _ = run_cli(capsys, "compare", "--n", "4", "--feature", "strict-peak")
     assert code == EXIT_OK
     assert "UNEQUAL" in out
+
+
+def test_compare_refuses_ks_with_tv(capsys):
+    # one distance per run, so that neither flag is ignored
+    code, out, err = run_cli(capsys, "compare", "--n", "5", "--ks", "--tv")
+    assert code == EXIT_USAGE and out == "" and "not allowed" in err
 
 
 def test_compare_tv(capsys):

@@ -33,7 +33,6 @@ from parkfn.enumeration import (
     CapacityError,
     _sorted_blocks,
     _table_arrangement_blocks,
-    all_functions,
     consecutive_blocks,
     first_counts,
 )
@@ -43,7 +42,7 @@ def test_enumerate_is_exact_and_distinct():
     for n in range(1, 7):
         listed = list(enumerate_pf(n))
         assert len(listed) == len(set(listed)) == count_pf(n)
-        direct = {f for f in all_functions(n, n) if is_parking_function(f)}
+        direct = {f for f in oracles.all_functions(n, n) if is_parking_function(f)}
         assert set(listed) == direct
         # each sorted profile is one contiguous run, in lexicographic order
         runs = [list(run) for _profile, run in groupby(listed, key=sorted)]
@@ -351,7 +350,7 @@ def test_single_descent_and_covariance_closed_forms():
 
 def test_species_moment_matches_brute():
     for b, B in ((3, 4), (4, 3), (4, 5)):
-        census = Counter(species(f, m=B) for f in all_functions(b, B))
+        census = Counter(species(f, m=B) for f in oracles.all_functions(b, B))
         total = B**b
         for r in range(b + 1):
             brute_mean = Fraction(sum(mu[r] * c for mu, c in census.items()), total)
@@ -365,7 +364,7 @@ def test_species_moment_matches_brute():
 
 def test_species_joint_prob_matches_brute():
     for b, B in ((3, 4), (4, 5)):
-        census = Counter(species(f, m=B) for f in all_functions(b, B))
+        census = Counter(species(f, m=B) for f in oracles.all_functions(b, B))
         total = B**b
         for mu, c in census.items():
             assert species_joint_prob(b, B, mu) == Fraction(c, total)

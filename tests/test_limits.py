@@ -12,7 +12,6 @@ import pytest
 from scipy import integrate
 
 from parkfn import descents
-from parkfn.enumeration import all_functions
 from parkfn.limits import (
     _AIRY_TAIL_X,
     _borel_tail,
@@ -279,7 +278,7 @@ def test_airy_density_meets_the_mpmath_series_at_the_tail_switch():
 def test_descent_sum_moments_match_exhaustive():
     for n in range(2, 6):
         total = (n + 1) ** n
-        census = Counter(descents(f) for f in all_functions(n, n + 1))
+        census = Counter(descents(f) for f in oracles.all_functions(n, n + 1))
         mean = Fraction(sum(d * c for d, c in census.items()), total)
         second = Fraction(sum(d * d * c for d, c in census.items()), total)
         var = second - mean * mean

@@ -19,7 +19,7 @@ from parkfn import (
 )
 from parkfn import sample
 from parkfn.ensemble import function_blocks
-from parkfn.enumeration import all_functions, count_pf
+from parkfn.enumeration import count_pf
 from parkfn.sample import _walks, draw_block, shift_block
 from parkfn.stats import RAW_DRAW_STATISTICS, STATISTICS
 
@@ -100,7 +100,7 @@ def test_shift_sequence_rejects_non_integer_shifts():
 def test_exactly_one_valid_shift_exhaustive():
     # Cycle lemma: each draw over [1, n+1]^n has a unique parking shift.
     for n in range(1, 6):
-        for f in all_functions(n, n + 1):
+        for f in oracles.all_functions(n, n + 1):
             valid = [
                 k
                 for k in range(n + 1)
@@ -114,7 +114,7 @@ def test_shift_map_is_exactly_uniform():
     for n in range(1, 4):
         hits = Counter(
             shift_sequence(f, find_valid_shift(f, n), n)
-            for f in all_functions(n, n + 1)
+            for f in oracles.all_functions(n, n + 1)
         )
         assert len(hits) == count_pf(n)
         assert set(hits.values()) == {n + 1}
