@@ -7,13 +7,14 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import accumulate, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat, takewhile
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import __version__, ensemble, enumeration, stats
-from .core import PrefSequence, dyck_encode, is_parking_function, park, queue_profile
+from .core import PrefSequence, dyck_encode, park, queue_profile
 from .sample import shift_block
 
 EXIT_OK = 0
@@ -215,32 +216,26 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     n = args.n
-    rows = []
-    if args.ks:
-        from . import limits
-
+    if args.ks or args.tv:
         seed = parse_seed(args.seed)
         config = ensemble.ExperimentConfig(
             n=n, count=args.count, seed=seed, ensemble=args.ensemble,
-            statistic="scaled-max-discrepancy",
+            statistic="scaled-max-discrepancy" if args.ks else "first", relation=args.relation,
         )
         hist = ensemble.run_experiment(config)
-        rows.append(("ks_vs_excursion_max",
-                     ensemble.ks_distance_to_limit(hist, limits.max_discrepancy_cdf)))
-        rows.append(("ks_vs_bridge_max",
-                     ensemble.ks_distance_to_limit(hist, limits.bridge_max_cdf)))
+        if args.ks:
+            from . import limits
+
+            rows = [("ks_vs_excursion_max",
+                     ensemble.ks_distance_to_limit(hist, limits.max_discrepancy_cdf)),
+                    ("ks_vs_bridge_max",
+                     ensemble.ks_distance_to_limit(hist, limits.bridge_max_cdf))]
+        else:
+            uniform = {j: 1 / n for j in range(1, n + 1)}
+            rows = [("tv_first_vs_uniform", ensemble.tv_distance(hist, uniform))]
         _emit_rows(args, ("comparison", "value"), rows, _metadata(args, seed=seed))
         return EXIT_OK
-    if args.tv:
-        seed = parse_seed(args.seed)
-        config = ensemble.ExperimentConfig(
-            n=n, count=args.count, seed=seed, ensemble=args.ensemble, statistic="first",
-        )
-        hist = ensemble.run_experiment(config)
-        uniform = {j: 1 / n for j in range(1, n + 1)}
-        rows.append(("tv_first_vs_uniform", ensemble.tv_distance(hist, uniform)))
-        _emit_rows(args, ("comparison", "value"), rows, _metadata(args, seed=seed))
-        return EXIT_OK
+    rows = []
     features = [args.feature] if args.feature else list(ensemble.EQUIDISTRIBUTED_FEATURES)
     for feature in features:
         report = ensemble.exact_equidistribution(n, feature, relation=args.relation)
@@ -253,68 +248,60 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    n_max = args.n_max
-    if n_max < 1:
-        raise UsageError(f"--n-max must be >= 1, got {n_max}")
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        status = "ok" if ok else "FAIL"
-        line = f"[{status}] {name}"
-        if detail and not ok:
-            line += f" ({detail})"
-        print(line)
-        if not ok:
-            failures += 1
-
+def _identities(n_max: int) -> Iterator[tuple[str, str, object, object]]:
+    """The exact identities `verify` checks up to n_max, in order: one
+    (name, where, actual, expected) row each, which holds when actual == expected."""
     # one pass over PF_n per n gives both the count and the first-coordinate census
     censuses = {n: ensemble.exhaustive_histogram(n, "first", limit=n_max).bins
-                 for n in range(1, n_max + 1)}
+                for n in range(1, n_max + 1)}
     for n, census in censuses.items():
-        observed = sum(census.values())
         expected = enumeration.count_pf(n)
-        check(f"count_pf({n}) = {expected}", observed == expected,
-              f"module=enumerate op=count_pf n={n} expected={expected} actual={observed}")
+        yield (f"count_pf({n}) = {expected}", f"enumerate op=count_pf n={n}",
+               sum(census.values()), expected)
     for n, census in censuses.items():
-        expected = enumeration.first_counts(n)
-        check(f"count_first census n={n}", expected == [census.get(k, 0) for k in range(1, n + 1)],
-              f"module=enumerate op=count_first n={n} expected={expected} actual={census}")
+        yield (f"count_first census n={n}", f"enumerate op=count_first n={n}",
+               [census.get(k, 0) for k in range(1, n + 1)], enumeration.first_counts(n))
     for n in range(1, min(n_max, 10) + 1):
         lhs, rhs = enumeration.abel_identity_check(Fraction(1), Fraction(1), n)
-        check(f"abel identity n={n}", lhs == rhs,
-              f"module=enumerate op=abel_identity_check n={n} expected={rhs} actual={lhs}")
+        yield f"abel identity n={n}", f"enumerate op=abel_identity_check n={n}", lhs, rhs
     for n in range(1, n_max + 1):
         brute = Fraction(
             sum(k * c for k, c in enumerate(enumeration.first_counts(n), start=1)),
             enumeration.count_pf(n),
         )
-        exact = enumeration.exact_mean_first(n)
-        check(f"exact_mean_first n={n}", exact == brute,
-              f"module=enumerate op=exact_mean_first n={n} expected={brute} actual={exact}")
+        yield (f"exact_mean_first n={n}", f"enumerate op=exact_mean_first n={n}",
+               enumeration.exact_mean_first(n), brute)
     for n in range(2, min(n_max, 7) + 1):
         for stat in enumeration.GF_STATISTICS:
-            ok = enumeration.gf_statistic(n, stat, limit=n_max) == enumeration.gf_closed_form(n, stat)
-            check(f"gf {stat} n={n}", ok, f"module=enumerate op=gf_statistic stat={stat} n={n}")
+            yield (f"gf {stat} n={n}", f"enumerate op=gf_statistic stat={stat} n={n}",
+                   enumeration.gf_statistic(n, stat, limit=n_max),
+                   enumeration.gf_closed_form(n, stat))
     for n in range(1, min(n_max, 5) + 1):
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            total += enumeration.k_pi_law(n, k)
-        check(f"k_pi_law sums to 1 n={n}", total == 1,
-              f"module=enumerate op=k_pi_law n={n} expected=1 actual={total}")
+        yield (f"k_pi_law sums to 1 n={n}", f"enumerate op=k_pi_law n={n}",
+               sum(enumeration.k_pi_law(n, k) for k in range(1, n + 1)), 1)
     for n in range(1, min(n_max, 4) + 1):
         # every function [n] -> [n+1], shifted: each parking function n+1 times
-        shifted = (shift_block(block, n) for block in ensemble.function_blocks(n, n + 1))
-        hits = ensemble._census(lambda block, n, m: block, shifted, n, n + 1)
-        ok = (all(is_parking_function(f, n) and c == n + 1 for f, c in hits.items())
-              and len(hits) == enumeration.count_pf(n))
-        check(f"sampler shift exactness n={n}", ok,
-              f"module=sample op=shift_block n={n}")
+        shifted = (shift_block(block, n).tolist() for block in ensemble.function_blocks(n, n + 1))
+        yield (f"sampler shift exactness n={n}", f"sample op=shift_block n={n}",
+               Counter(map(tuple, chain.from_iterable(shifted))),
+               dict.fromkeys(enumeration.enumerate_pf(n), n + 1))
     for n in range(2, min(n_max, 5) + 1):
-        report = ensemble.exact_equidistribution(n, "descent-pattern")
-        check(f"equidistribution descent-pattern n={n}", report.equal,
-              f"module=ensemble op=exact_equidistribution n={n} witness={report.witness}")
+        # the witness is the first value whose counts differ: none when equal
+        yield (f"equidistribution descent-pattern n={n}",
+               f"ensemble op=exact_equidistribution n={n}",
+               ensemble.exact_equidistribution(n, "descent-pattern").witness, None)
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        raise UsageError(f"--n-max must be >= 1, got {args.n_max}")
+    failures = 0
+    for name, where, actual, expected in _identities(args.n_max):
+        if actual == expected:
+            print(f"[ok] {name}")
+        else:
+            print(f"[FAIL] {name} (module={where} expected={expected} actual={actual})")
+            failures += 1
     print(f"{failures} failure(s)" if failures else "all identities verified")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
@@ -377,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="equidistribution reports, TV/KS distances")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--feature", default=None)
     p.add_argument("--relation", choices=("<", "<=", ">", ">="), default="<")
     distance = p.add_mutually_exclusive_group()
+    distance.add_argument("--feature", default=None)
     distance.add_argument("--ks", action="store_true",
                           help="KS distance of scaled max-discrepancy to the limit laws")
     distance.add_argument("--tv", action="store_true",

@@ -54,6 +54,9 @@ class ExperimentConfig:
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         statistic_kernel(self.statistic, self.relation)
+        if self.relation != "<" and self.statistic != "longest-run":
+            raise ValueError(f"relation {self.relation!r} applies to longest-run only, "
+                             f"not to {self.statistic!r}")
 
 
 @dataclass

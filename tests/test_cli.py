@@ -20,7 +20,7 @@ from parkfn import (
     sample_uniform_function,
     split_stream,
 )
-from parkfn import cli, stats
+from parkfn import cli, enumeration, stats
 from parkfn.core import dyck_encode, inconvenience, park, queue_profile
 from parkfn.ensemble import EQUIDISTRIBUTED_FEATURES
 from parkfn.enumeration import gf_closed_form
@@ -372,9 +372,17 @@ def test_compare_negative_feature(capsys):
 
 
 def test_compare_refuses_ks_with_tv(capsys):
-    # one distance per run, so that neither flag is ignored
-    code, out, err = run_cli(capsys, "compare", "--n", "5", "--ks", "--tv")
-    assert code == EXIT_USAGE and out == "" and "not allowed" in err
+    # one distance per run, and a relation only where it is read, so that no
+    # option is ignored
+    cases = [(("compare", "--n", "5", "--ks", "--tv"), "not allowed"),
+             (("compare", "--n", "5", "--ks", "--feature", "species"), "not allowed"),
+             (("compare", "--n", "5", "--tv", "--feature", "species"), "not allowed"),
+             (("compare", "--n", "5", "--ks", "--relation", ">"), "longest-run only"),
+             (("sample", "--n", "6", "--count", "5", "--stat", "descent-pattern",
+               "--relation", ">"), "longest-run only")]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and message in err, argv
 
 
 def test_compare_tv(capsys):
@@ -389,13 +397,37 @@ def test_compare_tv(capsys):
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
     assert code == EXIT_OK
-    assert "[ok]" in out
-    assert "FAIL" not in out
-    assert "all identities verified" in out
+    sizes = range(1, 5)
+    names = [f"count_pf({n}) = {count_pf(n)}" for n in sizes]
+    names += [f"count_first census n={n}" for n in sizes]
+    names += [f"abel identity n={n}" for n in sizes]
+    names += [f"exact_mean_first n={n}" for n in sizes]
+    names += [f"gf {stat} n={n}" for n in range(2, 5) for stat in ("repeats", "lucky", "ones")]
+    names += [f"k_pi_law sums to 1 n={n}" for n in sizes]
+    names += [f"sampler shift exactness n={n}" for n in sizes]
+    names += [f"equidistribution descent-pattern n={n}" for n in range(2, 5)]
+    assert len(names) == 36
+    assert out.splitlines() == [f"[ok] {name}" for name in names] + ["all identities verified"]
     # a cap below 1 would check nothing and still report success
     for n_max in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify", "--n-max", n_max)
         assert code == EXIT_USAGE and "verified" not in out and "--n-max" in err
+
+
+def test_verify_reports_a_failing_identity(capsys, monkeypatch):
+    def wrong_at_3_lucky(n, stat):
+        return (0,) if (n, stat) == (3, "lucky") else gf_closed_form(n, stat)
+
+    monkeypatch.setattr(enumeration, "gf_closed_form", wrong_at_3_lucky)
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+    assert code == cli.EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert [l for l in lines if not l.startswith("[ok]")] == [
+        "[FAIL] gf lucky n=3 (module=enumerate op=gf_statistic stat=lucky n=3 "
+        "expected=(0,) actual=(0, 2, 8, 6))",
+        "1 failure(s)",
+    ]
+    assert lines[-1] == "1 failure(s)"
 
 
 def test_out_file_writing(tmp_path, capsys):

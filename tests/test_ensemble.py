@@ -28,7 +28,7 @@ from parkfn import (
 )
 from parkfn import ensemble, sample, stats
 from parkfn.core import inconvenience
-from parkfn.enumeration import CapacityError, count_pf, enumerate_pf
+from parkfn.enumeration import CapacityError, count_pf, enumerate_pf, first_counts, gf_closed_form
 from parkfn.ensemble import _feature_kernel, sample_blocks
 from parkfn.sample import (
     sample_parking_function,
@@ -52,6 +52,9 @@ def test_config_validation():
         ("'entropy'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="entropy")),
         ("'~'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="longest-run",
                                          relation="~")),
+        # a relation is read by longest-run only, so it is refused elsewhere
+        ("'>'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="descent-pattern",
+                                         relation=">")),
         ("'bogus'", lambda: exhaustive_histogram(3, "bogus")),
         ("'~'", lambda: exact_equidistribution(3, "longest-run", relation="~")),
     ]
@@ -144,21 +147,27 @@ def test_sampled_max_discrepancy_matches_its_exact_law():
     # below sqrt(ln(2/alpha) / (2N)) but with probability alpha (the DKW
     # inequality with Massart's constant; the bound is conservative for a
     # discrete law)
-    n, count, alpha = 7, 20_000, 1e-6
+    count, alpha = 20_000, 1e-6
     bound = math.sqrt(math.log(2 / alpha) / (2 * count))
-    for ensemble_name in ensemble.ENSEMBLES:
-        exact = exhaustive_histogram(n, "max-discrepancy", ensemble_name).bins
+    cases = [("max-discrepancy", 7, ensemble_name,
+              exhaustive_histogram(7, "max-discrepancy", ensemble_name).bins)
+             for ensemble_name in ensemble.ENSEMBLES]
+    # at Monte Carlo size: the row form of lucky and the raw-draw kernels
+    cases += [(stat, 100, "pf", dict(enumerate(gf_closed_form(100, stat))))
+              for stat in ("lucky", "repeats", "ones")]
+    cases.append(("first", 100, "pf", dict(enumerate(first_counts(100), start=1))))
+    for stat, n, ensemble_name, exact in cases:
         sampled = run_experiment(ExperimentConfig(n=n, count=count, seed=2024,
                                                   ensemble=ensemble_name,
-                                                  statistic="max-discrepancy")).bins
-        assert set(sampled) <= set(exact)
+                                                  statistic=stat)).bins
+        assert set(sampled) <= {v for v, c in exact.items() if c}, (stat, ensemble_name)
         total = sum(exact.values())
         gap = exact_cdf = sampled_cdf = 0
         for value in sorted(exact):
             exact_cdf += exact[value]
             sampled_cdf += sampled.get(value, 0)
             gap = max(gap, abs(exact_cdf / total - sampled_cdf / count))
-        assert gap < bound, (ensemble_name, gap)
+        assert gap < bound, (stat, n, ensemble_name, gap)
 
 
 def test_registry_statistics_match_reference_functions():
