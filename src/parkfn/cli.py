@@ -58,13 +58,9 @@ def parse_function(text: str) -> PrefSequence:
     return PrefSequence(values=tuple(values), m=max(len(values), max(values)))
 
 
-def _metadata(args: argparse.Namespace, **extra) -> dict:
-    meta = {"tool_version": __version__}
-    for key in ("seed", "n", "count", "stat", "ensemble"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            meta[key] = getattr(args, key)
-    meta.update(extra)
-    return meta
+def _metadata(**values) -> dict:
+    """The tool version, then each value the command read, once."""
+    return {"tool_version": __version__, **values}
 
 
 @contextmanager
@@ -100,10 +96,10 @@ def _emit_rows(args: argparse.Namespace, header: Sequence[str],
 def cmd_sample(args: argparse.Namespace) -> int:
     seed = parse_seed(args.seed)
     n = args.n
+    meta = _metadata(seed=seed, n=n, count=args.count, ensemble=args.ensemble)
     if args.stat:
         config = ensemble.ExperimentConfig(
-            n=n, count=args.count, seed=seed, ensemble=args.ensemble,
-            statistic=args.stat, relation=args.relation,
+            n=n, count=args.count, seed=seed, ensemble=args.ensemble, statistic=args.stat,
         )
         hist = ensemble.run_experiment(config)
         payload = hist.to_json_dict()
@@ -112,14 +108,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
         else:
             rows = [("|".join(map(str, b["value"])) if isinstance(b["value"], list) else b["value"],
                      b["count"]) for b in payload["bins"]]
-            _emit_rows(args, ("value", "count"), rows,
-                       _metadata(args, seed=seed, statistic=args.stat))
+            _emit_rows(args, ("value", "count"), rows, {**meta, "statistic": args.stat})
         return EXIT_OK
     # raw functions, one per line
     functions = [",".join(map(str, f))
                  for block in ensemble.sample_blocks(n, args.count, seed, args.ensemble)
                  for f in block.tolist()]
-    meta = _metadata(args, seed=seed)
     if args.format == "json":
         _emit_json(args, {**meta, "functions": functions})
     else:
@@ -142,9 +136,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     outcome = park(values)  # succeeds exactly on parking functions
     result: dict = {"function": ",".join(map(str, values)), "n": n,
                     "is_parking_function": outcome.success}
-    for name in (*stats.STATISTICS, "longest-run"):
+    for name, kernel in stats.STATISTICS.items():
         if name != "lucky" or outcome.success:  # lucky is defined on PF_n only
-            result[name] = stats.statistic_kernel(name, args.relation)(block, n, m)[0].tolist()
+            result[name] = kernel(block, n, m)[0].tolist()
     if outcome.success:
         result.update({
             "spots": list(outcome.spots),
@@ -164,7 +158,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise UsageError(f"--stat enumerates PF_{n}, above --n-max {args.n_max}; "
                              "raise --n-max to opt in")
         poly = enumeration.gf_statistic(n, args.stat, limit=args.n_max)
-        meta = _metadata(args, statistic=args.stat, polynomial="coefficients by power of q")
+        meta = _metadata(n=n, statistic=args.stat, polynomial="coefficients by power of q")
         _emit_rows(args, ("power", "coefficient"), list(enumerate(poly)), meta)
         return EXIT_OK
     # Python prints ints of at most this many digits (0: any); an n whose
@@ -180,7 +174,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         rows.append(("mean_first", str(enumeration.exact_mean_first(n))))
     except ValueError:  # its numerator can have a few digits more than the total
         raise too_long from None
-    _emit_rows(args, ("quantity", "value"), rows, _metadata(args))
+    _emit_rows(args, ("quantity", "value"), rows, _metadata(n=n))
     return EXIT_OK
 
 
@@ -208,8 +202,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         raise UsageError(f"--min {args.min} --max {args.max} --step {args.step} "
                          f"gives more than {DIST_MAX_ROWS} rows")
     rows = [(x if handle.kind == "pmf" else round(x, 10), handle.evaluate(x)) for x in grid]
-    meta = _metadata(args, distribution=handle.name,
-                     **{k: v for k, v in handle.parameters})
+    meta = _metadata(distribution=handle.name, **dict(handle.parameters))
     _emit_rows(args, ("argument", "value"), rows, meta)
     return EXIT_OK
 
@@ -220,7 +213,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         seed = parse_seed(args.seed)
         config = ensemble.ExperimentConfig(
             n=n, count=args.count, seed=seed, ensemble=args.ensemble,
-            statistic="scaled-max-discrepancy" if args.ks else "first", relation=args.relation,
+            statistic="scaled-max-discrepancy" if args.ks else "first",
         )
         hist = ensemble.run_experiment(config)
         if args.ks:
@@ -233,18 +226,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
         else:
             uniform = {j: 1 / n for j in range(1, n + 1)}
             rows = [("tv_first_vs_uniform", ensemble.tv_distance(hist, uniform))]
-        _emit_rows(args, ("comparison", "value"), rows, _metadata(args, seed=seed))
+        meta = _metadata(seed=seed, n=n, count=args.count, ensemble=args.ensemble)
+        _emit_rows(args, ("comparison", "value"), rows, meta)
         return EXIT_OK
+    # the exact mode compares both ensembles exhaustively: no seed, count or ensemble
+    features = [args.feature] if args.feature else [
+        *ensemble.EQUIDISTRIBUTED_FEATURES, *(f"weak-peak@{i}" for i in range(2, n))]
     rows = []
-    features = [args.feature] if args.feature else list(ensemble.EQUIDISTRIBUTED_FEATURES)
     for feature in features:
-        report = ensemble.exact_equidistribution(n, feature, relation=args.relation)
+        report = ensemble.exact_equidistribution(n, feature)
         rows.append((feature, "equal" if report.equal else f"UNEQUAL at {report.witness}"))
-    if not args.feature and n >= 3:
-        for i in range(2, n):
-            report = ensemble.weak_peak_check(n, i)
-            rows.append((f"weak-peak@{i}", "equal" if report.equal else "UNEQUAL"))
-    _emit_rows(args, ("feature", "status"), rows, _metadata(args))
+    _emit_rows(args, ("feature", "status"), rows, _metadata(n=n))
     return EXIT_OK
 
 
@@ -332,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", default=None,
                    help="histogram this statistic instead of emitting functions")
     p.add_argument("--ensemble", choices=ensemble.ENSEMBLES, default="pf")
-    p.add_argument("--relation", choices=("<", "<=", ">", ">="), default="<")
     common(p)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("stats", help="compute all statistics of one function")
     p.add_argument("--pf", default=None, help='inline function, e.g. "1,3,5,3,1"')
     p.add_argument("--file", default=None, help="file containing the function")
-    p.add_argument("--relation", choices=("<", "<=", ">", ">="), default="<")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_stats)
 
@@ -364,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="equidistribution reports, TV/KS distances")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--relation", choices=("<", "<=", ">", ">="), default="<")
     distance = p.add_mutually_exclusive_group()
-    distance.add_argument("--feature", default=None)
+    distance.add_argument("--feature", default=None,
+                          help='one feature, e.g. "longest-run>=" or "strict-peak@3"')
     distance.add_argument("--ks", action="store_true",
                           help="KS distance of scaled max-discrepancy to the limit laws")
     distance.add_argument("--tv", action="store_true",

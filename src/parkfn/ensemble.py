@@ -40,7 +40,6 @@ class ExperimentConfig:
     seed: int
     ensemble: str = "pf"
     statistic: str = "first"
-    relation: str = "<"  # used by longest-run only
 
     def __post_init__(self) -> None:
         # plain ints: a float raises TypeError (seed 1.5 would alias seed 1's
@@ -53,10 +52,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        statistic_kernel(self.statistic, self.relation)
-        if self.relation != "<" and self.statistic != "longest-run":
-            raise ValueError(f"relation {self.relation!r} applies to longest-run only, "
-                             f"not to {self.statistic!r}")
+        statistic_kernel(self.statistic)
 
 
 @dataclass
@@ -334,8 +330,7 @@ def _sample_source(config: ExperimentConfig) -> tuple[Iterator[np.ndarray], Call
     # by name, not by kernel, as in `_exhaustive_source`
     if config.ensemble == "pf" and config.statistic in st.RAW_DRAW_STATISTICS:
         return _draws(n, count, seed, n + 1), st.RAW_DRAW_STATISTICS[config.statistic]
-    return (sample_blocks(n, count, seed, config.ensemble),
-            statistic_kernel(config.statistic, config.relation))
+    return sample_blocks(n, count, seed, config.ensemble), statistic_kernel(config.statistic)
 
 
 def run_experiment(config: ExperimentConfig) -> Histogram:
@@ -355,13 +350,13 @@ def run_experiment(config: ExperimentConfig) -> Histogram:
 
 
 def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
-                         relation: str = "<", limit: int = DEFAULT_ENUM_LIMIT) -> Histogram:
+                         limit: int = DEFAULT_ENUM_LIMIT) -> Histogram:
     """Exact histogram of a statistic over all of PF_n or an all-functions
     ensemble; counts are exact integers.  Raises ValueError for an ensemble
     not in ENSEMBLES and `CapacityError` for n > limit on every ensemble,
     before any block is built."""
     blocks, weigh = _exhaustive_source(statistic, n, ensemble, limit)
-    kernel = statistic_kernel(statistic, relation)
+    kernel = statistic_kernel(statistic)
     m = _codomain(ensemble, n)
     return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
                      count="exhaustive", bins=_census(kernel, blocks, n, m, weigh))
@@ -510,7 +505,8 @@ EQUIDISTRIBUTED_FEATURES = ("descent-pattern", "equality-pattern", "weak-descent
                             "species", "inversions", "longest-run")
 
 # The features (f_{i-1} r f_i, f_i r' f_{i+1}) at a position i in [2, n-1],
-# as (r, r').  The strict peak and the mixed chain are negative controls:
+# as (r, r'), each named with its position: "weak-peak@3" is the weak peak
+# at i = 3.  The strict peak and the mixed chain are negative controls:
 # their laws on PF_n and [n+1]^n differ, as do those of forced-gap and
 # non-disjoint-chain.  The weak peak is not a chain-poset event, but its law
 # is the same: it is a rise f_{i-1} < f_i minus a double rise
@@ -519,27 +515,35 @@ _PEAK_RELATIONS = {"strict-peak": ("<", ">"), "mixed-chain": ("<=", "<"),
                   "weak-peak": ("<", ">=")}
 
 
-def _feature_kernel(feature: str, n: int, relation: str = "<",
-                    poset: Optional[st.ChainPoset] = None,
-                    position: int = 2) -> Callable:
-    """The kernel of a feature on functions [n] -> [n+1].  Comparisons only
-    depend on relative values, so the same kernel serves PF_n and the
-    extended ensemble; both are scored with codomain n + 1."""
-    if feature in EQUIDISTRIBUTED_FEATURES:
-        pattern = {"equality-pattern": "=", "weak-descent-pattern": "<="}.get(feature)
-        if pattern:
-            return st.descent_pattern_statistic(pattern)
-        return statistic_kernel(feature, relation)
-    if feature == "forced-gap":
+# The descent patterns under "=" and "<=", beside the registry's "<".
+_PATTERN_RELATIONS = {"equality-pattern": "=", "weak-descent-pattern": "<="}
+
+
+def _feature_kernel(feature: str, n: int, poset: Optional[st.ChainPoset] = None) -> Callable:
+    """The kernel of a feature on functions [n] -> [n+1]: a pattern of
+    _PATTERN_RELATIONS, a registry statistic, or a chain feature.
+    Comparisons only depend on relative values, so the same kernel serves
+    PF_n and the extended ensemble; both are scored with codomain n + 1.
+    Raises ValueError, naming the feature, for a peak without a position in
+    [2, n-1] and for a position on any other feature."""
+    if feature in _PATTERN_RELATIONS:
+        return st.descent_pattern_statistic(_PATTERN_RELATIONS[feature])
+    if feature in STATISTICS:
+        return STATISTICS[feature]
+    name, at, position = feature.partition("@")
+    if name in _PEAK_RELATIONS:
+        if not (position.isdecimal() and 2 <= int(position) <= n - 1):
+            raise ValueError(f"feature {feature!r} needs a position in [2, n-1] "
+                             f"(n = {n}), as in {name}@2")
+        i = int(position)
+        left, right = _PEAK_RELATIONS[name]
+        chains = (st.Chain((i - 1, i), left), st.Chain((i, i + 1), right))
+    elif at:
+        raise ValueError(f"feature {feature!r}: only a peak takes a position")
+    elif feature == "forced-gap":
         if n < 2:
             raise ValueError("forced-gap needs n >= 2")
         return lambda block, n, m: block[:, 0] < block[:, 1] - 1
-    if feature in _PEAK_RELATIONS:
-        i = position
-        if not 2 <= i <= n - 1:
-            raise ValueError(f"{feature} position must be in [2, n-1], got {i}")
-        left, right = _PEAK_RELATIONS[feature]
-        chains = (st.Chain((i - 1, i), left), st.Chain((i, i + 1), right))
     elif feature == "chain-poset":
         if poset is None:
             raise ValueError("chain-poset feature needs a poset")
@@ -552,12 +556,13 @@ def _feature_kernel(feature: str, n: int, relation: str = "<",
     return lambda block, n, m: st._chains_hold(block, chains)
 
 
-def exact_equidistribution(n: int, feature: str, relation: str = "<",
-                           poset: Optional[st.ChainPoset] = None, position: int = 2,
+def exact_equidistribution(n: int, feature: str, poset: Optional[st.ChainPoset] = None,
                            limit: int = DEFAULT_ENUM_LIMIT) -> EquidistributionReport:
     """Brute-force joint feature distribution over PF_n versus all functions
-    [n] -> [n+1]; equality must hold exactly after scaling by n+1."""
-    kernel = _feature_kernel(feature, n, relation=relation, poset=poset, position=position)
+    [n] -> [n+1]; equality must hold exactly after scaling by n+1.  The
+    feature is any name `_feature_kernel` takes: "longest-run>=",
+    "strict-peak@3", or "chain-poset" with a poset."""
+    kernel = _feature_kernel(feature, n, poset=poset)
     # both sources check their size before either census starts
     sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
     pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh) for blocks, weigh in sources)
@@ -580,9 +585,10 @@ def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeak
     """Count the weak peaks f_{i-1} < f_i >= f_{i+1} over PF_n and over
     [n+1]^n, exactly; they are equidistributed when the second count is n + 1
     times the first (see _PEAK_RELATIONS)."""
-    kernel = _feature_kernel("weak-peak", n, position=i)
+    feature = f"weak-peak@{i}"
+    kernel = _feature_kernel(feature, n)
     # both sources check their size before either count starts
-    sources = [_exhaustive_source("weak-peak", n, ensemble, limit) for ensemble in ("pf", "fn1")]
+    sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
     pf_count, f_count = (int(sum(np.count_nonzero(kernel(block, n, n + 1)) for block in blocks))
                          for blocks, _weigh in sources)
     return WeakPeakReport(n=n, position=i, equal=f_count == (n + 1) * pf_count,

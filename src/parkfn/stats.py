@@ -219,6 +219,35 @@ def _stat_kmax(block, n, m):
     return np.where(g.min(axis=1) >= -1, k, 0)
 
 
+# The running run length beats the row form from 512 rows (at 256 rows it
+# takes 0.9-1.7 times the row form's time, at 512 rows 0.3-1.0).
+_RUN_COLUMN_ROWS = 512
+
+
+def longest_run_statistic(relation: str) -> Callable:
+    """Kernel of `longest_run`.  Number the pairs (f_j, f_{j+1}) by
+    j = 1..n-1: the run of pairs that hold the relation and end at pair j is
+    j minus the last pair <= j that fails it (0 if none), and the longest run
+    of values is one more than the longest run of pairs."""
+    op = _relation(relation)
+
+    def kernel(block, n, m):
+        if block.shape[0] >= _RUN_COLUMN_ROWS:  # the run ending at each pair, pair by pair
+            run = np.zeros(block.shape[0], dtype=np.int64)
+            longest = np.zeros_like(run)
+            for j in range(1, n):
+                run += 1
+                run *= op(block[:, j - 1], block[:, j])
+                np.maximum(longest, run, out=longest)
+            return longest + 1
+        pairs = np.arange(1, n)
+        fails = np.where(op(block[:, :-1], block[:, 1:]), 0, pairs)
+        runs = pairs - np.maximum.accumulate(fails, axis=1)
+        return runs.max(axis=1, initial=0) + 1
+
+    return kernel
+
+
 STATISTICS: dict[str, Callable] = {
     "first": _stat_first,
     "area": _stat_area,
@@ -233,7 +262,18 @@ STATISTICS: dict[str, Callable] = {
     "max-discrepancy": _stat_max_discrepancy,
     "scaled-max-discrepancy": _stat_scaled_max_discrepancy,
     "kmax": _stat_kmax,
+    # longest-run under each relation, named by it: "longest-run" for "<",
+    # then "longest-run>", "longest-run<=", "longest-run>=" and "longest-run="
+    **{"longest-run" + ("" if r == "<" else r): longest_run_statistic(r) for r in _RELATIONS},
 }
+
+
+def statistic_kernel(statistic: str) -> Callable:
+    """The registry kernel of a statistic; ValueError for an unknown name."""
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    return STATISTICS[statistic]
+
 
 # The statistics whose value depends only on the multiset of a function's
 # values, so that every arrangement of a sorted row scores as the row does:
@@ -328,46 +368,6 @@ RAW_DRAW_STATISTICS: dict[str, Callable] = {
     "max-discrepancy": _draw_max_discrepancy,
     "scaled-max-discrepancy": _draw_scaled_max_discrepancy,
 }
-
-
-# The running run length beats the row form from 512 rows (at 256 rows it
-# takes 0.9-1.7 times the row form's time, at 512 rows 0.3-1.0).
-_RUN_COLUMN_ROWS = 512
-
-
-def longest_run_statistic(relation: str) -> Callable:
-    """Kernel of `longest_run`.  Number the pairs (f_j, f_{j+1}) by
-    j = 1..n-1: the run of pairs that hold the relation and end at pair j is
-    j minus the last pair <= j that fails it (0 if none), and the longest run
-    of values is one more than the longest run of pairs."""
-    op = _relation(relation)
-
-    def kernel(block, n, m):
-        if block.shape[0] >= _RUN_COLUMN_ROWS:  # the run ending at each pair, pair by pair
-            run = np.zeros(block.shape[0], dtype=np.int64)
-            longest = np.zeros_like(run)
-            for j in range(1, n):
-                run += 1
-                run *= op(block[:, j - 1], block[:, j])
-                np.maximum(longest, run, out=longest)
-            return longest + 1
-        pairs = np.arange(1, n)
-        fails = np.where(op(block[:, :-1], block[:, 1:]), 0, pairs)
-        runs = pairs - np.maximum.accumulate(fails, axis=1)
-        return runs.max(axis=1, initial=0) + 1
-
-    return kernel
-
-
-def statistic_kernel(statistic: str, relation: str = "<") -> Callable:
-    """The kernel of a statistic: a registry entry, or longest-run under the
-    relation.  Raises ValueError for an unknown statistic or relation."""
-    _relation(relation)
-    if statistic == "longest-run":
-        return longest_run_statistic(relation)
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    return STATISTICS[statistic]
 
 
 # --- one function ---------------------------------------------------------

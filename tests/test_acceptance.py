@@ -133,8 +133,8 @@ def test_criterion_06_equidistribution(capfd):
         for feature in ("descent-pattern", "equality-pattern",
                         "weak-descent-pattern", "species", "inversions"):
             ok = ok and pk.exact_equidistribution(n, feature).equal
-        for relation in ("<", "<=", ">", ">="):
-            ok = ok and pk.exact_equidistribution(n, "longest-run", relation=relation).equal
+        for name in ("longest-run", "longest-run<=", "longest-run>", "longest-run>="):
+            ok = ok and pk.exact_equidistribution(n, name).equal
     posets = [
         (4, pk.ChainPoset((pk.Chain((1, 3), "<"), pk.Chain((2, 4), ">=")))),
         (5, pk.ChainPoset((pk.Chain((2, 3, 5), "<="),))),
@@ -146,8 +146,8 @@ def test_criterion_06_equidistribution(capfd):
         for i in range(2, n):
             ok = ok and pk.weak_peak_check(n, i).equal
     # negative controls must report inequality at some n <= 5
-    ok = ok and not pk.exact_equidistribution(3, "strict-peak").equal
-    ok = ok and not pk.exact_equidistribution(3, "mixed-chain").equal
+    ok = ok and not pk.exact_equidistribution(3, "strict-peak@2").equal
+    ok = ok and not pk.exact_equidistribution(3, "mixed-chain@2").equal
     ok = ok and not pk.exact_equidistribution(5, "non-disjoint-chain").equal
     ok = ok and not pk.exact_equidistribution(2, "forced-gap").equal
     verdict(capfd, "criterion 6: exact equidistribution n<=6 incl. chains and "

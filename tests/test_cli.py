@@ -140,7 +140,11 @@ def test_stats_non_parking_function(capsys):
     assert result["failed_at"] == 2
 
 
-def _stats_oracle(values, relation):
+# Each longest-run key of `stats` and the relation it names.
+LONGEST_RUNS = {"longest-run" + ("" if r == "<" else r): r for r in ("<", ">", "<=", ">=", "=")}
+
+
+def _stats_oracle(values):
     """What `stats` prints for a function, from the scalar definitions."""
     n = len(values)
     m = max(n, *values)
@@ -167,7 +171,7 @@ def _stats_oracle(values, relation):
         "max-discrepancy": discrepancy,
         "scaled-max-discrepancy": discrepancy / math.sqrt(n),
         "kmax": decomp.k if decomp else 0,
-        "longest-run": oracles.longest_run(values, relation),
+        **{name: oracles.longest_run(values, r) for name, r in LONGEST_RUNS.items()},
     }
     if is_pf:
         expected.update({"lucky": oracles.lucky(values), "spots": list(outcome.spots),
@@ -180,14 +184,13 @@ def _stats_oracle(values, relation):
 
 def test_stats_matches_scalar_oracles(capsys):
     # every function [n] -> [n+1] for n <= 4: each key, and the key set, as
-    # the scalar oracles give them
-    for relation in ("<", ">="):
-        for n in range(1, 5):
-            for values in product(range(1, n + 2), repeat=n):
-                text = ",".join(map(str, values))
-                code, out, _ = run_cli(capsys, "stats", "--pf", text, "--relation", relation)
-                assert code == EXIT_OK
-                assert json.loads(out) == _stats_oracle(values, relation), (text, relation)
+    # the scalar oracles give them, longest-run under every relation
+    for n in range(1, 5):
+        for values in product(range(1, n + 2), repeat=n):
+            text = ",".join(map(str, values))
+            code, out, _ = run_cli(capsys, "stats", "--pf", text)
+            assert code == EXIT_OK
+            assert json.loads(out) == _stats_oracle(values), text
 
 
 def test_stats_inversions_at_dtype_edges(capsys):
@@ -366,20 +369,49 @@ def test_compare_features(capsys):
 
 
 def test_compare_negative_feature(capsys):
-    code, out, _ = run_cli(capsys, "compare", "--n", "4", "--feature", "strict-peak")
+    # a peak's row is labelled with the position it names
+    code, out, _ = run_cli(capsys, "compare", "--n", "4", "--feature", "strict-peak@3")
     assert code == EXIT_OK
-    assert "UNEQUAL" in out
+    assert out.splitlines()[-1].startswith("strict-peak@3,UNEQUAL at ")
+    code, out, _ = run_cli(capsys, "compare", "--n", "4", "--feature", "weak-peak@3")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "weak-peak@3,equal"
+    # a peak without a position in [2, n-1], or a position on another
+    # feature, is refused by name
+    for feature in ("weak-peak", "weak-peak@x", "weak-peak@1", "species@2"):
+        code, out, err = run_cli(capsys, "compare", "--n", "4", "--feature", feature)
+        assert code == EXIT_USAGE and out == "" and repr(feature) in err, feature
+
+
+def test_metadata_records_what_was_read(capsys):
+    def meta(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        return [line for line in out.splitlines() if line.startswith("#")]
+
+    # the statistic once, under one key
+    assert meta("sample", "--n", "5", "--count", "3", "--stat", "longest-run>=") == [
+        "# count=3", "# ensemble=pf", "# n=5", "# seed=0", "# statistic=longest-run>=",
+        f"# tool_version={cli.__version__}"]
+    assert meta("enumerate", "--n", "4", "--stat", "lucky") == [
+        "# n=4", "# polynomial=coefficients by power of q", "# statistic=lucky",
+        f"# tool_version={cli.__version__}"]
+    # the exact comparison draws no sample: no seed, count or ensemble
+    exact = ["# n=4", f"# tool_version={cli.__version__}"]
+    assert meta("compare", "--n", "4") == exact
+    assert meta("compare", "--n", "4", "--count", "7", "--seed", "3", "--ensemble", "fn") == exact
 
 
 def test_compare_refuses_ks_with_tv(capsys):
-    # one distance per run, and a relation only where it is read, so that no
-    # option is ignored
+    # one distance per run, so that no option is ignored; a relation is part
+    # of a statistic's name, not an option
     cases = [(("compare", "--n", "5", "--ks", "--tv"), "not allowed"),
              (("compare", "--n", "5", "--ks", "--feature", "species"), "not allowed"),
              (("compare", "--n", "5", "--tv", "--feature", "species"), "not allowed"),
-             (("compare", "--n", "5", "--ks", "--relation", ">"), "longest-run only"),
-             (("sample", "--n", "6", "--count", "5", "--stat", "descent-pattern",
-               "--relation", ">"), "longest-run only")]
+             (("compare", "--n", "5", "--relation", ">"), "unrecognized"),
+             (("sample", "--n", "6", "--count", "5", "--stat", "longest-run",
+               "--relation", ">"), "unrecognized"),
+             (("stats", "--pf", "1,2", "--relation", ">"), "unrecognized")]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == "" and message in err, argv

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import statistics
 import tracemalloc
 from collections import Counter
@@ -36,7 +37,10 @@ from parkfn.sample import (
     shift_block,
     split_stream,
 )
-from parkfn.stats import STATISTICS, longest_run_statistic, statistic_kernel
+from parkfn.stats import STATISTICS, statistic_kernel
+
+# The registry name of longest-run under each relation.
+LONGEST_RUNS = {"longest-run" + ("" if r == "<" else r): r for r in ("<", ">", "<=", ">=", "=")}
 
 
 def test_config_validation():
@@ -44,19 +48,17 @@ def test_config_validation():
         ExperimentConfig(n=0, count=1, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n=3, count=1, seed=0, ensemble="permutations")
-    # longest-run is valid even though it lives outside the registry
-    ExperimentConfig(n=3, count=1, seed=0, statistic="longest-run")
-    # an unknown statistic or relation is a ValueError that names it, wherever
-    # the name is looked up
+    # longest-run names its relation
+    for name in LONGEST_RUNS:
+        ExperimentConfig(n=3, count=1, seed=0, statistic=name)
+    # an unknown statistic is a ValueError that names it, wherever the name
+    # is looked up
     bad_names = [
         ("'entropy'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="entropy")),
-        ("'~'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="longest-run",
-                                         relation="~")),
-        # a relation is read by longest-run only, so it is refused elsewhere
-        ("'>'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="descent-pattern",
-                                         relation=">")),
+        ("'longest-run~'", lambda: ExperimentConfig(n=3, count=1, seed=0,
+                                                    statistic="longest-run~")),
         ("'bogus'", lambda: exhaustive_histogram(3, "bogus")),
-        ("'~'", lambda: exact_equidistribution(3, "longest-run", relation="~")),
+        ("'longest-run~'", lambda: exact_equidistribution(3, "longest-run~")),
     ]
     # an unknown ensemble, on the sorted rows and on the scan (a case-folded
     # "PF" would count [3]^3 as PF_3)
@@ -213,12 +215,12 @@ SCALAR_DEFINITIONS = {
     "max-discrepancy": lambda f, n, m: _max_discrepancy_by_definition(f),
     "scaled-max-discrepancy": lambda f, n, m: _max_discrepancy_by_definition(f) / math.sqrt(n),
     "kmax": lambda f, n, m: _kmax_by_definition(f),
-    "longest-run": lambda f, n, m: oracles.longest_run(f),
+    **{name: lambda f, n, m, r=r: oracles.longest_run(f, r) for name, r in LONGEST_RUNS.items()},
 }
 
 
 def test_every_statistic_has_an_independent_definition():
-    assert set(STATISTICS) | {"longest-run"} == set(SCALAR_DEFINITIONS) | {"lucky"}
+    assert set(STATISTICS) == set(SCALAR_DEFINITIONS) | {"lucky"}
 
 
 def _to_python(values):
@@ -288,9 +290,6 @@ def test_kernels_match_scalar_definitions(case):
     for name, scalar in SCALAR_DEFINITIONS.items():
         got = _to_python(statistic_kernel(name)(block, n, m))
         assert got == [scalar(tuple(f), n, m) for f in funcs], name
-    for relation in ("<=", ">", ">="):
-        got = _to_python(longest_run_statistic(relation)(block, n, m))
-        assert got == [oracles.longest_run(f, relation) for f in funcs]
 
 
 # long nxt chains at n = 2000, and fn1 rows holding n + 1, which must raise
@@ -324,16 +323,17 @@ def test_every_other_statistic_has_an_order_witness():
     # rearrangement of some row differently
     block = np.array(list(enumerate_pf(4)), dtype=np.int64)
     assert stats.ORDER_FREE_STATISTICS < set(STATISTICS)
-    for name in (set(STATISTICS) - stats.ORDER_FREE_STATISTICS) | {"longest-run"}:
+    for name in set(STATISTICS) - stats.ORDER_FREE_STATISTICS:
         kernel = statistic_kernel(name)
         scores = _to_python(kernel(block, 4, 4))
         assert any(_to_python(kernel(block[:, list(order)], 4, 4)) != scores
                    for order in permutations(range(4))), name
 
 
-def _scalar_feature(feature, f, n, relation="<", poset=None, position=2):
+def _scalar_feature(feature, f, n, poset=None):
     """A feature of one function [n] -> [n+1], from its scalar definition."""
-    i = position
+    name, _at, position = feature.partition("@")
+    i = int(position or 0)
     if feature in ("descent-pattern", "equality-pattern", "weak-descent-pattern"):
         rel = {"descent-pattern": "<", "equality-pattern": "=",
                "weak-descent-pattern": "<="}[feature]
@@ -342,15 +342,15 @@ def _scalar_feature(feature, f, n, relation="<", poset=None, position=2):
         return oracles.species(f, m=n + 1)
     if feature == "inversions":
         return oracles.inversions(f)
-    if feature == "longest-run":
-        return oracles.longest_run(f, relation)
+    if feature in LONGEST_RUNS:
+        return oracles.longest_run(f, LONGEST_RUNS[feature])
     if feature == "chain-poset":
         return oracles.chain_monotone(f, poset)
-    if feature == "strict-peak":
+    if name == "strict-peak":
         return f[i - 2] < f[i - 1] > f[i]
-    if feature == "mixed-chain":
+    if name == "mixed-chain":
         return f[i - 2] <= f[i - 1] < f[i]
-    if feature == "weak-peak":
+    if name == "weak-peak":
         return f[i - 2] < f[i - 1] >= f[i]
     if feature == "forced-gap":
         return f[0] < f[1] - 1
@@ -363,10 +363,10 @@ def _feature_cases(n, posets):
     """(feature, keyword arguments) for every feature that applies at size n."""
     cases = [(feature, {}) for feature in ("descent-pattern", "equality-pattern",
                                            "weak-descent-pattern", "species", "inversions")]
-    cases += [("longest-run", {"relation": r}) for r in ("<", "<=", ">", ">=")]
+    cases += [(name, {}) for name in LONGEST_RUNS]
     cases += [("chain-poset", {"poset": p}) for p in posets
               if max(p.positions, default=0) <= n]
-    cases += [(feature, {"position": i}) for feature in ("strict-peak", "mixed-chain", "weak-peak")
+    cases += [(f"{peak}@{i}", {}) for peak in ("strict-peak", "mixed-chain", "weak-peak")
               for i in range(2, n)]
     if n >= 2:
         cases.append(("forced-gap", {}))
@@ -539,13 +539,12 @@ def _assert_plain_keys(bins, expected, label):
 
 
 def test_bin_keys_are_plain_python_values():
-    cases = [(stat, "<") for stat in STATISTICS] + [("longest-run", r) for r in ("<", ">=")]
-    for stat, relation in cases:
+    for stat in STATISTICS:
         expected = KEY_TYPES.get(stat, int)
         for ensemble_name in ensemble.ENSEMBLES:
             for n in (1, 3, 40):
                 config = ExperimentConfig(n=n, count=50, seed=3, ensemble=ensemble_name,
-                                          statistic=stat, relation=relation)
+                                          statistic=stat)
                 try:
                     hist = run_experiment(config)
                 except ValueError:  # lucky off PF_n
@@ -554,13 +553,13 @@ def test_bin_keys_are_plain_python_values():
                 _assert_plain_keys(hist.bins, expected, (stat, ensemble_name, n))
             for n in (1, 4):
                 try:
-                    hist = exhaustive_histogram(n, stat, ensemble_name, relation=relation)
+                    hist = exhaustive_histogram(n, stat, ensemble_name)
                 except ValueError:
                     assert stat == "lucky" and ensemble_name != "pf"
                     continue
                 _assert_plain_keys(hist.bins, expected, (stat, ensemble_name, n))
     # chain and forced-gap features count bools
-    for feature, kwargs in (("forced-gap", {}), ("strict-peak", {"position": 2}),
+    for feature, kwargs in (("forced-gap", {}), ("strict-peak@2", {}),
                             ("chain-poset", {"poset": POSETS[0]})):
         kernel = _feature_kernel(feature, 4, **kwargs)
         for blocks in (ensemble.pf_blocks(4), ensemble.function_blocks(4, 5)):
@@ -706,8 +705,8 @@ def test_equidistribution_positive_features():
                         "weak-descent-pattern", "species", "inversions"):
             report = exact_equidistribution(n, feature)
             assert report.equal, (feature, n, report.witness)
-    for relation in ("<", "<=", ">", ">="):
-        assert exact_equidistribution(4, "longest-run", relation=relation).equal
+    for name in LONGEST_RUNS:
+        assert exact_equidistribution(4, name).equal, name
 
 
 def test_equidistribution_chain_posets():
@@ -720,8 +719,8 @@ def test_equidistribution_chain_posets():
 
 
 def test_equidistribution_negative_controls():
-    assert not exact_equidistribution(3, "strict-peak").equal
-    assert not exact_equidistribution(3, "mixed-chain").equal
+    assert not exact_equidistribution(3, "strict-peak@2").equal
+    assert not exact_equidistribution(3, "mixed-chain@2").equal
     assert not exact_equidistribution(2, "forced-gap").equal
     assert not exact_equidistribution(5, "non-disjoint-chain").equal
     with pytest.raises(ValueError):
@@ -733,9 +732,15 @@ def test_feature_positions_never_wrap():
     with pytest.raises(ValueError):
         exact_equidistribution(3, "chain-poset", poset=ChainPoset((Chain((4, 2), "<"),)))
     for n, position in ((4, 1), (4, 4), (2, 2)):
-        for feature in ("strict-peak", "mixed-chain", "weak-peak"):
+        for peak in ("strict-peak", "mixed-chain", "weak-peak"):
             with pytest.raises(ValueError):
-                exact_equidistribution(n, feature, position=position)
+                exact_equidistribution(n, f"{peak}@{position}")
+    # a peak names its position in [2, n-1], no other feature takes one,
+    # and the error names the feature
+    for feature in ("weak-peak", "weak-peak@x", "weak-peak@1", "weak-peak@", "species@2",
+                    "longest-run@2", "forced-gap@2"):
+        with pytest.raises(ValueError, match=re.escape(repr(feature))):
+            exact_equidistribution(4, feature)
     with pytest.raises(ValueError):
         exact_equidistribution(4, "non-disjoint-chain")
     with pytest.raises(ValueError):
@@ -748,7 +753,7 @@ def test_weak_peak_check():
             report = weak_peak_check(n, i)
             assert report.equal
             assert report.f_count == (n + 1) * report.pf_count
-            assert exact_equidistribution(n, "weak-peak", position=i).equal
+            assert exact_equidistribution(n, f"weak-peak@{i}").equal
     with pytest.raises(ValueError):
         weak_peak_check(4, 1)
 
@@ -887,22 +892,19 @@ def test_block_sources_reject_edges_before_any_block():
 
 
 def test_exhaustive_histogram_matches_enumerated_census():
-    cases = [(stat, "<") for stat in STATISTICS]
-    cases += [("longest-run", r) for r in ("<", "<=", ">", ">=")]
     for n in range(1, 7):
         for ensemble_name in ensemble.ENSEMBLES:
             block = _enumerated(ensemble_name, n)
             m = n + 1 if ensemble_name == "fn1" else n
-            for stat, relation in cases:
-                kernel = statistic_kernel(stat, relation)
+            for stat, kernel in STATISTICS.items():
                 try:
                     expected = Counter(_to_python(kernel(block, n, m)))
                 except ValueError:  # lucky off PF_n
                     with pytest.raises(ValueError):
-                        exhaustive_histogram(n, stat, ensemble_name, relation=relation)
+                        exhaustive_histogram(n, stat, ensemble_name)
                     continue
-                got = exhaustive_histogram(n, stat, ensemble_name, relation=relation).bins
-                assert got == expected, (n, ensemble_name, stat, relation)
+                got = exhaustive_histogram(n, stat, ensemble_name).bins
+                assert got == expected, (n, ensemble_name, stat)
 
 
 def _scan_census(stat, ensemble_name, n):
@@ -1097,9 +1099,6 @@ def test_column_forms_match_oracles_in_either_memory_order(shape):
         scalar = oracles.lucky if name == "lucky" else \
             (lambda f, name=name: SCALAR_DEFINITIONS[name](f, n, m))
         check(STATISTICS[name], scalar, m, name)
-    for relation in ("<", "<=", ">", ">=", "="):
-        check(longest_run_statistic(relation), lambda f: oracles.longest_run(f, relation),
-              m, relation)
     for feature, kwargs in _feature_cases(n, POSETS):
         check(_feature_kernel(feature, n, **kwargs),
               lambda f: _scalar_feature(feature, f, n, **kwargs), n + 1, (feature, kwargs))
