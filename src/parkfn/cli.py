@@ -210,9 +210,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     n = args.n
     if args.ks or args.tv:
-        seed = parse_seed(args.seed)
+        count = 20000 if args.count is None else args.count
+        seed = parse_seed("0" if args.seed is None else args.seed)
+        ens = "pf" if args.ensemble is None else args.ensemble
         config = ensemble.ExperimentConfig(
-            n=n, count=args.count, seed=seed, ensemble=args.ensemble,
+            n=n, count=count, seed=seed, ensemble=ens,
             statistic="scaled-max-discrepancy" if args.ks else "first",
         )
         hist = ensemble.run_experiment(config)
@@ -226,10 +228,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         else:
             uniform = {j: 1 / n for j in range(1, n + 1)}
             rows = [("tv_first_vs_uniform", ensemble.tv_distance(hist, uniform))]
-        meta = _metadata(seed=seed, n=n, count=args.count, ensemble=args.ensemble)
+        meta = _metadata(seed=seed, n=n, count=count, ensemble=ens)
         _emit_rows(args, ("comparison", "value"), rows, meta)
         return EXIT_OK
     # the exact mode compares both ensembles exhaustively: no seed, count or ensemble
+    unread = [f"--{name}" for name in ("count", "seed", "ensemble")
+              if getattr(args, name) is not None]
+    if unread:
+        raise UsageError(f"{', '.join(unread)}: read only with --ks or --tv; "
+                         "the exact mode draws no sample")
     features = [args.feature] if args.feature else [
         *ensemble.EQUIDISTRIBUTED_FEATURES, *(f"weak-peak@{i}" for i in range(2, n))]
     rows = []
@@ -356,15 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     distance = p.add_mutually_exclusive_group()
     distance.add_argument("--feature", default=None,
-                          help='one feature, e.g. "longest-run>=" or "strict-peak@3"')
+                          help='one feature, e.g. "longest-run>=", "strict-peak@3" or '
+                               'the chain expression "1<3;2>=4"')
     distance.add_argument("--ks", action="store_true",
                           help="KS distance of scaled max-discrepancy to the limit laws")
     distance.add_argument("--tv", action="store_true",
                           help="TV distance of the first coordinate to uniform")
-    p.add_argument("--count", type=int, default=20000)
-    p.add_argument("--ensemble", choices=ensemble.ENSEMBLES, default="pf")
+    # --count, --seed and --ensemble apply with --ks or --tv only; their
+    # defaults (20000, 0 and pf) are filled in there, so None means not given
+    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--ensemble", choices=ensemble.ENSEMBLES, default=None)
     common(p)
-    p.set_defaults(fn=cmd_compare)
+    p.set_defaults(fn=cmd_compare, seed=None)
 
     p = sub.add_parser("verify", help="run the exact-identity suite up to a size cap")
     p.add_argument("--n-max", type=int, default=6)

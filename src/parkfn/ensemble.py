@@ -505,64 +505,64 @@ EQUIDISTRIBUTED_FEATURES = ("descent-pattern", "equality-pattern", "weak-descent
                             "species", "inversions", "longest-run")
 
 # The features (f_{i-1} r f_i, f_i r' f_{i+1}) at a position i in [2, n-1],
-# as (r, r'), each named with its position: "weak-peak@3" is the weak peak
-# at i = 3.  The strict peak and the mixed chain are negative controls:
-# their laws on PF_n and [n+1]^n differ, as do those of forced-gap and
-# non-disjoint-chain.  The weak peak is not a chain-poset event, but its law
-# is the same: it is a rise f_{i-1} < f_i minus a double rise
+# each an alias of its chain expression and named with its position:
+# "weak-peak@3" is "2<3>=4", the weak peak at i = 3.  The strict peak and the
+# mixed chain are negative controls: their laws on PF_n and [n+1]^n differ,
+# as do those of forced-gap and non-disjoint-chain.  The weak peak does not
+# meet the theorem's hypothesis (its two chains share position i), but its
+# law is the same: it is a rise f_{i-1} < f_i minus a double rise
 # f_{i-1} < f_i < f_{i+1}, two disjoint-chain events, each equidistributed.
-_PEAK_RELATIONS = {"strict-peak": ("<", ">"), "mixed-chain": ("<=", "<"),
-                  "weak-peak": ("<", ">=")}
+_PEAKS = {"strict-peak": "{}<{}>{}", "mixed-chain": "{}<={}<{}", "weak-peak": "{}<{}>={}"}
+
+# The chains 1<2<3 and 4<2<5 share position 2.
+_ALIASES = {"non-disjoint-chain": "1<2<3;4<2<5"}
 
 
 # The descent patterns under "=" and "<=", beside the registry's "<".
 _PATTERN_RELATIONS = {"equality-pattern": "=", "weak-descent-pattern": "<="}
 
 
-def _feature_kernel(feature: str, n: int, poset: Optional[st.ChainPoset] = None) -> Callable:
+def _feature_kernel(feature: str, n: int) -> Callable:
     """The kernel of a feature on functions [n] -> [n+1]: a pattern of
-    _PATTERN_RELATIONS, a registry statistic, or a chain feature.
+    _PATTERN_RELATIONS, a registry statistic, forced-gap, an alias of a
+    chain expression, or a chain expression (`stats.parse_chains`).
     Comparisons only depend on relative values, so the same kernel serves
     PF_n and the extended ensemble; both are scored with codomain n + 1.
     Raises ValueError, naming the feature, for a peak without a position in
-    [2, n-1] and for a position on any other feature."""
+    [2, n-1], for a position on any other feature and for a name that is
+    none of these."""
     if feature in _PATTERN_RELATIONS:
         return st.descent_pattern_statistic(_PATTERN_RELATIONS[feature])
     if feature in STATISTICS:
         return STATISTICS[feature]
+    if feature == "forced-gap":
+        if n < 2:
+            raise ValueError("forced-gap needs n >= 2")
+        return lambda block, n, m: block[:, 0] < block[:, 1] - 1
     name, at, position = feature.partition("@")
-    if name in _PEAK_RELATIONS:
+    if name in _PEAKS:
         if not (position.isdecimal() and 2 <= int(position) <= n - 1):
             raise ValueError(f"feature {feature!r} needs a position in [2, n-1] "
                              f"(n = {n}), as in {name}@2")
         i = int(position)
-        left, right = _PEAK_RELATIONS[name]
-        chains = (st.Chain((i - 1, i), left), st.Chain((i, i + 1), right))
+        expression = _PEAKS[name].format(i - 1, i, i + 1)
     elif at:
         raise ValueError(f"feature {feature!r}: only a peak takes a position")
-    elif feature == "forced-gap":
-        if n < 2:
-            raise ValueError("forced-gap needs n >= 2")
-        return lambda block, n, m: block[:, 0] < block[:, 1] - 1
-    elif feature == "chain-poset":
-        if poset is None:
-            raise ValueError("chain-poset feature needs a poset")
-        chains = poset.chains
-    elif feature == "non-disjoint-chain":  # 1<2<3 and 4<2<5 share position 2
-        chains = (st.Chain((1, 2, 3), "<"), st.Chain((4, 2, 5), "<"))
     else:
-        raise ValueError(f"unknown feature {feature!r}")
+        expression = _ALIASES.get(feature, feature)
+    chains = st.parse_chains(expression)
     st._check_chain_positions(chains, n)
     return lambda block, n, m: st._chains_hold(block, chains)
 
 
-def exact_equidistribution(n: int, feature: str, poset: Optional[st.ChainPoset] = None,
+def exact_equidistribution(n: int, feature: str,
                            limit: int = DEFAULT_ENUM_LIMIT) -> EquidistributionReport:
     """Brute-force joint feature distribution over PF_n versus all functions
     [n] -> [n+1]; equality must hold exactly after scaling by n+1.  The
     feature is any name `_feature_kernel` takes: "longest-run>=",
-    "strict-peak@3", or "chain-poset" with a poset."""
-    kernel = _feature_kernel(feature, n, poset=poset)
+    "strict-peak@3" or a chain expression such as "1<3;2>=4"; the report
+    keeps the name as given."""
+    kernel = _feature_kernel(feature, n)
     # both sources check their size before either census starts
     sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
     pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh) for blocks, weigh in sources)
@@ -584,7 +584,7 @@ class WeakPeakReport:
 def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeakReport:
     """Count the weak peaks f_{i-1} < f_i >= f_{i+1} over PF_n and over
     [n+1]^n, exactly; they are equidistributed when the second count is n + 1
-    times the first (see _PEAK_RELATIONS)."""
+    times the first (see _PEAKS)."""
     feature = f"weak-peak@{i}"
     kernel = _feature_kernel(feature, n)
     # both sources check their size before either count starts

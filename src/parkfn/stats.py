@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -531,10 +533,12 @@ class Chain:
 
 @dataclass(frozen=True)
 class ChainPoset:
-    """Disjoint chains over positions, one relation per chain.
+    """Disjoint chains over positions, one relation per chain: the
+    hypothesis of the equidistribution theorem.
 
     Mixed relations within a chain are rejected by construction (they break
-    equidistribution between the ensembles).
+    equidistribution between the ensembles): `ChainPoset(parse_chains(e))`
+    constructs exactly when the expression e meets the hypothesis.
     """
 
     chains: tuple[Chain, ...]
@@ -550,6 +554,33 @@ class ChainPoset:
     @property
     def positions(self) -> set[int]:
         return {p for c in self.chains for p in c.positions}
+
+
+# A chain expression's relation symbols, the two-character ones first.
+_LINK = re.compile(r"(<=|>=|<|>|=)")
+
+
+def parse_chains(expression: str) -> tuple[Chain, ...]:
+    """The chains of an expression: positions joined by relations, chains
+    separated by ";", as in "1<3<5;2<=4".  Each maximal run of one relation
+    in a part is one Chain, so the strict peak at 3, "2<3>4", is the chains
+    2<3 and 3>4.  Raises ValueError, naming the expression, if it is
+    malformed."""
+    chains = []
+    for part in expression.split(";"):
+        tokens = _LINK.split(part)
+        if len(tokens) < 3 or not all(p.isascii() and p.isdigit() for p in tokens[::2]):
+            raise ValueError(f"{expression!r} is not a chain expression such as '1<3;2>=4'")
+        positions = [int(p) for p in tokens[::2]]
+        start = 0
+        for relation, links in groupby(tokens[1::2]):
+            stop = start + len(list(links))
+            try:
+                chains.append(Chain(tuple(positions[start:stop + 1]), relation))
+            except ValueError as exc:
+                raise ValueError(f"chain expression {expression!r}: {exc}") from None
+            start = stop
+    return tuple(chains)
 
 
 def _chains_hold(block: np.ndarray, chains: Sequence[Chain]) -> np.ndarray:

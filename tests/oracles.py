@@ -16,7 +16,7 @@ import mpmath
 from parkfn.core import ParkingFunction, PrefSequence, park, queue_profile
 from parkfn.enumeration import DEFAULT_ENUM_LIMIT, check_enumeration_size
 from parkfn.limits import _AIRY_ZEROS
-from parkfn.stats import _RELATIONS, ChainPoset, value_counts
+from parkfn.stats import _RELATIONS, value_counts
 
 
 def all_functions(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -157,12 +157,13 @@ def scaled_area(pf: Sequence[int]) -> float:
     return (n * n / 2 - sum(v)) / n**1.5
 
 
-def chain_monotone(seq: Sequence[int], poset: ChainPoset) -> bool:
-    """True iff every chain's relation holds along consecutive chain positions."""
+def chain_monotone(seq: Sequence[int], chains: Sequence[tuple[Sequence[int], str]]) -> bool:
+    """True iff every chain's relation holds along consecutive chain
+    positions; the chains are (positions, relation) pairs."""
     v = tuple(seq)
-    for chain in poset.chains:
-        op = _RELATIONS[chain.relation]
-        for a, b in zip(chain.positions, chain.positions[1:]):
+    for positions, relation in chains:
+        op = _RELATIONS[relation]
+        for a, b in zip(positions, positions[1:]):
             if not op(v[a - 1], v[b - 1]):
                 return False
     return True

@@ -135,13 +135,8 @@ def test_criterion_06_equidistribution(capfd):
             ok = ok and pk.exact_equidistribution(n, feature).equal
         for name in ("longest-run", "longest-run<=", "longest-run>", "longest-run>="):
             ok = ok and pk.exact_equidistribution(n, name).equal
-    posets = [
-        (4, pk.ChainPoset((pk.Chain((1, 3), "<"), pk.Chain((2, 4), ">=")))),
-        (5, pk.ChainPoset((pk.Chain((2, 3, 5), "<="),))),
-        (6, pk.ChainPoset((pk.Chain((1, 4), "="), pk.Chain((2, 5, 6), "<")))),
-    ]
-    for n, poset in posets:
-        ok = ok and pk.exact_equidistribution(n, "chain-poset", poset=poset).equal
+    for n, expression in ((4, "1<3;2>=4"), (5, "2<=3<=5"), (6, "1=4;2<5<6")):
+        ok = ok and pk.exact_equidistribution(n, expression).equal
     for n in range(3, 7):
         for i in range(2, n):
             ok = ok and pk.weak_peak_check(n, i).equal

@@ -376,9 +376,16 @@ def test_compare_negative_feature(capsys):
     code, out, _ = run_cli(capsys, "compare", "--n", "4", "--feature", "weak-peak@3")
     assert code == EXIT_OK
     assert out.splitlines()[-1] == "weak-peak@3,equal"
+    # a chain expression is a feature, and its row keeps the expression
+    for feature, status in (("1<3;2>=4", "equal"), ("2>1<3>4", "equal"),
+                            ("2>1<3", "UNEQUAL at False")):
+        code, out, _ = run_cli(capsys, "compare", "--n", "5", "--feature", feature)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == f"{feature},{status}"
     # a peak without a position in [2, n-1], or a position on another
     # feature, is refused by name
-    for feature in ("weak-peak", "weak-peak@x", "weak-peak@1", "species@2"):
+    for feature in ("weak-peak", "weak-peak@x", "weak-peak@1", "species@2", "chain-poset",
+                    "1<3,2<4"):
         code, out, err = run_cli(capsys, "compare", "--n", "4", "--feature", feature)
         assert code == EXIT_USAGE and out == "" and repr(feature) in err, feature
 
@@ -399,7 +406,16 @@ def test_metadata_records_what_was_read(capsys):
     # the exact comparison draws no sample: no seed, count or ensemble
     exact = ["# n=4", f"# tool_version={cli.__version__}"]
     assert meta("compare", "--n", "4") == exact
-    assert meta("compare", "--n", "4", "--count", "7", "--seed", "3", "--ensemble", "fn") == exact
+
+
+def test_exact_compare_refuses_sampling_options(capsys):
+    # the exact mode reads no --count, --seed or --ensemble, so each is refused
+    for options in (("--count", "7"), ("--seed", "3"), ("--seed", "0"), ("--ensemble", "fn"),
+                    ("--count", "7", "--seed", "3", "--ensemble", "fn"),
+                    ("--feature", "species", "--count", "20000")):
+        code, out, err = run_cli(capsys, "compare", "--n", "4", *options)
+        assert code == EXIT_USAGE and out == "", options
+        assert all(option in err for option in options[::2] if option != "--feature"), err
 
 
 def test_compare_refuses_ks_with_tv(capsys):

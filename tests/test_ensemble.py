@@ -6,7 +6,7 @@ import re
 import statistics
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 
 import numpy as np
 import oracles
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st_h
 
 from parkfn import (
-    Chain,
     ChainPoset,
     ExperimentConfig,
     Histogram,
@@ -330,8 +329,9 @@ def test_every_other_statistic_has_an_order_witness():
                    for order in permutations(range(4))), name
 
 
-def _scalar_feature(feature, f, n, poset=None):
-    """A feature of one function [n] -> [n+1], from its scalar definition."""
+def _scalar_feature(feature, f, n, chains=None):
+    """A feature of one function [n] -> [n+1], from its scalar definition;
+    a chain expression from its (positions, relation) chains."""
     name, _at, position = feature.partition("@")
     i = int(position or 0)
     if feature in ("descent-pattern", "equality-pattern", "weak-descent-pattern"):
@@ -344,8 +344,8 @@ def _scalar_feature(feature, f, n, poset=None):
         return oracles.inversions(f)
     if feature in LONGEST_RUNS:
         return oracles.longest_run(f, LONGEST_RUNS[feature])
-    if feature == "chain-poset":
-        return oracles.chain_monotone(f, poset)
+    if chains is not None:
+        return oracles.chain_monotone(f, chains)
     if name == "strict-peak":
         return f[i - 2] < f[i - 1] > f[i]
     if name == "mixed-chain":
@@ -359,41 +359,49 @@ def _scalar_feature(feature, f, n, poset=None):
     raise AssertionError(feature)
 
 
+def _expression(chains):
+    """The chain expression of (positions, relation) pairs: "1<3;2>=4"."""
+    return ";".join(relation.join(map(str, positions)) for positions, relation in chains)
+
+
 def _feature_cases(n, posets):
-    """(feature, keyword arguments) for every feature that applies at size n."""
-    cases = [(feature, {}) for feature in ("descent-pattern", "equality-pattern",
-                                           "weak-descent-pattern", "species", "inversions")]
-    cases += [(name, {}) for name in LONGEST_RUNS]
-    cases += [("chain-poset", {"poset": p}) for p in posets
-              if max(p.positions, default=0) <= n]
-    cases += [(f"{peak}@{i}", {}) for peak in ("strict-peak", "mixed-chain", "weak-peak")
+    """(feature, chains) for every feature that applies at size n: chains
+    are the (positions, relation) pairs of a chain expression, else None."""
+    cases = [(feature, None) for feature in ("descent-pattern", "equality-pattern",
+                                             "weak-descent-pattern", "species", "inversions")]
+    cases += [(name, None) for name in LONGEST_RUNS]
+    cases += [(_expression(chains), chains) for chains in posets
+              if chains and max(p for positions, _r in chains for p in positions) <= n]
+    cases += [(f"{peak}@{i}", None) for peak in ("strict-peak", "mixed-chain", "weak-peak")
               for i in range(2, n)]
     if n >= 2:
-        cases.append(("forced-gap", {}))
+        cases.append(("forced-gap", None))
     if n >= 5:
-        cases.append(("non-disjoint-chain", {}))
+        cases.append(("non-disjoint-chain", None))
     return cases
 
 
+# chain posets as (positions, relation) pairs: 1<3;2>=4, 2<=3<=5, 3=1 and 2>1;5<3
 POSETS = (
-    ChainPoset((Chain((1, 3), "<"), Chain((2, 4), ">="))),
-    ChainPoset((Chain((2, 3, 5), "<="),)),
-    ChainPoset((Chain((3, 1), "="),)),
-    ChainPoset((Chain((2, 1), ">"), Chain((5, 3), "<"))),
+    (((1, 3), "<"), ((2, 4), ">=")),
+    (((2, 3, 5), "<="),),
+    (((3, 1), "="),),
+    (((2, 1), ">"), ((5, 3), "<")),
 )
 
 
 @st_h.composite
 def chain_posets(draw, n):
-    """Disjoint chains over a random order of some of the positions 1..n."""
+    """Disjoint chains over a random order of some of the positions 1..n, as
+    (positions, relation) pairs."""
     rest = draw(st_h.permutations(range(1, n + 1)))
     chains = []
     while len(rest) >= 2:
         size = draw(st_h.integers(2, len(rest)))
         relation = draw(st_h.sampled_from(("<", "<=", ">", ">=", "=")))
-        chains.append(Chain(tuple(rest[:size]), relation))
+        chains.append((tuple(rest[:size]), relation))
         rest = rest[size + draw(st_h.integers(0, 1)):]
-    return ChainPoset(tuple(chains))
+    return tuple(chains)
 
 
 @given(function_blocks(), st_h.data())
@@ -401,18 +409,18 @@ def test_feature_kernels_match_scalar_definitions(case, data):
     funcs, n, _m = case  # features score both ensembles with codomain n + 1
     block = np.array(funcs, dtype=np.int64)
     poset = data.draw(chain_posets(n))
-    for feature, kwargs in _feature_cases(n, (poset,)):
-        got = _to_python(_feature_kernel(feature, n, **kwargs)(block, n, n + 1))
-        assert got == [_scalar_feature(feature, tuple(f), n, **kwargs) for f in funcs], feature
+    for feature, chains in _feature_cases(n, (poset,)):
+        got = _to_python(_feature_kernel(feature, n)(block, n, n + 1))
+        assert got == [_scalar_feature(feature, tuple(f), n, chains) for f in funcs], feature
         assert all(type(v) in (bool, int, tuple) for v in got), feature
 
 
-def _scalar_census_report(n, feature, **kwargs):
+def _scalar_census_report(n, feature, chains=None):
     """(equal, witness) of `exact_equidistribution`, from scalar definitions
     over the functions [n] -> [n] that park and all functions [n] -> [n+1]."""
-    pf = Counter(_scalar_feature(feature, f, n, **kwargs)
+    pf = Counter(_scalar_feature(feature, f, n, chains)
                  for f in product(range(1, n + 1), repeat=n) if is_parking_function(f))
-    fn = Counter(_scalar_feature(feature, f, n, **kwargs)
+    fn = Counter(_scalar_feature(feature, f, n, chains)
                  for f in product(range(1, n + 2), repeat=n))
     for v in sorted(set(pf) | set(fn), key=str):
         if fn[v] != (n + 1) * pf[v]:
@@ -422,12 +430,12 @@ def _scalar_census_report(n, feature, **kwargs):
 
 def test_exact_equidistribution_matches_scalar_census():
     for n in range(2, 6):
-        for feature, kwargs in _feature_cases(n, POSETS):
-            report = exact_equidistribution(n, feature, **kwargs)
-            equal, witness = _scalar_census_report(n, feature, **kwargs)
+        for feature, chains in _feature_cases(n, POSETS):
+            report = exact_equidistribution(n, feature)
+            equal, witness = _scalar_census_report(n, feature, chains)
             # repr tells a witness True from 1
             assert (report.equal, repr(report.witness)) == (equal, repr(witness)), \
-                (n, feature, kwargs)
+                (n, feature)
 
 
 def test_exhaustive_histogram_area():
@@ -559,9 +567,8 @@ def test_bin_keys_are_plain_python_values():
                     continue
                 _assert_plain_keys(hist.bins, expected, (stat, ensemble_name, n))
     # chain and forced-gap features count bools
-    for feature, kwargs in (("forced-gap", {}), ("strict-peak@2", {}),
-                            ("chain-poset", {"poset": POSETS[0]})):
-        kernel = _feature_kernel(feature, 4, **kwargs)
+    for feature in ("forced-gap", "strict-peak@2", _expression(POSETS[0])):
+        kernel = _feature_kernel(feature, 4)
         for blocks in (ensemble.pf_blocks(4), ensemble.function_blocks(4, 5)):
             _assert_plain_keys(ensemble._census(kernel, blocks, 4, 5), bool, feature)
 
@@ -710,12 +717,81 @@ def test_equidistribution_positive_features():
 
 
 def test_equidistribution_chain_posets():
-    poset = ChainPoset((Chain((1, 3), "<"), Chain((2, 4), ">=")))
-    assert exact_equidistribution(4, "chain-poset", poset=poset).equal
-    poset = ChainPoset((Chain((2, 3, 5), "<="),))
-    assert exact_equidistribution(5, "chain-poset", poset=poset).equal
-    with pytest.raises(ValueError):
-        exact_equidistribution(4, "chain-poset")
+    assert exact_equidistribution(4, "1<3;2>=4").equal
+    assert exact_equidistribution(5, "2<=3<=5").equal
+    # the report keeps the name as given
+    assert exact_equidistribution(5, "1<3;2>=4>=5").feature == "1<3;2>=4>=5"
+    for feature in ("chain-poset", "1<", "1<2;"):
+        with pytest.raises(ValueError, match=re.escape(repr(feature))):
+            exact_equidistribution(4, feature)
+
+
+def _disjoint_chains(positions):
+    """Every set of position-disjoint chains (tuples of at least two
+    positions, in order) over some of `positions`, each set once."""
+    if not positions:
+        yield ()
+        return
+    first, rest = positions[0], positions[1:]
+    yield from _disjoint_chains(rest)
+    for size in range(1, len(rest) + 1):
+        for others in combinations(rest, size):
+            left = tuple(p for p in rest if p not in others)
+            for chain in permutations((first, *others)):
+                for tail in _disjoint_chains(left):
+                    yield (chain, *tail)
+
+
+def test_chain_poset_theorem_at_n4():
+    # every expression meeting the theorem's hypothesis (position-disjoint
+    # chains, one relation each) over [4] is equidistributed; the events
+    # are told apart by their rows of [5]^4
+    n = 4
+    pf = np.concatenate(list(ensemble.pf_blocks(n)))
+    fn = np.concatenate(list(ensemble.function_blocks(n, n + 1)))
+    expressions = [_expression(zip(chains, relations))
+                   for chains in _disjoint_chains(tuple(range(1, n + 1))) if chains
+                   for relations in product(("<", "<=", ">", ">=", "="), repeat=len(chains))]
+    events = {}
+    for expression in expressions:
+        ChainPoset(stats.parse_chains(expression))  # meets the hypothesis
+        kernel = _feature_kernel(expression, n)
+        events.setdefault(kernel(fn, n, n + 1).tobytes(), (expression, kernel))
+    assert (len(expressions), len(events)) == (600, 206)
+    for mask, (expression, kernel) in events.items():
+        f_count = np.frombuffer(mask, dtype=bool).sum()
+        assert f_count == (n + 1) * np.count_nonzero(kernel(pf, n, n + 1)), expression
+
+
+def test_n_fence_is_equidistributed():
+    # The N fence f_2 > f_1 < f_3 > f_4 does not meet the theorem's
+    # hypothesis (its three chains share positions 1 and 3), yet its law on
+    # PF_n, scaled by n + 1, is its law on [n+1]^n at every n checked, while
+    # its V f_2 > f_1 < f_3 differs.  Why the fence is equidistributed is
+    # open: it is not an inclusion-exclusion of disjoint-chain events in the
+    # way the weak peak is.
+    for n, pf_count in zip(range(4, 8), (17, 190, 2597, 42112)):
+        kernel = _feature_kernel("2>1<3>4", n)
+        assert sum(np.count_nonzero(kernel(b, n, n + 1)) for b in ensemble.pf_blocks(n)) \
+            == pf_count
+        assert exact_equidistribution(n, "2>1<3>4").equal, n
+        assert not exact_equidistribution(n, "2>1<3").equal, n
+
+
+def test_peak_names_are_their_chain_expressions():
+    # each alias gives the report of its expression, under its own name
+    for n in range(3, 7):
+        aliases = {f"strict-peak@{i}": f"{i - 1}<{i}>{i + 1}" for i in range(2, n)}
+        aliases.update((f"mixed-chain@{i}", f"{i - 1}<={i}<{i + 1}") for i in range(2, n))
+        aliases.update((f"weak-peak@{i}", f"{i - 1}<{i}>={i + 1}") for i in range(2, n))
+        if n >= 5:
+            aliases["non-disjoint-chain"] = "1<2<3;4<2<5"
+        for name, expression in aliases.items():
+            named = exact_equidistribution(n, name)
+            plain = exact_equidistribution(n, expression)
+            assert (named.feature, plain.feature) == (name, expression)
+            assert (named.equal, repr(named.witness)) == (plain.equal, repr(plain.witness)), \
+                (n, name)
 
 
 def test_equidistribution_negative_controls():
@@ -730,7 +806,7 @@ def test_equidistribution_negative_controls():
 def test_feature_positions_never_wrap():
     # a chain position beyond n used to read another coordinate
     with pytest.raises(ValueError):
-        exact_equidistribution(3, "chain-poset", poset=ChainPoset((Chain((4, 2), "<"),)))
+        exact_equidistribution(3, "4<2")
     for n, position in ((4, 1), (4, 4), (2, 2)):
         for peak in ("strict-peak", "mixed-chain", "weak-peak"):
             with pytest.raises(ValueError):
@@ -1005,16 +1081,16 @@ def test_traced_registry_takes_the_profile_path(monkeypatch):
 def test_exact_equidistribution_matches_enumerated_census():
     for n in range(2, 7):
         pf, fn = _enumerated("pf", n), _enumerated("fn1", n)
-        for feature, kwargs in _feature_cases(n, POSETS):
-            kernel = _feature_kernel(feature, n, **kwargs)
+        for feature, _chains in _feature_cases(n, POSETS):
+            kernel = _feature_kernel(feature, n)
             pf_counts = Counter(_to_python(kernel(pf, n, n + 1)))
             f_counts = Counter(_to_python(kernel(fn, n, n + 1)))
             witness = next((v for v in sorted(set(pf_counts) | set(f_counts), key=str)
                             if f_counts[v] != (n + 1) * pf_counts[v]), None)
-            report = exact_equidistribution(n, feature, **kwargs)
+            report = exact_equidistribution(n, feature)
             # repr tells a witness True from 1
             assert (report.equal, repr(report.witness)) == (witness is None, repr(witness)), \
-                (n, feature, kwargs)
+                (n, feature)
 
 
 def test_weak_peak_check_matches_enumerated_census():
@@ -1099,9 +1175,9 @@ def test_column_forms_match_oracles_in_either_memory_order(shape):
         scalar = oracles.lucky if name == "lucky" else \
             (lambda f, name=name: SCALAR_DEFINITIONS[name](f, n, m))
         check(STATISTICS[name], scalar, m, name)
-    for feature, kwargs in _feature_cases(n, POSETS):
-        check(_feature_kernel(feature, n, **kwargs),
-              lambda f: _scalar_feature(feature, f, n, **kwargs), n + 1, (feature, kwargs))
+    for feature, chains in _feature_cases(n, POSETS):
+        check(_feature_kernel(feature, n),
+              lambda f: _scalar_feature(feature, f, n, chains), n + 1, feature)
 
     shifts = [oracles.find_valid_shift(f, n) for f in raw.tolist()]
     shifted = [sample.shift_sequence(f, k, n) for f, k in zip(raw.tolist(), shifts)]

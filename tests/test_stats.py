@@ -1,5 +1,6 @@
 """Per-function statistics and the shuffle decomposition."""
 
+import re
 from itertools import product
 
 import oracles
@@ -28,7 +29,7 @@ from parkfn import (
     value_counts,
 )
 from parkfn.enumeration import enumerate_pf
-from parkfn.stats import descent_pattern_statistic, longest_run_statistic
+from parkfn.stats import descent_pattern_statistic, longest_run_statistic, parse_chains
 
 EXAMPLE = (1, 3, 5, 3, 1)
 
@@ -116,7 +117,7 @@ def test_public_statistics_match_oracles():
                 if relation != "=":
                     pairs.append((longest_run(f, relation), oracles.longest_run(f, relation)))
             if n >= 2:
-                pairs.append((chain_monotone(f, poset), oracles.chain_monotone(f, poset)))
+                pairs.append((chain_monotone(f, poset), oracles.chain_monotone(f, [((1, 2), "<=")])))
             if max(f) <= n:
                 pairs += [(max_discrepancy(f), oracles.max_discrepancy(f)),
                           (species(f), oracles.species(f))]
@@ -203,6 +204,28 @@ def test_chain_validation():
         Chain((0, 2), "<")
     with pytest.raises(ValueError, match="disjoint"):
         ChainPoset((Chain((1, 2), "<"), Chain((2, 3), "<")))
+
+
+def test_parse_chains():
+    # each maximal run of one relation in a part is one chain
+    assert parse_chains("1<3<5;2<=4") == (Chain((1, 3, 5), "<"), Chain((2, 4), "<="))
+    assert parse_chains("2<3>4") == (Chain((2, 3), "<"), Chain((3, 4), ">"))
+    assert parse_chains("2>1<3>4") == (Chain((2, 1), ">"), Chain((1, 3), "<"),
+                                       Chain((3, 4), ">"))
+    assert parse_chains("1<2<3;4<2<5") == (Chain((1, 2, 3), "<"), Chain((4, 2, 5), "<"))
+    assert parse_chains("12=3;4>=5") == (Chain((12, 3), "="), Chain((4, 5), ">="))
+    # ChainPoset takes exactly the expressions that meet the theorem's
+    # hypothesis: position-disjoint chains, one relation each
+    assert ChainPoset(parse_chains("1<3;2>=4>=5")).positions == {1, 2, 3, 4, 5}
+    for expression in ("2<3>4", "1<2;2<3", "1<2<3;4<2<5", "1<2;3<=1"):
+        with pytest.raises(ValueError, match="disjoint"):
+            ChainPoset(parse_chains(expression))
+    # a malformed expression is named in the error
+    for expression in ("", "1<", "1<1", "0<2", "1<2;", "1~2", "a<b",
+                       ";", "3", "1<2;3", "<2", "1<<2", "1=<2", "1 <2", "1<2<1",
+                       "\u00b2<3"):
+        with pytest.raises(ValueError, match=re.escape(repr(expression))):
+            parse_chains(expression)
 
 
 def test_chain_monotone():
