@@ -22,7 +22,7 @@ import numpy as np
 from . import stats as st
 from .core import BLOCK_ELEMENTS
 from .enumeration import (DEFAULT_ENUM_LIMIT, _pf_rows, _sorted_blocks,
-                          check_enumeration_size, count_pf)
+                          _table_arrangement_blocks, check_enumeration_size, count_pf)
 from .sample import _U64, draw_block, shift_block
 # ensemble.STATISTICS is the registry dict itself, so that patching one of its
 # entries (as perfbench's traced runs do) patches it for every caller.
@@ -320,6 +320,52 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
     return (pf_blocks(n, limit) if pf else function_blocks(n, m)), None
 
 
+def _type_rows(n: int, limit: int) -> tuple[Iterator[np.ndarray], np.ndarray, np.ndarray]:
+    """(blocks, pf_weights, fn_weights): each weak-order type of length n
+    once, as the rows of column-major int64 blocks, and the number of rows
+    of PF_n and of [n+1]^n of each type, in the order of the rows.  A type
+    is a row whose values are 1..k for some k, the row of ranks shared by
+    every function that orders its entries alike; there are Fubini(n) of
+    them (541 at n = 5, 47,293 at n = 7).
+
+    The composition rows (1, a_2, ..., a_n) with steps a_{j+1} - a_j of 0
+    or 1 are the sorted types, one per key sum_j (a_{j+2} - a_{j+1}) 2^j,
+    and `_table_arrangement_blocks` arranges each into its types.  A type's
+    functions to [m] replace 1..k by k increasing values, so [n+1]^n holds
+    C(n + 1, k) of each type with k values.  Sorting is a bijection from the
+    parking functions of one type onto the sorted PF_n rows whose ties fall
+    where the type's do (PF_n is closed under rearrangement), so PF_n holds
+    as many of each type as `_sorted_blocks` has sorted rows with its key.
+    Raises `CapacityError` for n > limit, and checks that the counts fit in
+    int64, before any block is built."""
+    check_enumeration_size(n, limit)
+    _check_rows((n + 1) ** n)
+    keys = 1 << (n - 1)
+    bits = 1 << np.arange(n - 1)
+    compositions = np.ones((keys, n), dtype=np.int64)
+    np.cumsum((np.arange(keys)[:, None] & bits) > 0, axis=1, out=compositions[:, 1:])
+    compositions[:, 1:] += 1
+    pf_weights = np.zeros(keys, dtype=np.int64)
+    for block in _sorted_blocks(n, range(1, n + 1)):
+        pf_weights += np.bincount((block[:, 1:] > block[:, :-1]) @ bits, minlength=keys)
+    fn_weights = np.array([math.comb(n + 1, k) for k in range(n + 1)])[compositions[:, -1]]
+    arrangements = _arrangement_counts(compositions)
+    blocks = (np.asfortranarray(block, dtype=np.int64)
+              for block in _table_arrangement_blocks([compositions], n))
+    return blocks, np.repeat(pf_weights, arrangements), np.repeat(fn_weights, arrangements)
+
+
+def _type_scores(feature: str, n: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, pf_weights, fn_weights): a feature that only compares
+    entries (`_on_types`) scored on each row of `_type_rows`, with the
+    row's counts on PF_n and on [n+1]^n.  Raises ValueError for a name
+    `_feature_kernel` refuses before it checks the size."""
+    kernel = _feature_kernel(feature, n)
+    blocks, pf_weights, fn_weights = _type_rows(n, limit)
+    values = np.concatenate([kernel(block, n, n + 1) for block in blocks])
+    return values, pf_weights, fn_weights
+
+
 def _sample_source(config: ExperimentConfig) -> tuple[Iterator[np.ndarray], Callable]:
     """(blocks, kernel) for `run_experiment`.  On pf, a statistic in
     RAW_DRAW_STATISTICS scores the raw draws of [n+1]^n: its kernel reads
@@ -529,8 +575,8 @@ def _feature_kernel(feature: str, n: int) -> Callable:
     Comparisons only depend on relative values, so the same kernel serves
     PF_n and the extended ensemble; both are scored with codomain n + 1.
     Raises ValueError, naming the feature, for a peak without a position in
-    [2, n-1], for a position on any other feature and for a name that is
-    none of these."""
+    [2, n-1], for a position on any other feature, for a chain position
+    beyond n and for a name that is none of these."""
     if feature in _PATTERN_RELATIONS:
         return st.descent_pattern_statistic(_PATTERN_RELATIONS[feature])
     if feature in STATISTICS:
@@ -548,27 +594,56 @@ def _feature_kernel(feature: str, n: int) -> Callable:
         expression = _PEAKS[name].format(i - 1, i, i + 1)
     elif at:
         raise ValueError(f"feature {feature!r}: only a peak takes a position")
+    elif feature in _ALIASES:
+        expression = _ALIASES[feature]
+    elif not st._LINK.search(feature):  # no relation symbol: not meant as an expression
+        raise ValueError(f"unknown feature {feature!r}: no statistic, pattern, alias "
+                         "or chain expression has that name")
     else:
-        expression = _ALIASES.get(feature, feature)
+        expression = feature
     chains = st.parse_chains(expression)
-    st._check_chain_positions(chains, n)
+    try:
+        st._check_chain_positions(chains, n)
+    except ValueError as exc:
+        raise ValueError(f"feature {feature!r}: {exc}") from None
     return lambda block, n, m: st._chains_hold(block, chains)
+
+
+def _on_types(feature: str) -> bool:
+    """Whether a feature only compares entries, so that its laws are read
+    from the weak-order types (`_type_rows`): a statistic of
+    COMPARISON_STATISTICS, a pattern, a peak, an alias or a chain
+    expression.  Other statistics and forced-gap scan every row."""
+    if feature in STATISTICS:
+        return feature in st.COMPARISON_STATISTICS
+    return feature != "forced-gap"
 
 
 def exact_equidistribution(n: int, feature: str,
                            limit: int = DEFAULT_ENUM_LIMIT) -> EquidistributionReport:
-    """Brute-force joint feature distribution over PF_n versus all functions
-    [n] -> [n+1]; equality must hold exactly after scaling by n+1.  The
-    feature is any name `_feature_kernel` takes: "longest-run>=",
-    "strict-peak@3" or a chain expression such as "1<3;2>=4"; the report
-    keeps the name as given."""
-    kernel = _feature_kernel(feature, n)
-    # both sources check their size before either census starts
-    sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
-    pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh) for blocks, weigh in sources)
-    # one census's values share one type, so no two of them print alike
-    witness = min((v for v in set(pf_counts) | set(f_counts)
-                   if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0)), key=str, default=None)
+    """Whether a feature has the same exact law on PF_n as on all functions
+    [n] -> [n+1], after scaling by n + 1.  A feature that only compares
+    entries (`_on_types`) is scored once per weak-order type, each type
+    weighted by its number of rows in either ensemble (`_type_rows`); an
+    order-free statistic on the sorted rows; any other on every row of
+    both.  The feature is any name `_feature_kernel` takes:
+    "longest-run>=", "strict-peak@3" or a chain expression such as
+    "1<3;2>=4"; the report keeps the name as given."""
+    if _on_types(feature):
+        values, pf_weights, fn_weights = _type_scores(feature, n, limit)
+        # the laws agree exactly when each value's fn - (n + 1) pf count is 0
+        gaps = _distinct(values, fn_weights - (n + 1) * pf_weights)
+        unequal = [v for v, gap in gaps if gap]
+    else:
+        kernel = _feature_kernel(feature, n)
+        # both sources check their size before either census starts
+        sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
+        pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh)
+                               for blocks, weigh in sources)
+        unequal = [v for v in set(pf_counts) | set(f_counts)
+                   if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0)]
+    # one feature's values share one type, so no two of them print alike
+    witness = min(unequal, key=str, default=None)
     return EquidistributionReport(n=n, feature=feature, equal=witness is None, witness=witness)
 
 
@@ -583,14 +658,11 @@ class WeakPeakReport:
 
 def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeakReport:
     """Count the weak peaks f_{i-1} < f_i >= f_{i+1} over PF_n and over
-    [n+1]^n, exactly; they are equidistributed when the second count is n + 1
-    times the first (see _PEAKS)."""
-    feature = f"weak-peak@{i}"
-    kernel = _feature_kernel(feature, n)
-    # both sources check their size before either count starts
-    sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
-    pf_count, f_count = (int(sum(np.count_nonzero(kernel(block, n, n + 1)) for block in blocks))
-                         for blocks, _weigh in sources)
+    [n+1]^n, exactly, from the weak-order types (`_type_rows`); they are
+    equidistributed when the second count is n + 1 times the first (see
+    _PEAKS)."""
+    holds, pf_weights, fn_weights = _type_scores(f"weak-peak@{i}", n, limit)
+    pf_count, f_count = int(pf_weights[holds].sum()), int(fn_weights[holds].sum())
     return WeakPeakReport(n=n, position=i, equal=f_count == (n + 1) * pf_count,
                           pf_count=pf_count, f_count=f_count)
 

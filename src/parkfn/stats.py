@@ -68,8 +68,9 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 #
 # A kernel's result does not depend on the block's memory order.  Sampled
 # blocks are row-major; the exhaustive sources (`ensemble.pf_blocks`,
-# `function_blocks` and, for ORDER_FREE_STATISTICS, the sorted rows of
-# `enumeration._sorted_blocks`) are column-major and tall, at up to
+# `function_blocks`, for ORDER_FREE_STATISTICS the sorted rows of
+# `enumeration._sorted_blocks`, and for COMPARISON_STATISTICS the weak-order
+# types of `ensemble._type_rows`) are column-major and tall, at up to
 # 65536 // n rows a block.
 # Numpy loops along the short row axis of such a block one row at a time,
 # so a few kernels work column by column, with n vector passes over all
@@ -282,6 +283,14 @@ def statistic_kernel(statistic: str) -> Callable:
 # exhaustive counts score the sorted rows only (`ensemble._exhaustive_source`).
 ORDER_FREE_STATISTICS = frozenset({"area", "scaled-area", "ones", "species",
                                    "max-discrepancy", "scaled-max-discrepancy"})
+
+# The statistics that only compare entries, so that a row scores as its
+# weak-order type does (each value replaced by its rank among the row's
+# distinct values): `ensemble.exact_equidistribution` scores the types only
+# (`ensemble._type_rows`).
+COMPARISON_STATISTICS = frozenset({"repeats", "descents", "descent-pattern", "inversions",
+                                   *(name for name in STATISTICS
+                                     if name.startswith("longest-run"))})
 
 
 # --- statistics of the cycle-lemma shift, read from the draw ----------------

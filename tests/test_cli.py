@@ -390,6 +390,22 @@ def test_compare_negative_feature(capsys):
         assert code == EXIT_USAGE and out == "" and repr(feature) in err, feature
 
 
+def test_compare_names_the_feature_it_refuses(capsys):
+    # a name with no relation symbol is no misspelt chain expression
+    for feature in ("specie", "chain-poset", "inversion"):
+        code, out, err = run_cli(capsys, "compare", "--n", "4", "--feature", feature)
+        assert (code, out) == (EXIT_USAGE, ""), feature
+        assert err == (f"error: unknown feature {feature!r}: no statistic, pattern, alias "
+                       "or chain expression has that name\n")
+    code, _, err = run_cli(capsys, "compare", "--n", "4", "--feature", "1<3;2")
+    assert code == EXIT_USAGE and "is not a chain expression such as" in err
+    # a chain position beyond n, in an expression or an alias
+    for feature, position in (("1<6", 6), ("2>1<3>4>=5", 5), ("non-disjoint-chain", 5)):
+        code, out, err = run_cli(capsys, "compare", "--n", "4", "--feature", feature)
+        assert (code, out) == (EXIT_USAGE, ""), feature
+        assert err == f"error: feature {feature!r}: chain position {position} is beyond n = 4\n"
+
+
 def test_metadata_records_what_was_read(capsys):
     def meta(*argv):
         code, out, _ = run_cli(capsys, *argv)

@@ -143,7 +143,7 @@ def test_raw_draw_statistics_score_the_shifted_rows():
             assert list(bins.items()) == list(rows.items()), (n, stat)
 
 
-def test_sampled_max_discrepancy_matches_its_exact_law():
+def test_sampled_statistics_match_their_exact_laws():
     # the KS distance between the sampled and exact CDFs of N samples stays
     # below sqrt(ln(2/alpha) / (2N)) but with probability alpha (the DKW
     # inequality with Massart's constant; the bound is conservative for a
@@ -327,6 +327,44 @@ def test_every_other_statistic_has_an_order_witness():
         scores = _to_python(kernel(block, 4, 4))
         assert any(_to_python(kernel(block[:, list(order)], 4, 4)) != scores
                    for order in permutations(range(4))), name
+
+
+@given(function_blocks(), st_h.data())
+def test_comparison_statistics_ignore_increasing_relabelling(case, data):
+    # exact_equidistribution scores only the weak-order types of these
+    # statistics: a strictly increasing map of the values keeps every score
+    funcs, n, m = case
+    block = np.array(funcs, dtype=np.int64)
+    image = sorted(data.draw(st_h.lists(st_h.integers(1, 3 * m), min_size=m, max_size=m,
+                                        unique=True)))
+    relabelled = np.array(image)[block - 1]
+    for name in stats.COMPARISON_STATISTICS:
+        kernel = STATISTICS[name]
+        assert _to_python(kernel(relabelled, n, image[-1])) == _to_python(kernel(block, n, m)), \
+            name
+
+
+def _weak_order_type(f):
+    """Each value of f replaced by its rank among f's distinct values."""
+    ranks = {v: r for r, v in enumerate(sorted(set(f)), start=1)}
+    return tuple(ranks[v] for v in f)
+
+
+def test_every_other_statistic_has_a_relabelling_witness():
+    # two parking functions of one weak-order type differ by a strictly
+    # increasing map of their values (lucky is defined on both); each
+    # statistic outside the comparison and order-free sets scores some such
+    # pair differently
+    pfs = list(enumerate_pf(4))
+    block = np.array(pfs, dtype=np.int64)
+    types = [_weak_order_type(f) for f in pfs]
+    assert stats.COMPARISON_STATISTICS < set(STATISTICS)
+    assert not stats.COMPARISON_STATISTICS & stats.ORDER_FREE_STATISTICS
+    for name in set(STATISTICS) - stats.COMPARISON_STATISTICS - stats.ORDER_FREE_STATISTICS:
+        scores = {}
+        for t, score in zip(types, _to_python(statistic_kernel(name)(block, 4, 4))):
+            scores.setdefault(t, set()).add(score)
+        assert any(len(values) > 1 for values in scores.values()), name
 
 
 def _scalar_feature(feature, f, n, chains=None):
@@ -706,6 +744,33 @@ def test_ks_distance_to_limit():
             ks_distance_to_limit(h, lambda t: t)
 
 
+def test_type_census_matches_the_scans():
+    # each comparison feature's law on the weak-order types, weighted by
+    # either ensemble's count of each type, is its law over every row
+    for n in range(1, 7):
+        features = [*stats.COMPARISON_STATISTICS, "equality-pattern", "weak-descent-pattern"]
+        features += [f"{peak}@{i}" for peak in ("strict-peak", "mixed-chain", "weak-peak")
+                     for i in range(2, n)]
+        features += [e for e, size in (("1<3;2>=4", 4), ("2>1<3>4", 4),
+                                       ("non-disjoint-chain", 5)) if n >= size]
+        assert all(ensemble._on_types(feature) for feature in features)
+        for feature in features:
+            kernel = _feature_kernel(feature, n)
+            values, *weights = ensemble._type_scores(feature, n, n)
+            scans = (ensemble.pf_blocks(n), ensemble.function_blocks(n, n + 1))
+            for blocks, weight in zip(scans, weights):
+                scan = ensemble._census(kernel, blocks, n, n + 1)
+                types = {v: c for v, c in ensemble._distinct(values, weight) if c}
+                assert types == scan, (n, feature)
+                assert [type(v) for v in types] == [type(v) for v in scan], (n, feature)
+    assert [ensemble._type_scores("repeats", n, n)[0].size for n in range(1, 8)] == \
+        [1, 3, 13, 75, 541, 4683, 47293]  # the Fubini numbers
+    # the other features score every row or the sorted rows
+    for feature in ("first", "area", "lucky", "kmax", "ones", "species", "max-discrepancy",
+                    "scaled-max-discrepancy", "forced-gap"):
+        assert not ensemble._on_types(feature), feature
+
+
 def test_equidistribution_positive_features():
     for n in range(2, 6):
         for feature in ("descent-pattern", "equality-pattern",
@@ -770,10 +835,13 @@ def test_n_fence_is_equidistributed():
     # its V f_2 > f_1 < f_3 differs.  Why the fence is equidistributed is
     # open: it is not an inclusion-exclusion of disjoint-chain events in the
     # way the weak peak is.
-    for n, pf_count in zip(range(4, 8), (17, 190, 2597, 42112)):
-        kernel = _feature_kernel("2>1<3>4", n)
-        assert sum(np.count_nonzero(kernel(b, n, n + 1)) for b in ensemble.pf_blocks(n)) \
-            == pf_count
+    for n, pf_count in zip(range(4, 9), (17, 190, 2597, 42112, 791694)):
+        if n < 8:  # a scan of PF_8 takes seconds: there the types alone count it
+            kernel = _feature_kernel("2>1<3>4", n)
+            assert sum(np.count_nonzero(kernel(b, n, n + 1))
+                       for b in ensemble.pf_blocks(n)) == pf_count
+        holds, pf_weights, _fn_weights = ensemble._type_scores("2>1<3>4", n, n)
+        assert pf_weights[holds].sum() == pf_count
         assert exact_equidistribution(n, "2>1<3>4").equal, n
         assert not exact_equidistribution(n, "2>1<3").equal, n
 
