@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--stat", default=None,
-                   help="histogram this statistic instead of emitting functions")
+                   help='histogram a statistic or feature, e.g. "lucky" or "weak-peak@3"')
     p.add_argument("--ensemble", choices=ensemble.ENSEMBLES, default="pf")
     common(p)
     p.set_defaults(fn=cmd_sample)

@@ -52,7 +52,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        statistic_kernel(self.statistic)
+        statistic_kernel(self.statistic, self.n)
 
 
 @dataclass
@@ -357,10 +357,10 @@ def _type_rows(n: int, limit: int) -> tuple[Iterator[np.ndarray], np.ndarray, np
 
 def _type_scores(feature: str, n: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, pf_weights, fn_weights): a feature that only compares
-    entries (`_on_types`) scored on each row of `_type_rows`, with the
-    row's counts on PF_n and on [n+1]^n.  Raises ValueError for a name
-    `_feature_kernel` refuses before it checks the size."""
-    kernel = _feature_kernel(feature, n)
+    entries (`stats.compares_only`) scored on each row of `_type_rows`, with
+    the row's counts on PF_n and on [n+1]^n.  Raises ValueError for a name
+    `stats.statistic_kernel` refuses before it checks the size."""
+    kernel = statistic_kernel(feature, n)
     blocks, pf_weights, fn_weights = _type_rows(n, limit)
     values = np.concatenate([kernel(block, n, n + 1) for block in blocks])
     return values, pf_weights, fn_weights
@@ -376,7 +376,7 @@ def _sample_source(config: ExperimentConfig) -> tuple[Iterator[np.ndarray], Call
     # by name, not by kernel, as in `_exhaustive_source`
     if config.ensemble == "pf" and config.statistic in st.RAW_DRAW_STATISTICS:
         return _draws(n, count, seed, n + 1), st.RAW_DRAW_STATISTICS[config.statistic]
-    return sample_blocks(n, count, seed, config.ensemble), statistic_kernel(config.statistic)
+    return sample_blocks(n, count, seed, config.ensemble), statistic_kernel(config.statistic, n)
 
 
 def run_experiment(config: ExperimentConfig) -> Histogram:
@@ -402,7 +402,7 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
     not in ENSEMBLES and `CapacityError` for n > limit on every ensemble,
     before any block is built."""
     blocks, weigh = _exhaustive_source(statistic, n, ensemble, limit)
-    kernel = statistic_kernel(statistic)
+    kernel = statistic_kernel(statistic, n)
     m = _codomain(ensemble, n)
     return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
                      count="exhaustive", bins=_census(kernel, blocks, n, m, weigh))
@@ -550,92 +550,24 @@ class EquidistributionReport:
 EQUIDISTRIBUTED_FEATURES = ("descent-pattern", "equality-pattern", "weak-descent-pattern",
                             "species", "inversions", "longest-run")
 
-# The features (f_{i-1} r f_i, f_i r' f_{i+1}) at a position i in [2, n-1],
-# each an alias of its chain expression and named with its position:
-# "weak-peak@3" is "2<3>=4", the weak peak at i = 3.  The strict peak and the
-# mixed chain are negative controls: their laws on PF_n and [n+1]^n differ,
-# as do those of forced-gap and non-disjoint-chain.  The weak peak does not
-# meet the theorem's hypothesis (its two chains share position i), but its
-# law is the same: it is a rise f_{i-1} < f_i minus a double rise
-# f_{i-1} < f_i < f_{i+1}, two disjoint-chain events, each equidistributed.
-_PEAKS = {"strict-peak": "{}<{}>{}", "mixed-chain": "{}<={}<{}", "weak-peak": "{}<{}>={}"}
-
-# The chains 1<2<3 and 4<2<5 share position 2.
-_ALIASES = {"non-disjoint-chain": "1<2<3;4<2<5"}
-
-
-# The descent patterns under "=" and "<=", beside the registry's "<".
-_PATTERN_RELATIONS = {"equality-pattern": "=", "weak-descent-pattern": "<="}
-
-
-def _feature_kernel(feature: str, n: int) -> Callable:
-    """The kernel of a feature on functions [n] -> [n+1]: a pattern of
-    _PATTERN_RELATIONS, a registry statistic, forced-gap, an alias of a
-    chain expression, or a chain expression (`stats.parse_chains`).
-    Comparisons only depend on relative values, so the same kernel serves
-    PF_n and the extended ensemble; both are scored with codomain n + 1.
-    Raises ValueError, naming the feature, for a peak without a position in
-    [2, n-1], for a position on any other feature, for a chain position
-    beyond n and for a name that is none of these."""
-    if feature in _PATTERN_RELATIONS:
-        return st.descent_pattern_statistic(_PATTERN_RELATIONS[feature])
-    if feature in STATISTICS:
-        return STATISTICS[feature]
-    if feature == "forced-gap":
-        if n < 2:
-            raise ValueError("forced-gap needs n >= 2")
-        return lambda block, n, m: block[:, 0] < block[:, 1] - 1
-    name, at, position = feature.partition("@")
-    if name in _PEAKS:
-        if not (position.isdecimal() and 2 <= int(position) <= n - 1):
-            raise ValueError(f"feature {feature!r} needs a position in [2, n-1] "
-                             f"(n = {n}), as in {name}@2")
-        i = int(position)
-        expression = _PEAKS[name].format(i - 1, i, i + 1)
-    elif at:
-        raise ValueError(f"feature {feature!r}: only a peak takes a position")
-    elif feature in _ALIASES:
-        expression = _ALIASES[feature]
-    elif not st._LINK.search(feature):  # no relation symbol: not meant as an expression
-        raise ValueError(f"unknown feature {feature!r}: no statistic, pattern, alias "
-                         "or chain expression has that name")
-    else:
-        expression = feature
-    chains = st.parse_chains(expression)
-    try:
-        st._check_chain_positions(chains, n)
-    except ValueError as exc:
-        raise ValueError(f"feature {feature!r}: {exc}") from None
-    return lambda block, n, m: st._chains_hold(block, chains)
-
-
-def _on_types(feature: str) -> bool:
-    """Whether a feature only compares entries, so that its laws are read
-    from the weak-order types (`_type_rows`): a statistic of
-    COMPARISON_STATISTICS, a pattern, a peak, an alias or a chain
-    expression.  Other statistics and forced-gap scan every row."""
-    if feature in STATISTICS:
-        return feature in st.COMPARISON_STATISTICS
-    return feature != "forced-gap"
-
 
 def exact_equidistribution(n: int, feature: str,
                            limit: int = DEFAULT_ENUM_LIMIT) -> EquidistributionReport:
     """Whether a feature has the same exact law on PF_n as on all functions
     [n] -> [n+1], after scaling by n + 1.  A feature that only compares
-    entries (`_on_types`) is scored once per weak-order type, each type
-    weighted by its number of rows in either ensemble (`_type_rows`); an
-    order-free statistic on the sorted rows; any other on every row of
-    both.  The feature is any name `_feature_kernel` takes:
+    entries (`stats.compares_only`) is scored once per weak-order type, each
+    type weighted by its number of rows in either ensemble (`_type_rows`);
+    an order-free statistic on the sorted rows; any other on every row of
+    both.  The feature is any name `stats.statistic_kernel` takes:
     "longest-run>=", "strict-peak@3" or a chain expression such as
     "1<3;2>=4"; the report keeps the name as given."""
-    if _on_types(feature):
+    if st.compares_only(feature):
         values, pf_weights, fn_weights = _type_scores(feature, n, limit)
         # the laws agree exactly when each value's fn - (n + 1) pf count is 0
         gaps = _distinct(values, fn_weights - (n + 1) * pf_weights)
         unequal = [v for v, gap in gaps if gap]
     else:
-        kernel = _feature_kernel(feature, n)
+        kernel = statistic_kernel(feature, n)
         # both sources check their size before either census starts
         sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
         pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh)
@@ -660,7 +592,7 @@ def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeak
     """Count the weak peaks f_{i-1} < f_i >= f_{i+1} over PF_n and over
     [n+1]^n, exactly, from the weak-order types (`_type_rows`); they are
     equidistributed when the second count is n + 1 times the first (see
-    _PEAKS)."""
+    `stats._PEAKS`)."""
     holds, pf_weights, fn_weights = _type_scores(f"weak-peak@{i}", n, limit)
     pf_count, f_count = int(pf_weights[holds].sum()), int(fn_weights[holds].sum())
     return WeakPeakReport(n=n, position=i, equal=f_count == (n + 1) * pf_count,

@@ -271,13 +271,6 @@ STATISTICS: dict[str, Callable] = {
 }
 
 
-def statistic_kernel(statistic: str) -> Callable:
-    """The registry kernel of a statistic; ValueError for an unknown name."""
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    return STATISTICS[statistic]
-
-
 # The statistics whose value depends only on the multiset of a function's
 # values, so that every arrangement of a sorted row scores as the row does:
 # exhaustive counts score the sorted rows only (`ensemble._exhaustive_source`).
@@ -287,7 +280,7 @@ ORDER_FREE_STATISTICS = frozenset({"area", "scaled-area", "ones", "species",
 # The statistics that only compare entries, so that a row scores as its
 # weak-order type does (each value replaced by its rank among the row's
 # distinct values): `ensemble.exact_equidistribution` scores the types only
-# (`ensemble._type_rows`).
+# (`ensemble._type_rows`; see `compares_only`).
 COMPARISON_STATISTICS = frozenset({"repeats", "descents", "descent-pattern", "inversions",
                                    *(name for name in STATISTICS
                                      if name.startswith("longest-run"))})
@@ -614,3 +607,77 @@ def chain_monotone(seq: Sequence[int], poset: ChainPoset) -> bool:
     block, _m = row_block(seq)
     _check_chain_positions(poset.chains, block.shape[1])
     return _chains_hold(block, poset.chains)[0].tolist()
+
+
+# --- every name: statistics and features ------------------------------------
+#
+# `statistic_kernel` resolves every name that `run_experiment`,
+# `exhaustive_histogram`, `exact_equidistribution` and the CLI take.  It looks
+# a registry entry up at call time, so an entry replaced in STATISTICS (as in
+# perfbench's traced runs) is replaced for every caller.
+
+# The descent patterns under "=" and "<=", beside the registry's "<".
+_PATTERN_RELATIONS = {"equality-pattern": "=", "weak-descent-pattern": "<="}
+
+# The features (f_{i-1} r f_i, f_i r' f_{i+1}) at a position i in [2, n-1],
+# each an alias of its chain expression and named with its position:
+# "weak-peak@3" is "2<3>=4", the weak peak at i = 3.  The strict peak and the
+# mixed chain are negative controls: their laws on PF_n and [n+1]^n differ,
+# as do those of forced-gap and non-disjoint-chain.  The weak peak does not
+# meet the theorem's hypothesis (its two chains share position i), but its
+# law is the same: it is a rise f_{i-1} < f_i minus a double rise
+# f_{i-1} < f_i < f_{i+1}, two disjoint-chain events, each equidistributed.
+_PEAKS = {"strict-peak": "{}<{}>{}", "mixed-chain": "{}<={}<{}", "weak-peak": "{}<{}>={}"}
+
+# The chains 1<2<3 and 4<2<5 share position 2.
+_ALIASES = {"non-disjoint-chain": "1<2<3;4<2<5"}
+
+# A name is a chain expression only if it starts with a position and a
+# relation symbol: "1<3;2" is malformed, "longest-run>>" an unknown name.
+_EXPRESSION_START = re.compile(r"[0-9]+[<>=]")
+
+
+def statistic_kernel(name: str, n: int) -> Callable:
+    """The kernel of a name, for functions [n] -> [m]: a registry statistic,
+    a pattern of _PATTERN_RELATIONS, forced-gap, a peak of _PEAKS at a
+    position, an alias of _ALIASES or a chain expression (`parse_chains`).
+    Raises ValueError, naming the feature, for a peak without a position in
+    [2, n-1], a position on any other name, a chain position beyond n or a
+    name that is none of these."""
+    if name in STATISTICS:
+        return STATISTICS[name]
+    if name in _PATTERN_RELATIONS:
+        return descent_pattern_statistic(_PATTERN_RELATIONS[name])
+    if name == "forced-gap":
+        if n < 2:
+            raise ValueError("forced-gap needs n >= 2")
+        return lambda block, n, m: block[:, 0] < block[:, 1] - 1
+    peak, at, position = name.partition("@")
+    if peak in _PEAKS:
+        if not (position.isdecimal() and 2 <= int(position) <= n - 1):
+            raise ValueError(f"feature {name!r} needs a position in [2, n-1] "
+                             f"(n = {n}), as in {peak}@2")
+        i = int(position)
+        expression = _PEAKS[peak].format(i - 1, i, i + 1)
+    elif at:
+        raise ValueError(f"feature {name!r}: only a peak takes a position")
+    elif name in _ALIASES:
+        expression = _ALIASES[name]
+    elif _EXPRESSION_START.match(name):
+        expression = name
+    else:
+        raise ValueError(f"unknown feature {name!r}: no statistic, pattern, alias "
+                         "or chain expression has that name")
+    chains = parse_chains(expression)
+    try:
+        _check_chain_positions(chains, n)
+    except ValueError as exc:
+        raise ValueError(f"feature {name!r}: {exc}") from None
+    return lambda block, n, m: _chains_hold(block, chains)
+
+
+def compares_only(name: str) -> bool:
+    """Whether the kernel of a name only compares entries, so that a row
+    scores as its weak-order type does: a statistic of COMPARISON_STATISTICS
+    or any feature but forced-gap."""
+    return name in COMPARISON_STATISTICS if name in STATISTICS else name != "forced-gap"

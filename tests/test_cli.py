@@ -391,12 +391,20 @@ def test_compare_negative_feature(capsys):
 
 
 def test_compare_names_the_feature_it_refuses(capsys):
-    # a name with no relation symbol is no misspelt chain expression
-    for feature in ("specie", "chain-poset", "inversion"):
+    # a name that does not start with a position and a relation symbol is no
+    # misspelt chain expression, in compare and in sample alike
+    for feature in ("specie", "chain-poset", "inversion", "longest-run>>", "longest-run=>"):
         code, out, err = run_cli(capsys, "compare", "--n", "4", "--feature", feature)
         assert (code, out) == (EXIT_USAGE, ""), feature
         assert err == (f"error: unknown feature {feature!r}: no statistic, pattern, alias "
                        "or chain expression has that name\n")
+    code, out, err = run_cli(capsys, "sample", "--n", "4", "--stat", "longest-run>>")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: unknown feature 'longest-run>>': no statistic, pattern, alias "
+                   "or chain expression has that name\n")
+    # a peak is checked against n before anything is sampled
+    code, out, err = run_cli(capsys, "sample", "--n", "3", "--stat", "weak-peak@3")
+    assert (code, out) == (EXIT_USAGE, "") and "'weak-peak@3'" in err
     code, _, err = run_cli(capsys, "compare", "--n", "4", "--feature", "1<3;2")
     assert code == EXIT_USAGE and "is not a chain expression such as" in err
     # a chain position beyond n, in an expression or an alias
@@ -415,6 +423,10 @@ def test_metadata_records_what_was_read(capsys):
     # the statistic once, under one key
     assert meta("sample", "--n", "5", "--count", "3", "--stat", "longest-run>=") == [
         "# count=3", "# ensemble=pf", "# n=5", "# seed=0", "# statistic=longest-run>=",
+        f"# tool_version={cli.__version__}"]
+    # a chain expression is a statistic of sample too, recorded as given
+    assert meta("sample", "--n", "6", "--count", "5", "--stat", "2>1<3>4") == [
+        "# count=5", "# ensemble=pf", "# n=6", "# seed=0", "# statistic=2>1<3>4",
         f"# tool_version={cli.__version__}"]
     assert meta("enumerate", "--n", "4", "--stat", "lucky") == [
         "# n=4", "# polynomial=coefficients by power of q", "# statistic=lucky",

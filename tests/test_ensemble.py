@@ -29,7 +29,7 @@ from parkfn import (
 from parkfn import ensemble, sample, stats
 from parkfn.core import inconvenience
 from parkfn.enumeration import CapacityError, count_pf, enumerate_pf, first_counts, gf_closed_form
-from parkfn.ensemble import _feature_kernel, sample_blocks
+from parkfn.ensemble import sample_blocks
 from parkfn.sample import (
     sample_parking_function,
     sample_uniform_function,
@@ -50,6 +50,11 @@ def test_config_validation():
     # longest-run names its relation
     for name in LONGEST_RUNS:
         ExperimentConfig(n=3, count=1, seed=0, statistic=name)
+    # every feature name is a statistic: a peak, a chain expression, a pattern
+    ExperimentConfig(n=5, count=1, seed=0, statistic="weak-peak@3")
+    # 1 < 3 on C(5, 2) pairs and 2 >= 4 on C(6, 2) of the 5^2 pairs
+    assert exhaustive_histogram(4, "1<3;2>=4", "fn1").bins == {True: 10 * 15, False: 625 - 150}
+    assert sum(exhaustive_histogram(4, "equality-pattern").bins.values()) == count_pf(4)
     # an unknown statistic is a ValueError that names it, wherever the name
     # is looked up
     bad_names = [
@@ -58,6 +63,10 @@ def test_config_validation():
                                                     statistic="longest-run~")),
         ("'bogus'", lambda: exhaustive_histogram(3, "bogus")),
         ("'longest-run~'", lambda: exact_equidistribution(3, "longest-run~")),
+        # a peak or an expression is checked against n when the config is built
+        ("'weak-peak@3'", lambda: ExperimentConfig(n=3, count=1, seed=0,
+                                                   statistic="weak-peak@3")),
+        ("'1<5'", lambda: ExperimentConfig(n=3, count=1, seed=0, statistic="1<5")),
     ]
     # an unknown ensemble, on the sorted rows and on the scan (a case-folded
     # "PF" would count [3]^3 as PF_3)
@@ -157,6 +166,16 @@ def test_sampled_statistics_match_their_exact_laws():
     cases += [(stat, 100, "pf", dict(enumerate(gf_closed_form(100, stat))))
               for stat in ("lucky", "repeats", "ones")]
     cases.append(("first", 100, "pf", dict(enumerate(first_counts(100), start=1))))
+    # features at a size no exhaustive check reaches: the laws on PF_100,
+    # scaled by m = 101, are the laws on [m]^100, which read only the
+    # positions named.  a < b >= c holds for (b - 1) b of the m^2 pairs (a, c)
+    # at b, and 1 < 3 and 2 >= 4 are independent.
+    m = 101
+    peak = (m - 1) * m * (m + 1) // 3
+    cases += [("weak-peak@50", 100, name, {True: peak, False: m**3 - peak})
+              for name in ("pf", "fn1")]
+    chains = (m - 1) * m // 2 * (m * (m + 1) // 2)
+    cases.append(("1<3;2>=4", 100, "pf", {True: chains, False: m**4 - chains}))
     for stat, n, ensemble_name, exact in cases:
         sampled = run_experiment(ExperimentConfig(n=n, count=count, seed=2024,
                                                   ensemble=ensemble_name,
@@ -287,7 +306,7 @@ def test_kernels_match_scalar_definitions(case):
     funcs, n, m = case
     block = np.array(funcs, dtype=np.int64)
     for name, scalar in SCALAR_DEFINITIONS.items():
-        got = _to_python(statistic_kernel(name)(block, n, m))
+        got = _to_python(statistic_kernel(name, n)(block, n, m))
         assert got == [scalar(tuple(f), n, m) for f in funcs], name
 
 
@@ -323,7 +342,7 @@ def test_every_other_statistic_has_an_order_witness():
     block = np.array(list(enumerate_pf(4)), dtype=np.int64)
     assert stats.ORDER_FREE_STATISTICS < set(STATISTICS)
     for name in set(STATISTICS) - stats.ORDER_FREE_STATISTICS:
-        kernel = statistic_kernel(name)
+        kernel = statistic_kernel(name, 4)
         scores = _to_python(kernel(block, 4, 4))
         assert any(_to_python(kernel(block[:, list(order)], 4, 4)) != scores
                    for order in permutations(range(4))), name
@@ -362,7 +381,7 @@ def test_every_other_statistic_has_a_relabelling_witness():
     assert not stats.COMPARISON_STATISTICS & stats.ORDER_FREE_STATISTICS
     for name in set(STATISTICS) - stats.COMPARISON_STATISTICS - stats.ORDER_FREE_STATISTICS:
         scores = {}
-        for t, score in zip(types, _to_python(statistic_kernel(name)(block, 4, 4))):
+        for t, score in zip(types, _to_python(statistic_kernel(name, 4)(block, 4, 4))):
             scores.setdefault(t, set()).add(score)
         assert any(len(values) > 1 for values in scores.values()), name
 
@@ -448,7 +467,7 @@ def test_feature_kernels_match_scalar_definitions(case, data):
     block = np.array(funcs, dtype=np.int64)
     poset = data.draw(chain_posets(n))
     for feature, chains in _feature_cases(n, (poset,)):
-        got = _to_python(_feature_kernel(feature, n)(block, n, n + 1))
+        got = _to_python(statistic_kernel(feature, n)(block, n, n + 1))
         assert got == [_scalar_feature(feature, tuple(f), n, chains) for f in funcs], feature
         assert all(type(v) in (bool, int, tuple) for v in got), feature
 
@@ -606,7 +625,7 @@ def test_bin_keys_are_plain_python_values():
                 _assert_plain_keys(hist.bins, expected, (stat, ensemble_name, n))
     # chain and forced-gap features count bools
     for feature in ("forced-gap", "strict-peak@2", _expression(POSETS[0])):
-        kernel = _feature_kernel(feature, 4)
+        kernel = statistic_kernel(feature, 4)
         for blocks in (ensemble.pf_blocks(4), ensemble.function_blocks(4, 5)):
             _assert_plain_keys(ensemble._census(kernel, blocks, 4, 5), bool, feature)
 
@@ -753,9 +772,9 @@ def test_type_census_matches_the_scans():
                      for i in range(2, n)]
         features += [e for e, size in (("1<3;2>=4", 4), ("2>1<3>4", 4),
                                        ("non-disjoint-chain", 5)) if n >= size]
-        assert all(ensemble._on_types(feature) for feature in features)
+        assert all(stats.compares_only(feature) for feature in features)
         for feature in features:
-            kernel = _feature_kernel(feature, n)
+            kernel = statistic_kernel(feature, n)
             values, *weights = ensemble._type_scores(feature, n, n)
             scans = (ensemble.pf_blocks(n), ensemble.function_blocks(n, n + 1))
             for blocks, weight in zip(scans, weights):
@@ -768,7 +787,7 @@ def test_type_census_matches_the_scans():
     # the other features score every row or the sorted rows
     for feature in ("first", "area", "lucky", "kmax", "ones", "species", "max-discrepancy",
                     "scaled-max-discrepancy", "forced-gap"):
-        assert not ensemble._on_types(feature), feature
+        assert not stats.compares_only(feature), feature
 
 
 def test_equidistribution_positive_features():
@@ -820,7 +839,7 @@ def test_chain_poset_theorem_at_n4():
     events = {}
     for expression in expressions:
         ChainPoset(stats.parse_chains(expression))  # meets the hypothesis
-        kernel = _feature_kernel(expression, n)
+        kernel = statistic_kernel(expression, n)
         events.setdefault(kernel(fn, n, n + 1).tobytes(), (expression, kernel))
     assert (len(expressions), len(events)) == (600, 206)
     for mask, (expression, kernel) in events.items():
@@ -837,7 +856,7 @@ def test_n_fence_is_equidistributed():
     # way the weak peak is.
     for n, pf_count in zip(range(4, 9), (17, 190, 2597, 42112, 791694)):
         if n < 8:  # a scan of PF_8 takes seconds: there the types alone count it
-            kernel = _feature_kernel("2>1<3>4", n)
+            kernel = statistic_kernel("2>1<3>4", n)
             assert sum(np.count_nonzero(kernel(b, n, n + 1))
                        for b in ensemble.pf_blocks(n)) == pf_count
         holds, pf_weights, _fn_weights = ensemble._type_scores("2>1<3>4", n, n)
@@ -1150,7 +1169,7 @@ def test_exact_equidistribution_matches_enumerated_census():
     for n in range(2, 7):
         pf, fn = _enumerated("pf", n), _enumerated("fn1", n)
         for feature, _chains in _feature_cases(n, POSETS):
-            kernel = _feature_kernel(feature, n)
+            kernel = statistic_kernel(feature, n)
             pf_counts = Counter(_to_python(kernel(pf, n, n + 1)))
             f_counts = Counter(_to_python(kernel(fn, n, n + 1)))
             witness = next((v for v in sorted(set(pf_counts) | set(f_counts), key=str)
@@ -1244,7 +1263,7 @@ def test_column_forms_match_oracles_in_either_memory_order(shape):
             (lambda f, name=name: SCALAR_DEFINITIONS[name](f, n, m))
         check(STATISTICS[name], scalar, m, name)
     for feature, chains in _feature_cases(n, POSETS):
-        check(_feature_kernel(feature, n),
+        check(statistic_kernel(feature, n),
               lambda f: _scalar_feature(feature, f, n, chains), n + 1, feature)
 
     shifts = [oracles.find_valid_shift(f, n) for f in raw.tolist()]
