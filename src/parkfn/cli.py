@@ -123,13 +123,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if args.pf:
+    if args.file is None:
         text = args.pf
-    elif args.file:
+    else:
         with open(args.file) as fh:
             text = fh.read().strip()
-    else:
-        raise UsageError("stats needs --pf or --file")
     seq = parse_function(text)
     values, n = seq.values, seq.n
     block, m = stats.row_block(values, seq.m)
@@ -154,13 +152,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if args.stat:
-        if n > args.n_max:
-            raise UsageError(f"--stat enumerates PF_{n}, above --n-max {args.n_max}; "
+        n_max = enumeration.DEFAULT_ENUM_LIMIT if args.n_max is None else args.n_max
+        if n > n_max:
+            raise UsageError(f"--stat enumerates PF_{n}, above --n-max {n_max}; "
                              "raise --n-max to opt in")
-        poly = enumeration.gf_statistic(n, args.stat, limit=args.n_max)
+        poly = enumeration.gf_statistic(n, args.stat, limit=n_max)
         meta = _metadata(n=n, statistic=args.stat, polynomial="coefficients by power of q")
         _emit_rows(args, ("power", "coefficient"), list(enumerate(poly)), meta)
         return EXIT_OK
+    if args.n_max is not None:
+        raise UsageError("--n-max: read only with --stat; the table is counted in closed form")
     # Python prints ints of at most this many digits (0: any); an n whose
     # total, (n+1)^(n-1), is longer is refused before anything is counted.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
@@ -181,25 +182,30 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_dist(args: argparse.Namespace) -> int:
     from . import limits  # loaded only by the subcommands that use it
 
-    params = {}
-    if args.x is not None:
-        params["x"] = args.x
-    if not args.step > 0:
-        raise UsageError(f"--step must be positive, got {args.step}")
-    for option, value in (("--min", args.min), ("--max", args.max)):
+    bounds = (("--min", args.min), ("--max", args.max))
+    for option, value in bounds:
         if not math.isfinite(value):
             raise UsageError(f"{option} must be finite, got {value}")
-    handle = limits.distribution_handle(args.dist, **params)
-    if handle.kind == "pmf":
+    handle = limits.distribution_handle(args.dist)
+    step = args.step
+    if handle.kind == "pmf":  # tabulated at each whole number in [--min, --max]
+        unread = [f"--step {step}"] * (step is not None) + [
+            f"{option} {value}" for option, value in bounds if not value.is_integer()]
+        if unread:
+            raise UsageError(f"{', '.join(unread)}: {handle.name} is a pmf, "
+                             "tabulated at whole numbers")
         points = range(max(handle.support_min, int(args.min)), int(args.max) + 1)
     else:  # t += step from --min while t <= --max
+        step = 0.1 if step is None else step
+        if not step > 0:
+            raise UsageError(f"--step must be positive, got {step}")
         points = takewhile(lambda t: t <= args.max + 1e-12,
-                           accumulate(repeat(args.step), initial=args.min))
+                           accumulate(repeat(step), initial=args.min))
     # counted before any is evaluated; a step below the spacing of doubles
     # near --min never moves t, and stops here too
     grid = list(islice(points, DIST_MAX_ROWS + 1))
     if len(grid) > DIST_MAX_ROWS:
-        raise UsageError(f"--min {args.min} --max {args.max} --step {args.step} "
+        raise UsageError(f"--min {args.min} --max {args.max} --step {step} "
                          f"gives more than {DIST_MAX_ROWS} rows")
     rows = [(x if handle.kind == "pmf" else round(x, 10), handle.evaluate(x)) for x in grid]
     meta = _metadata(distribution=handle.name, **dict(handle.parameters))
@@ -335,27 +341,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("stats", help="compute all statistics of one function")
-    p.add_argument("--pf", default=None, help='inline function, e.g. "1,3,5,3,1"')
-    p.add_argument("--file", default=None, help="file containing the function")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pf", default=None, help='inline function, e.g. "1,3,5,3,1"')
+    source.add_argument("--file", default=None, help="file containing the function")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("enumerate", help="exact counts, first-coordinate table, GF polynomials")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", choices=enumeration.GF_STATISTICS, default=None)
-    p.add_argument("--n-max", type=int, default=enumeration.DEFAULT_ENUM_LIMIT,
-                   help="largest n that --stat enumerates (default %(default)s)")
+    p.add_argument("--n-max", type=int, default=None,
+                   help="largest n that --stat enumerates "
+                        f"(default {enumeration.DEFAULT_ENUM_LIMIT})")
     common(p, seed=False)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("dist", help="tabulate a limit distribution to CSV")
     p.add_argument("--dist", required=True,
-                   choices=("borel", "maxwell", "excursion-max", "bridge-max",
-                            "airy-area", "poisson", "gaussian"))
-    p.add_argument("--x", type=float, default=None, help="parameter for maxwell")
+                   help="borel, maxwell@x for x in (0, 1) (e.g. maxwell@0.5), "
+                        "excursion-max, bridge-max, airy-area, poisson or gaussian")
     p.add_argument("--min", type=float, default=0.0)
     p.add_argument("--max", type=float, default=3.0)
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--step", type=float, default=None,
+                   help="grid step of a cdf or pdf (default 0.1); a pmf takes none")
     common(p, seed=False)
     p.set_defaults(fn=cmd_dist)
 

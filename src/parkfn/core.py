@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -23,8 +24,10 @@ class PrefSequence:
     m: int
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
+        # operator.index: a float raises TypeError instead of being truncated
+        values = tuple(map(operator.index, self.values))
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "m", operator.index(self.m))
         if len(values) < 1:
             raise ValueError("preference sequence must have length >= 1")
         if self.m < 1:
@@ -48,13 +51,14 @@ class ParkingFunction(tuple):
     """A validated parking function: sorted values satisfy pi'_i <= i.
 
     Constructed from any iterable of 1-based integers; invalid input raises
-    ValueError so downstream statistics carry no failure path.
+    ValueError (TypeError for a value that is not an integer) so downstream
+    statistics carry no failure path.
     """
 
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int]) -> "ParkingFunction":
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(operator.index, values))
         if not is_parking_function(vals):
             raise ValueError(f"{vals} is not a parking function")
         return tuple.__new__(cls, vals)
@@ -95,28 +99,41 @@ class DyckCoding:
     """Labeled Dyck-path coding of a parking function.
 
     `column_labels[i-1]` lists the car indices (1-based, ascending) whose
-    preference is i, stacked bottom-to-top in column i.  `path` is the
-    lattice path as a string of 'N'/'E' steps; `area` counts labeled boxes
-    strictly above the main diagonal.
+    preference is i, stacked bottom-to-top in column i.  The labels fix the
+    rest: `path` and `area`.
     """
 
     column_labels: tuple[tuple[int, ...], ...]
-    path: str
-    area: int
 
     @property
     def n(self) -> int:
         return len(self.column_labels)
 
+    @property
+    def path(self) -> str:
+        """The lattice path as a string of 'N'/'E' steps: in column i, one
+        north step per label, then one east step."""
+        return "".join("N" * len(labels) + "E" for labels in self.column_labels)
 
-def is_parking_function(seq: Sequence[int], n: Optional[int] = None) -> bool:
-    """True iff #{k : seq_k <= i} >= i for all i (and all values in [1, n]).
+    @property
+    def area(self) -> int:
+        """Labeled boxes strictly above the main diagonal: the box in row r
+        of column i counts r - i when r > i."""
+        area = base = 0
+        for i, labels in enumerate(self.column_labels, start=1):
+            area += sum(row - i for row in range(base + 1, base + len(labels) + 1) if row > i)
+            base += len(labels)
+        return area
+
+
+def is_parking_function(seq: Sequence[int]) -> bool:
+    """True iff seq is nonempty, its values lie in [1, n] for n = len(seq),
+    and #{k : seq_k <= i} >= i for all i.
 
     O(n) via occurrence counting and prefix sums.
     """
-    if n is None:
-        n = len(seq)
-    if len(seq) != n or n < 1:
+    n = len(seq)
+    if n < 1:
         return False
     counts = [0] * (n + 1)
     for v in seq:
@@ -204,31 +221,12 @@ def dyck_encode(pf: Sequence[int]) -> DyckCoding:
     diagonal and equals the inconvenience.
     """
     values = tuple(pf)
-    n = len(values)
     if not is_parking_function(values):
         raise ValueError("dyck_encode requires a parking function")
-    columns: list[list[int]] = [[] for _ in range(n)]
+    columns: list[list[int]] = [[] for _ in values]
     for car, v in enumerate(values, start=1):
         columns[v - 1].append(car)
-    # Path: in column i the labels end at height h_i = cumulative count;
-    # emit norths up to h_i then one east step.
-    steps = []
-    height = 0
-    area = 0
-    base = 0
-    for i in range(1, n + 1):
-        labels = columns[i - 1]
-        for offset, _car in enumerate(labels):
-            row = base + offset + 1
-            if row > i:
-                area += row - i
-        base += len(labels)
-        steps.append("N" * (base - height))
-        steps.append("E")
-        height = base
-    return DyckCoding(
-        column_labels=tuple(tuple(c) for c in columns), path="".join(steps), area=area
-    )
+    return DyckCoding(column_labels=tuple(map(tuple, columns)))
 
 
 def dyck_decode(coding: DyckCoding) -> ParkingFunction:

@@ -57,31 +57,31 @@ class ExperimentConfig:
 
 @dataclass
 class Histogram:
-    """Seeded-experiment output: exact integer bin counts plus scaled
-    summaries of the observed values."""
+    """Experiment output: exact integer bin counts of the observed values.
+    A sampled histogram has a seed; an exhaustive one has seed None."""
 
     n: int
     statistic: str
     ensemble: str
     seed: Optional[int]
-    count: int | str  # sample count or "exhaustive"
     bins: dict[Hashable, int] = field(default_factory=dict)
-    summaries: dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_bins(cls, bins: dict[Hashable, int], **meta) -> "Histogram":
-        """A histogram of exact counts, with the summaries of its numeric
-        values: bit for bit the `statistics.fmean`, `statistics.pvariance`
-        and rank quantiles of the values the bins expand to."""
-        hist = cls(bins=bins, **meta)
-        numeric = sorted((v, c) for v, c in bins.items() if isinstance(v, (int, float)))
-        if numeric:
-            hist.summaries = _summaries(numeric)
-        return hist
 
     @property
     def total(self) -> int:
         return sum(self.bins.values())
+
+    @property
+    def count(self) -> int | str:
+        """The sample count, or "exhaustive" for an exhaustive histogram."""
+        return "exhaustive" if self.seed is None else self.total
+
+    @property
+    def summaries(self) -> dict[str, float]:
+        """Mean, variance and quantiles of the numeric values the bins expand
+        to (`{}` if there are none): bit for bit their `statistics.fmean`,
+        `statistics.pvariance` and rank quantiles."""
+        numeric = sorted((v, c) for v, c in self.bins.items() if c and isinstance(v, (int, float)))
+        return _summaries(numeric) if numeric else {}
 
     def probabilities(self) -> dict[Hashable, float]:
         total = self.total
@@ -385,14 +385,8 @@ def run_experiment(config: ExperimentConfig) -> Histogram:
     blocks, kernel = _sample_source(config)
     n = config.n
     m = _codomain(config.ensemble, n)
-    return Histogram.from_bins(
-        _census(kernel, blocks, n, m),
-        n=n,
-        statistic=config.statistic,
-        ensemble=config.ensemble,
-        seed=config.seed,
-        count=config.count,
-    )
+    return Histogram(n=n, statistic=config.statistic, ensemble=config.ensemble,
+                     seed=config.seed, bins=_census(kernel, blocks, n, m))
 
 
 def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
@@ -405,7 +399,7 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
     kernel = statistic_kernel(statistic, n)
     m = _codomain(ensemble, n)
     return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
-                     count="exhaustive", bins=_census(kernel, blocks, n, m, weigh))
+                     bins=_census(kernel, blocks, n, m, weigh))
 
 
 def _census(kernel: Callable, blocks: Iterator[np.ndarray], n: int, m: int,

@@ -124,7 +124,9 @@ def coordinate_count_density(x: float, y: float) -> float:
     if y < 0:
         return 0.0
     sigma2 = x * (1 - x)
-    return math.sqrt(2 / math.pi) * y * y * math.exp(-y * y / (2 * sigma2)) / sigma2**1.5
+    e = math.exp(-y * y / (2 * sigma2))
+    # e is 0 past y ~ 39 sigma; from y ~ 1e154 on, y * y * e would be inf * 0
+    return math.sqrt(2 / math.pi) * y * y * e / sigma2**1.5 if e else 0.0
 
 
 def coordinate_count_cdf(x: float, t: float) -> float:
@@ -138,7 +140,9 @@ def coordinate_count_cdf(x: float, t: float) -> float:
     if t <= 0:
         return 0.0
     u = t / math.sqrt(x * (1 - x))
-    return math.erf(u / math.sqrt(2)) - math.sqrt(2 / math.pi) * u * math.exp(-u * u / 2)
+    e = math.exp(-u * u / 2)
+    # e is 0 past u ~ 39, where erf is 1; once u overflows, u * e would be inf * 0
+    return math.erf(u / math.sqrt(2)) - math.sqrt(2 / math.pi) * u * e if e else 1.0
 
 
 # --- excursion / bridge maximum ------------------------------------------
@@ -369,7 +373,9 @@ def descent_sum_moments(n: int) -> tuple[float, float]:
 # --- elementary reference laws -------------------------------------------
 
 def poisson_pmf(lam: float, j: int) -> float:
-    """Poisson pmf in log space."""
+    """Poisson pmf in log space.  Raises TypeError for a j that is not an
+    integer."""
+    j = operator.index(j)
     if lam <= 0:
         raise ValueError("lambda must be > 0")
     if j < 0:
@@ -378,7 +384,10 @@ def poisson_pmf(lam: float, j: int) -> float:
 
 
 def gaussian_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
+    """Standard normal CDF via the complementary error function.  Raises
+    ValueError for nan."""
+    if math.isnan(x):
+        raise ValueError("x must not be nan")
     return 0.5 * math.erfc(-x / math.sqrt(2))
 
 
@@ -395,18 +404,18 @@ class DistributionHandle:
     support_min: int = 0  # smallest argument of a pmf's support
 
 
-def distribution_handle(name: str, **params: float) -> DistributionHandle:
-    """Look up a distribution by name: borel, maxwell(x), excursion-max,
-    bridge-max, airy-area, poisson (lam = 1), gaussian."""
+def distribution_handle(name: str) -> DistributionHandle:
+    """Look up a distribution by name: borel, maxwell@x for x in (0, 1)
+    (as in "maxwell@0.5"), excursion-max, bridge-max, airy-area, poisson
+    (lam = 1), gaussian."""
     if name == "borel":
         return DistributionHandle(name, (), lambda j: borel_pmf(int(j)), "pmf", support_min=1)
-    if name == "maxwell":
-        if "x" not in params:
-            raise ValueError("maxwell needs the parameter x in (0, 1)")
-        x = params["x"]
-        return DistributionHandle(
-            name, (("x", x),), lambda t, _x=x: coordinate_count_cdf(_x, t), "cdf"
-        )
+    law, _, text = name.partition("@")
+    if law == "maxwell":  # x in decimal digits, as in "maxwell@0.5"
+        x = float(text) if text.replace(".", "", 1).isdecimal() else math.nan
+        if not 0 < x < 1:
+            raise ValueError(f"{name!r}: maxwell needs its x in (0, 1), as in 'maxwell@0.5'")
+        return DistributionHandle(law, (("x", x),), lambda t: coordinate_count_cdf(x, t), "cdf")
     if name == "excursion-max":
         return DistributionHandle(name, (), max_discrepancy_cdf, "cdf")
     if name == "bridge-max":

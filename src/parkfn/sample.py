@@ -73,29 +73,20 @@ def sample_uniform_function(n: int, m: int, rng: RngStream) -> PrefSequence:
     return PrefSequence(values=tuple(int(v) for v in values), m=m)
 
 
-def _shift_row(values: Sequence[int], n: int | None) -> np.ndarray:
-    """values as a one-row block of [n+1]^n: n, if given, must be
-    len(values), and each value must lie in [1, n+1] (ValueError)."""
-    values = tuple(values)
-    if n is not None and n != len(values):
-        raise ValueError(f"n={n}, but the row has {len(values)} values")
-    return row_block(values, len(values) + 1)[0]
-
-
-def find_valid_shift(values: Sequence[int], n: int | None = None) -> int:
+def find_valid_shift(values: Sequence[int]) -> int:
     """The unique k in [0, n] such that values +_{n+1} k(1,...,1) is in PF_n,
-    for values in [1, n+1]: the k of `valid_shifts` for one row."""
-    block = _shift_row(values, n)
-    return valid_shifts(block, block.shape[1])[0].tolist()
+    for n = len(values) and values in [1, n+1] (ValueError otherwise): the k
+    of `valid_shifts` for one row."""
+    block, m = row_block(values, len(values) + 1)
+    return valid_shifts(block, m - 1)[0].tolist()
 
 
-def shift_sequence(values: Sequence[int], k: int, n: int | None = None) -> tuple[int, ...]:
-    """Add k(1,...,1) mod n+1 to values in [1, n+1], representatives in
-    [1, n+1].  k must be an integer (TypeError otherwise)."""
+def shift_sequence(values: Sequence[int], k: int) -> tuple[int, ...]:
+    """Add k(1,...,1) mod n+1 to values in [1, n+1], n = len(values), with
+    representatives in [1, n+1]; k must be an integer (TypeError otherwise)."""
     k = operator.index(k)
-    row = _shift_row(values, n)[0].tolist()
-    mod = len(row) + 1
-    return tuple((v + k - 1) % mod + 1 for v in row)
+    block, mod = row_block(values, len(values) + 1)
+    return tuple((v + k - 1) % mod + 1 for v in block[0].tolist())
 
 
 def sample_parking_function(n: int, rng: RngStream) -> ParkingFunction:

@@ -169,16 +169,15 @@ def chain_monotone(seq: Sequence[int], chains: Sequence[tuple[Sequence[int], str
     return True
 
 
-def find_valid_shift(values: Sequence[int], n: int | None = None) -> int:
-    """The unique k in [0, n] such that values +_{n+1} k(1,...,1) is in PF_n.
+def find_valid_shift(values: Sequence[int]) -> int:
+    """The unique k in [0, n] such that values +_{n+1} k(1,...,1) is in PF_n,
+    n = len(values).
 
     Computed in O(n) from value counts: with steps c_j - 1 summing to -1
     around the cycle, the valid rotation starts just after the first
     position achieving the minimum partial sum.
     """
-    if n is None:
-        n = len(values)
-    mod = n + 1
+    mod = len(values) + 1
     counts = [0] * (mod + 1)
     for v in values:
         counts[v] += 1

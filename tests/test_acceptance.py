@@ -197,19 +197,19 @@ def test_criterion_09_sampler_exactness(capfd):
     ok = True
     for n in range(1, 4):
         hits = Counter(
-            shift_sequence(f, find_valid_shift(f, n), n)
+            shift_sequence(f, find_valid_shift(f))
             for f in oracles.all_functions(n, n + 1)
         )
         ok = ok and len(hits) == pk.count_pf(n)
         ok = ok and set(hits.values()) == {n + 1}
-        ok = ok and all(pk.is_parking_function(pf, n) for pf in hits)
+        ok = ok and all(pk.is_parking_function(pf) for pf in hits)
     for n in range(1, 6):
         for f in oracles.all_functions(n, n + 1):
             valid = [
                 k for k in range(n + 1)
-                if pk.is_parking_function(shift_sequence(f, k, n), n)
+                if pk.is_parking_function(shift_sequence(f, k))
             ]
-            ok = ok and valid == [find_valid_shift(f, n)]
+            ok = ok and valid == [find_valid_shift(f)]
     verdict(capfd, "criterion 9: shift map hits each PF exactly n+1 times "
                    "(n<=3); unique valid shift per draw (n<=5)", ok)
 

@@ -81,7 +81,7 @@ def test_sample_raw_is_seeded_and_valid(capsys):
     for line in lines[1:]:
         idx, text = line.split(",", 1)
         values = tuple(int(v) for v in text.strip('"').split(","))
-        assert is_parking_function(values, 6)
+        assert is_parking_function(values)
         # row i is sample i of stream i, as the one-sample API draws it
         assert values == tuple(sample_parking_function(6, split_stream(9, int(idx))))
 
@@ -148,7 +148,7 @@ def _stats_oracle(values):
     """What `stats` prints for a function, from the scalar definitions."""
     n = len(values)
     m = max(n, *values)
-    is_pf = is_parking_function(values, n)
+    is_pf = is_parking_function(values)
     outcome = park(values)
     decomp = max_first_coordinate(values[1:])
     if max(values) <= n:
@@ -222,6 +222,9 @@ def test_stats_requires_input(capsys):
     code, _, err = run_cli(capsys, "stats")
     assert code == EXIT_USAGE
     assert "error" in err
+    # one input: --pf and --file together are refused, not one of them ignored
+    code, out, err = run_cli(capsys, "stats", "--pf", "1,1", "--file", "/nonexistent")
+    assert code == EXIT_USAGE and out == "" and "--file" in err and "--pf" in err
     # stats always prints JSON, so it takes no --format
     code, out, err = run_cli(capsys, "stats", "--pf", "1,2", "--format", "csv")
     assert code == EXIT_USAGE and out == "" and "--format" in err
@@ -239,6 +242,9 @@ def test_enumerate_table(capsys):
     for k in range(1, 5):
         assert rows[f"first={k}"] == str(count_first(4, k))
     assert rows["mean_first"] == str(exact_mean_first(4))
+    # the table is counted in closed form, so it refuses the cap of --stat's enumeration
+    code, out, err = run_cli(capsys, "enumerate", "--n", "3", "--n-max", "2")
+    assert code == EXIT_USAGE and out == "" and "--n-max" in err
 
 
 def test_enumerate_table_at_large_n(capsys):
@@ -302,6 +308,16 @@ def test_dist_borel_table(capsys):
     ]
     assert [r[0] for r in rows] == ["1", "2", "3", "4", "5"]
     assert float(rows[0][1]) == pytest.approx(0.36787944117144233)
+    # a pmf is tabulated at whole numbers: a step, or a bound between two, is refused
+    for argv, options in (
+        (("borel", "--min", "1.7", "--max", "4.9", "--step", "0.5"), ("--step", "--min", "--max")),
+        (("borel", "--step", "1"), ("--step",)),
+        (("poisson", "--max", "4.5"), ("--max",)),
+        (("poisson", "--min", "0.5", "--max", "2"), ("--min",)),
+    ):
+        code, out, err = run_cli(capsys, "dist", "--dist", *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert all(option in err for option in options) and "pmf" in err, argv
 
 
 def test_dist_borel_default_range_starts_at_support():
@@ -347,14 +363,18 @@ def test_sample_rejects_out_of_range_seed(capsys):
         assert code == EXIT_USAGE and "seed" in err
 
 
-def test_dist_maxwell_requires_x(capsys):
-    code, out, _ = run_cli(
-        capsys, "dist", "--dist", "maxwell", "--x", "0.5", "--max", "1.0"
-    )
+def test_dist_maxwell_takes_x_in_its_name(capsys):
+    code, out, _ = run_cli(capsys, "dist", "--dist", "maxwell@0.5", "--max", "1.0")
     assert code == EXIT_OK
-    assert "# x=0.5" in out
-    code, _, err = run_cli(capsys, "dist", "--dist", "maxwell")
-    assert code == EXIT_USAGE and "parameter x" in err
+    assert "# distribution=maxwell" in out and "# x=0.5" in out
+    for name in ("maxwell", "maxwell@1.5"):
+        code, _, err = run_cli(capsys, "dist", "--dist", name)
+        assert code == EXIT_USAGE and "maxwell@0.5" in err
+    # --x is gone
+    code, _, err = run_cli(capsys, "dist", "--dist", "maxwell", "--x", "0.5")
+    assert code == EXIT_USAGE and "--x" in err
+    code, out, _ = run_cli(capsys, "dist", "--help")
+    assert code == EXIT_OK and "--x" not in out and "maxwell@x" in out
 
 
 def test_compare_features(capsys):
@@ -560,9 +580,9 @@ def test_limit_laws_run_without_mpmath():
         "sys.modules['mpmath'] = None",
         "from parkfn import limits",
         "from parkfn.cli import main",
-        "for name in ('borel', 'maxwell', 'excursion-max', 'bridge-max', 'airy-area',",
+        "for name in ('borel', 'maxwell@0.5', 'excursion-max', 'bridge-max', 'airy-area',",
         "             'poisson', 'gaussian'):",
-        "    assert main(['dist', '--dist', name] + (['--x', '0.5'] * (name == 'maxwell'))) == 0",
+        "    assert main(['dist', '--dist', name]) == 0",
         "print(limits.borel_identity(1.0), limits.xi_moment(1.5), limits.airy_zeros(50)[-1])",
     ))
     proc = subprocess.run(

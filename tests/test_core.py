@@ -1,5 +1,8 @@
 """Core types, the parking process, and the Dyck coding."""
 
+import dataclasses
+
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, strategies as st_h
@@ -104,9 +107,16 @@ def test_dyck_encode_small_example():
 
 
 def test_dyck_area_equals_inconvenience_exhaustive():
+    # the labels are the coding's only field; path and area are read from them
+    assert [f.name for f in dataclasses.fields(DyckCoding)] == ["column_labels"]
     for n in range(1, 7):
         for pf in enumerate_pf(n):
-            assert dyck_encode(pf).area == inconvenience(pf)
+            coding = dyck_encode(pf)
+            assert coding.area == inconvenience(pf)
+            # a Dyck path: n steps each way, and no prefix with more E than N
+            heights = [1 if step == "N" else -1 for step in coding.path]
+            assert len(heights) == 2 * n and sum(heights) == 0
+            assert all(sum(heights[:i]) >= 0 for i in range(1, 2 * n))
 
 
 def test_dyck_roundtrip_exhaustive():
@@ -122,11 +132,11 @@ def test_dyck_encode_rejects_non_parking():
 
 def test_dyck_decode_rejects_bad_labels():
     with pytest.raises(ValueError, match="partition"):
-        dyck_decode(DyckCoding(column_labels=((1, 1), ()), path="NNEE", area=0))
+        dyck_decode(DyckCoding(column_labels=((1, 1), ())))
     with pytest.raises(ValueError, match="partition"):
-        dyck_decode(DyckCoding(column_labels=((1,), ()), path="NEE", area=0))
+        dyck_decode(DyckCoding(column_labels=((1,), ())))
     with pytest.raises(ValueError, match="diagonal"):
-        dyck_decode(DyckCoding(column_labels=((), (1, 2)), path="ENNE", area=0))
+        dyck_decode(DyckCoding(column_labels=((), (1, 2))))
 
 
 def test_pref_sequence_validation():
@@ -140,6 +150,12 @@ def test_pref_sequence_validation():
         PrefSequence(values=(0, 1), m=2)
     with pytest.raises(ValueError):
         PrefSequence(values=(3,), m=2)
+    # integers only, as `row_block` takes them: a float is not truncated
+    for values, m in (((1.7, 2.2), 2), ((1,), 2.5), ((1,), 2.0)):
+        with pytest.raises(TypeError):
+            PrefSequence(values=values, m=m)
+    seq = PrefSequence(values=np.array([1, 2]), m=np.int64(2))
+    assert seq.values == (1, 2) and all(type(v) is int for v in (*seq.values, seq.m))
 
 
 def test_parking_function_type():
@@ -151,6 +167,12 @@ def test_parking_function_type():
     assert not hasattr(ParkingFunction._trusted((1,)), "__dict__")
     with pytest.raises(ValueError):
         ParkingFunction([2, 2])
+    # integers only: (1.9, 1.2) is not read as (1, 1)
+    for values in ((1.9, 1.2), (1.0,)):
+        with pytest.raises(TypeError):
+            ParkingFunction(values)
+    pf = ParkingFunction(np.array([2, 1]))
+    assert pf == (2, 1) and all(type(v) is int for v in pf)
 
 
 @given(st_h.lists(st_h.integers(min_value=1, max_value=7), min_size=1, max_size=7))

@@ -1,5 +1,6 @@
 """Experiment harness, distances, and exact ensemble comparisons."""
 
+import dataclasses
 import json
 import math
 import re
@@ -188,6 +189,30 @@ def test_sampled_statistics_match_their_exact_laws():
             sampled_cdf += sampled.get(value, 0)
             gap = max(gap, abs(exact_cdf / total - sampled_cdf / count))
         assert gap < bound, (stat, n, ensemble_name, gap)
+    # The DKW bound cannot tell a feature from its neighbour with one relation
+    # changed: at n = 100 the rates differ by 0.005.  At n = 20 (m = 21) they
+    # differ by 0.023, and a binomial bound of 5 standard errors at N = 50,000
+    # samples, 0.010 or less, keeps the sampled rate of each feature more
+    # than 5 standard errors from its neighbour's exact rate on [m]^3 or
+    # [m]^4, counted here.
+    count, m = 50_000, 21
+    triples = list(product(range(1, m + 1), repeat=3))
+    weak_peaks = sum(a < b >= c for a, b, c in triples)
+    strict_peaks = sum(a < b > c for a, b, c in triples)
+    weak_chains = sum(a < c and b >= d for a, b, c, d in product(range(1, m + 1), repeat=4))
+    strict_chains = (m - 1) * m // 2 * ((m - 1) * m // 2)  # 1 < 3 and 2 > 4
+    assert (weak_peaks, strict_peaks, weak_chains, strict_chains) == (3080, 2870, 48510, 44100)
+    for stat, ensemble_name, holds, neighbour, k in (
+            ("weak-peak@10", "pf", weak_peaks, strict_peaks, 3),
+            ("weak-peak@10", "fn1", weak_peaks, strict_peaks, 3),
+            ("1<3;2>=4", "pf", weak_chains, strict_chains, 4)):
+        bins = run_experiment(ExperimentConfig(n=20, count=count, seed=2024,
+                                               ensemble=ensemble_name, statistic=stat)).bins
+        assert set(bins) <= {True, False}, (stat, ensemble_name)
+        rate, p, q = bins.get(True, 0) / count, holds / m**k, neighbour / m**k
+        se = math.sqrt(p * (1 - p) / count)
+        assert abs(rate - p) <= 5 * se, (stat, ensemble_name, rate, p)
+        assert abs(rate - q) > 5 * se, (stat, ensemble_name, rate, q)
 
 
 def test_registry_statistics_match_reference_functions():
@@ -512,6 +537,9 @@ def test_exhaustive_histogram_kmax_matches_law():
 
 
 def test_histogram_json_schema():
+    # a histogram keeps what a run produces; count and summaries are read from it
+    assert [f.name for f in dataclasses.fields(Histogram)] == \
+        ["n", "statistic", "ensemble", "seed", "bins"]
     h = run_experiment(ExperimentConfig(n=5, count=50, seed=1, statistic="species"))
     payload = h.to_json_dict()
     assert payload["schema_version"] == 1
@@ -551,7 +579,7 @@ def bin_keys(draw):
 
 def _assert_json_bin_order(bins):
     # counts tell the keys apart, so the order is checked with them
-    hist = Histogram(n=1, statistic="x", ensemble="pf", seed=0, count=1, bins=bins)
+    hist = Histogram(n=1, statistic="x", ensemble="pf", seed=0, bins=bins)
     got = [(row["value"], row["count"]) for row in hist.to_json_dict()["bins"]]
     expected = [(list(k) if isinstance(k, tuple) else k, c)
                 for k, c in sorted(bins.items(), key=lambda kv: str(kv[0]))]
@@ -707,9 +735,12 @@ def multisets(draw):
 @example([7])
 @example([-3, -3, 2.5, 0.1, 0.1, 0.1])
 @given(multisets())
-def test_from_bins_matches_statistics_module(values):
-    hist = Histogram.from_bins(dict(Counter(values)), n=1, statistic="x", ensemble="pf",
-                               seed=0, count=len(values))
+def test_summaries_match_statistics_module(values):
+    hist = Histogram(n=1, statistic="x", ensemble="pf", seed=0, bins=dict(Counter(values)))
+    _assert_summaries_of(hist, values)
+
+
+def _assert_summaries_of(hist, values, label=None):
     ordered = sorted(values)
     rank = len(values) - 1
     expected = {
@@ -720,15 +751,40 @@ def test_from_bins_matches_statistics_module(values):
         "q99": float(ordered[int(0.99 * rank)]),
     }
     assert {k: (type(v), v) for k, v in hist.summaries.items()} == \
-        {k: (float, v) for k, v in expected.items()}
+        {k: (float, v) for k, v in expected.items()}, label
 
 
-def test_from_bins_edges():
+def test_exhaustive_summaries_match_statistics_module():
+    # an exact law carries its exact summaries, as a sampled one does
+    for stat in STATISTICS:
+        for ensemble_name in ensemble.ENSEMBLES:
+            for n in range(1, 6):
+                try:
+                    hist = exhaustive_histogram(n, stat, ensemble_name)
+                except ValueError:  # lucky off PF_n
+                    assert stat == "lucky" and ensemble_name != "pf"
+                    continue
+                assert hist.count == "exhaustive"
+                values = hist.values()
+                if KEY_TYPES.get(stat) is tuple:
+                    assert hist.summaries == {}, stat
+                else:
+                    _assert_summaries_of(hist, values, (stat, ensemble_name, n))
+
+
+def test_summaries_edges():
     # n = 1: every descent pattern is the empty tuple, and nothing is numeric
     for hist in (exhaustive_histogram(1, "descent-pattern"),
                  run_experiment(ExperimentConfig(n=1, count=5, seed=0,
                                                  statistic="descent-pattern"))):
         assert hist.bins == {(): hist.total} and hist.summaries == {}
+    # a bin counted 0 times expands to no value
+    for bins in ({}, {0.5: 0}, {(): 2, 1: 0}):
+        hist = Histogram(n=1, statistic="x", ensemble="pf", seed=0, bins=bins)
+        assert hist.summaries == {} and hist.count == hist.total == sum(bins.values())
+    hist = Histogram(n=1, statistic="x", ensemble="pf", seed=0, bins={3: 0, 1: 2, 2: 1})
+    assert hist.summaries == Histogram(n=1, statistic="x", ensemble="pf", seed=0,
+                                       bins={1: 2, 2: 1}).summaries
     # species at n = 300 holds entries above 255 (mu_0 = 299 for the all-ones
     # row), which need 16-bit row keys
     n = 300
@@ -749,16 +805,16 @@ def test_tv_distance():
 
 
 def test_ks_distance_to_limit():
-    h = Histogram(n=1, statistic="x", ensemble="pf", seed=0, count=4,
+    h = Histogram(n=1, statistic="x", ensemble="pf", seed=0,
                   bins={0.0: 1, 1.0: 1, 2.0: 1, 3.0: 1})
     # against U(0, 4): empirical CDF at 0 is 0.25 vs 0, the worst gap
     assert ks_distance_to_limit(h, lambda t: t / 4) == pytest.approx(0.25)
     # the gap can sit at the left limit: F_emp(0.9-) = 0 against F(0.9) = 0.9
-    h = Histogram(n=1, statistic="x", ensemble="pf", seed=0, count=1, bins={0.9: 1})
+    h = Histogram(n=1, statistic="x", ensemble="pf", seed=0, bins={0.9: 1})
     assert ks_distance_to_limit(h, lambda t: t) == pytest.approx(0.9)
     # no samples is no fit, not a perfect one
     for bins in ({}, {0.5: 0}):
-        h = Histogram(n=1, statistic="x", ensemble="pf", seed=0, count=0, bins=bins)
+        h = Histogram(n=1, statistic="x", ensemble="pf", seed=0, bins=bins)
         with pytest.raises(ValueError, match="empty distribution"):
             ks_distance_to_limit(h, lambda t: t)
 
@@ -1266,8 +1322,8 @@ def test_column_forms_match_oracles_in_either_memory_order(shape):
         check(statistic_kernel(feature, n),
               lambda f: _scalar_feature(feature, f, n, chains), n + 1, feature)
 
-    shifts = [oracles.find_valid_shift(f, n) for f in raw.tolist()]
-    shifted = [sample.shift_sequence(f, k, n) for f, k in zip(raw.tolist(), shifts)]
+    shifts = [oracles.find_valid_shift(f) for f in raw.tolist()]
+    shifted = [sample.shift_sequence(f, k) for f, k in zip(raw.tolist(), shifts)]
     for b in (raw, np.asfortranarray(raw)):
         assert sample.valid_shifts(b, n).tolist() == shifts
         assert _rows([shift_block(b.copy(order="K"), n)]) == shifted

@@ -4,6 +4,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -147,12 +148,17 @@ def test_max_cdfs_at_non_finite_and_huge_arguments():
     # nan and +inf are checked before any series runs; past t ~ 1e154 the
     # large-t series stops when its first term underflows
     inf = math.inf
-    for cdf in (max_discrepancy_cdf, bridge_max_cdf):
+    for cdf in (max_discrepancy_cdf, bridge_max_cdf, partial(coordinate_count_cdf, 0.5),
+                gaussian_cdf):
         assert cdf(inf) == 1.0
         assert cdf(-inf) == 0.0
         assert cdf(1e160) == 1.0 and cdf(1.7e308) == 1.0
         with pytest.raises(ValueError, match="nan"):
             cdf(math.nan)
+    # the Maxwell density: y * y overflows from y ~ 1.3e154, where the law
+    # has long been 0
+    for y in (40.0, 1.3e154, 1e160, 1.7e308, inf):
+        assert coordinate_count_density(0.5, y) == 0.0, y
 
 
 def test_excursion_max_series_agree_on_overlap():
@@ -297,17 +303,32 @@ def test_elementary_laws():
     assert gaussian_cdf(1.96) == pytest.approx(0.975, abs=1e-3)
     with pytest.raises(ValueError):
         poisson_pmf(0.0, 1)
+    # j is an integer, as in borel_pmf: 1.5 is not read as 1
+    assert poisson_pmf(1.0, np.int64(2)) == poisson_pmf(1.0, 2)
+    for pmf in (lambda j: poisson_pmf(1.0, j), borel_pmf):
+        with pytest.raises(TypeError):
+            pmf(1.5)
 
 
 def test_distribution_handles():
     borel = distribution_handle("borel")
     assert borel.kind == "pmf"
     assert borel.evaluate(1) == pytest.approx(math.exp(-1))
-    maxwell = distribution_handle("maxwell", x=0.5)
-    assert maxwell.parameters == (("x", 0.5),)
+    # the law's parameter is part of its name; the handle keeps the law's name
+    maxwell = distribution_handle("maxwell@0.5")
+    assert (maxwell.name, maxwell.parameters) == ("maxwell", (("x", 0.5),))
     assert maxwell.evaluate(10.0) == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(ValueError, match="parameter x"):
-        distribution_handle("maxwell")
+    assert distribution_handle("maxwell@.25").evaluate(1.0) == coordinate_count_cdf(0.25, 1.0)
+    for name in ("maxwell", "maxwell@", "maxwell@0", "maxwell@1", "maxwell@1.5", "maxwell@-0.5",
+                 "maxwell@nan", "maxwell@x", "maxwell@0.5@0.5"):
+        with pytest.raises(ValueError, match="maxwell@0.5"):
+            distribution_handle(name)
+    # no keyword is taken: poisson is the lam = 1 law
+    with pytest.raises(TypeError):
+        distribution_handle("poisson", lam=3)
+    for name in ("borel@2", "poisson@3", "gaussian@1"):
+        with pytest.raises(ValueError, match="unknown distribution"):
+            distribution_handle(name)
     for name in ("excursion-max", "bridge-max", "airy-area", "poisson", "gaussian"):
         handle = distribution_handle(name)
         assert handle.name == name

@@ -104,16 +104,16 @@ def test_exactly_one_valid_shift_exhaustive():
             valid = [
                 k
                 for k in range(n + 1)
-                if is_parking_function(shift_sequence(f, k, n), n)
+                if is_parking_function(shift_sequence(f, k))
             ]
             assert len(valid) == 1
-            assert find_valid_shift(f, n) == valid[0]
+            assert find_valid_shift(f) == valid[0]
 
 
 def test_shift_map_is_exactly_uniform():
     for n in range(1, 4):
         hits = Counter(
-            shift_sequence(f, find_valid_shift(f, n), n)
+            shift_sequence(f, find_valid_shift(f))
             for f in oracles.all_functions(n, n + 1)
         )
         assert len(hits) == count_pf(n)
@@ -126,7 +126,7 @@ def test_vectorized_sampler_matches_scalar_path():
         for rep in range(50):
             fast = sample_parking_function(n, RngStream(17, rep))
             raw = tuple(int(v) for v in np.asarray(RngStream(17, rep).integers(1, n + 1, size=n)))
-            assert fast == shift_sequence(raw, oracles.find_valid_shift(raw, n), n)
+            assert fast == shift_sequence(raw, oracles.find_valid_shift(raw))
 
 
 def test_sample_parking_function_is_valid_and_deterministic():
@@ -134,7 +134,7 @@ def test_sample_parking_function_is_valid_and_deterministic():
         pf1 = sample_parking_function(n, split_stream(42, 3))
         pf2 = sample_parking_function(n, split_stream(42, 3))
         assert pf1 == pf2
-        assert is_parking_function(pf1, n)
+        assert is_parking_function(pf1)
 
 
 def test_sampler_frequencies_near_uniform():
@@ -155,16 +155,16 @@ def test_sampler_frequencies_near_uniform():
 )
 def test_sampled_functions_are_parking(n, seed, index):
     pf = sample_parking_function(n, split_stream(seed, index))
-    assert is_parking_function(pf, n)
+    assert is_parking_function(pf)
 
 
 @given(st_h.lists(st_h.integers(min_value=1, max_value=7), min_size=1, max_size=6))
 def test_find_valid_shift_property(values):
     n = len(values)
     f = tuple(min(v, n + 1) for v in values)
-    k = find_valid_shift(f, n)
+    k = find_valid_shift(f)
     assert 0 <= k <= n
-    assert is_parking_function(shift_sequence(f, k, n), n)
+    assert is_parking_function(shift_sequence(f, k))
 
 
 _U64 = st_h.integers(min_value=0, max_value=2**64 - 1)
@@ -214,8 +214,8 @@ def test_shift_block_matches_scalar_shift(data, n, rows):
                                  min_size=rows, max_size=rows))
     shifted = shift_block(np.array(funcs, dtype=np.int64), n)
     for f, row in zip(funcs, shifted.tolist()):
-        assert tuple(row) == shift_sequence(f, oracles.find_valid_shift(f, n), n)
-        assert is_parking_function(row, n)
+        assert tuple(row) == shift_sequence(f, oracles.find_valid_shift(f))
+        assert is_parking_function(row)
 
 
 def _assert_scores_the_shift(block, n, label=None):

@@ -70,11 +70,10 @@ def test_out_of_domain_inputs_raise_value_error():
         "inversions((1, 2**70))": lambda: inversions((1, 2**70)),
         "species((5, 1), m=2)": lambda: species((5, 1), m=2),
         "species((1,), m=2**21)": lambda: species((1,), m=2**21),
-        "find_valid_shift((0, 1), 2)": lambda: find_valid_shift((0, 1), 2),
-        "find_valid_shift((4, 1), 2)": lambda: find_valid_shift((4, 1), 2),
-        "find_valid_shift([1, 2, 3], 2)": lambda: find_valid_shift([1, 2, 3], 2),
-        "find_valid_shift([1, 1], 5)": lambda: find_valid_shift([1, 1], 5),
-        "shift_sequence([1, 2, 3], 1, 1)": lambda: shift_sequence([1, 2, 3], 1, 1),
+        "find_valid_shift((0, 1))": lambda: find_valid_shift((0, 1)),
+        "find_valid_shift((4, 1))": lambda: find_valid_shift((4, 1)),
+        "find_valid_shift(())": lambda: find_valid_shift(()),
+        "shift_sequence((), 1)": lambda: shift_sequence((), 1),
         "shift_sequence((0, 1), 1)": lambda: shift_sequence((0, 1), 1),
         "shift_sequence((1, 4), 1)": lambda: shift_sequence((1, 4), 1),
         "scaled_area(())": lambda: scaled_area(()),
@@ -173,7 +172,7 @@ def test_shuffle_decomposition_is_maximal_and_valid():
             feasible = [
                 j
                 for j in range(1, n + 1)
-                if is_parking_function((j,) + suffix, n)
+                if is_parking_function((j,) + suffix)
             ]
             if decomp is None:
                 assert not feasible
@@ -185,9 +184,9 @@ def test_shuffle_decomposition_is_maximal_and_valid():
             assert len(decomp.alpha) == k - 1
             assert len(decomp.beta) == n - k
             if k > 1:
-                assert is_parking_function(decomp.alpha, k - 1)
+                assert is_parking_function(decomp.alpha)
             if k < n:
-                assert is_parking_function(decomp.beta, n - k)
+                assert is_parking_function(decomp.beta)
             # interleaving positions carry exactly the alpha values
             assert tuple(suffix[i - 1] for i in decomp.interleaving) == decomp.alpha
 
