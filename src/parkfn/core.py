@@ -100,10 +100,22 @@ class DyckCoding:
 
     `column_labels[i-1]` lists the car indices (1-based, ascending) whose
     preference is i, stacked bottom-to-top in column i.  The labels fix the
-    rest: `path` and `area`.
+    rest: `path` and `area`.  Labels that are not a partition of [1, n], or
+    whose path dips below the diagonal, raise ValueError when the coding is
+    built.
     """
 
     column_labels: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if sorted(car for labels in self.column_labels for car in labels) != list(range(1, n + 1)):
+            raise ValueError(f"column labels are not a partition of [1, {n}]")
+        running = 0
+        for i, labels in enumerate(self.column_labels, start=1):
+            running += len(labels)
+            if running < i:
+                raise ValueError("path dips below the main diagonal")
 
     @property
     def n(self) -> int:
@@ -230,22 +242,10 @@ def dyck_encode(pf: Sequence[int]) -> DyckCoding:
 
 
 def dyck_decode(coding: DyckCoding) -> ParkingFunction:
-    """Invert the Dyck coding; rejects label sets that are not a partition
-    of [n] or whose path dips below the diagonal."""
-    n = coding.n
-    seen: set[int] = set()
-    values = [0] * n
+    """Invert the Dyck coding: car c prefers the column that lists it.  A
+    `DyckCoding` checks its labels when it is built."""
+    values = [0] * coding.n
     for i, labels in enumerate(coding.column_labels, start=1):
         for car in labels:
-            if not 1 <= car <= n or car in seen:
-                raise ValueError(f"column labels are not a partition of [1, {n}]")
-            seen.add(car)
             values[car - 1] = i
-    if len(seen) != n:
-        raise ValueError(f"column labels are not a partition of [1, {n}]")
-    running = 0
-    for i, labels in enumerate(coding.column_labels, start=1):
-        running += len(labels)
-        if running < i:
-            raise ValueError("path dips below the main diagonal")
     return ParkingFunction(values)

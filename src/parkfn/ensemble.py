@@ -13,6 +13,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional
@@ -328,6 +329,23 @@ def _type_rows(n: int, limit: int) -> tuple[Iterator[np.ndarray], np.ndarray, np
     every function that orders its entries alike; there are Fubini(n) of
     them (541 at n = 5, 47,293 at n = 7).
 
+    The census is built once per n (`_type_census`) and only the last n is
+    kept, so every feature and weak peak at one n reads the same rows; each
+    call still copies them block by block into fresh int64 blocks.  Raises
+    `CapacityError` for n > limit, and checks that the counts fit in int64,
+    before the census is built or read."""
+    check_enumeration_size(n, limit)
+    _check_rows((n + 1) ** n)
+    blocks, pf_weights, fn_weights = _type_census(n)
+    return (np.asfortranarray(block, dtype=np.int64) for block in blocks), pf_weights, fn_weights
+
+
+@lru_cache(maxsize=1)
+def _type_census(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The read-only census behind `_type_rows`: the types as the row-major
+    uint8 blocks of `_table_arrangement_blocks`, and their int64 weights.
+    Unchecked: `_type_rows` guards n.
+
     The composition rows (1, a_2, ..., a_n) with steps a_{j+1} - a_j of 0
     or 1 are the sorted types, one per key sum_j (a_{j+2} - a_{j+1}) 2^j,
     and `_table_arrangement_blocks` arranges each into its types.  A type's
@@ -335,11 +353,7 @@ def _type_rows(n: int, limit: int) -> tuple[Iterator[np.ndarray], np.ndarray, np
     C(n + 1, k) of each type with k values.  Sorting is a bijection from the
     parking functions of one type onto the sorted PF_n rows whose ties fall
     where the type's do (PF_n is closed under rearrangement), so PF_n holds
-    as many of each type as `_sorted_blocks` has sorted rows with its key.
-    Raises `CapacityError` for n > limit, and checks that the counts fit in
-    int64, before any block is built."""
-    check_enumeration_size(n, limit)
-    _check_rows((n + 1) ** n)
+    as many of each type as `_sorted_blocks` has sorted rows with its key."""
     keys = 1 << (n - 1)
     bits = 1 << np.arange(n - 1)
     compositions = np.ones((keys, n), dtype=np.int64)
@@ -350,9 +364,11 @@ def _type_rows(n: int, limit: int) -> tuple[Iterator[np.ndarray], np.ndarray, np
         pf_weights += np.bincount((block[:, 1:] > block[:, :-1]) @ bits, minlength=keys)
     fn_weights = np.array([math.comb(n + 1, k) for k in range(n + 1)])[compositions[:, -1]]
     arrangements = _arrangement_counts(compositions)
-    blocks = (np.asfortranarray(block, dtype=np.int64)
-              for block in _table_arrangement_blocks([compositions], n))
-    return blocks, np.repeat(pf_weights, arrangements), np.repeat(fn_weights, arrangements)
+    blocks = tuple(_table_arrangement_blocks([compositions], n))
+    pf_weights, fn_weights = np.repeat(pf_weights, arrangements), np.repeat(fn_weights, arrangements)
+    for array in (*blocks, pf_weights, fn_weights):
+        array.setflags(write=False)
+    return blocks, pf_weights, fn_weights
 
 
 def _type_scores(feature: str, n: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -129,7 +129,7 @@ def test_criterion_05_generating_functions(capfd):
 
 def test_criterion_06_equidistribution(capfd):
     ok = True
-    for n in range(2, 7):
+    for n in range(2, 8):
         for feature in ("descent-pattern", "equality-pattern",
                         "weak-descent-pattern", "species", "inversions"):
             ok = ok and pk.exact_equidistribution(n, feature).equal
@@ -137,7 +137,7 @@ def test_criterion_06_equidistribution(capfd):
             ok = ok and pk.exact_equidistribution(n, name).equal
     for n, expression in ((4, "1<3;2>=4"), (5, "2<=3<=5"), (6, "1=4;2<5<6")):
         ok = ok and pk.exact_equidistribution(n, expression).equal
-    for n in range(3, 7):
+    for n in range(3, 8):
         for i in range(2, n):
             ok = ok and pk.weak_peak_check(n, i).equal
     # negative controls must report inequality at some n <= 5
@@ -145,7 +145,7 @@ def test_criterion_06_equidistribution(capfd):
     ok = ok and not pk.exact_equidistribution(3, "mixed-chain@2").equal
     ok = ok and not pk.exact_equidistribution(5, "non-disjoint-chain").equal
     ok = ok and not pk.exact_equidistribution(2, "forced-gap").equal
-    verdict(capfd, "criterion 6: exact equidistribution n<=6 incl. chains and "
+    verdict(capfd, "criterion 6: exact equidistribution n<=7 incl. chains and "
                    "weak peaks; negative controls fail as required", ok)
 
 
@@ -253,9 +253,16 @@ def test_criterion_11_monte_carlo_passing_clauses(mc, capfd):
     ks_m = pk.ks_distance_to_limit(mc["maxdisc200"], max_discrepancy_cdf)
     ks_bridge = pk.ks_distance_to_limit(mc["maxdisc200"], bridge_max_cdf)
     ok = ok and ks_m < ks_bridge
+    # the scaled area (n^2/2 - sum f_i)/n^1.5 has the exact finite-n mean
+    # (n/2 - E[f_1])/sqrt(n), 0.469257 at n = 100
+    area = mc["area100"]
+    exact_area = (n / 2 - float(pk.exact_mean_first(n))) / math.sqrt(n)
+    se_area = math.sqrt(area.summaries["var"] / area.total)
+    ok = ok and abs(area.summaries["mean"] - exact_area) <= 3 * se_area
     verdict(capfd, "criterion 11 (attainable clauses): corner probabilities of "
-                   "the first coordinate, repeats vs Poisson(1) TV, and the "
-                   "excursion-vs-bridge KS ordering", ok)
+                   "the first coordinate, repeats vs Poisson(1) TV, the "
+                   "excursion-vs-bridge KS ordering, and the scaled-area mean "
+                   "vs its exact finite-n value", ok)
 
 
 @pytest.mark.xfail(

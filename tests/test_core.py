@@ -139,6 +139,17 @@ def test_dyck_decode_rejects_bad_labels():
         dyck_decode(DyckCoding(column_labels=((), (1, 2))))
 
 
+def test_dyck_coding_checks_itself_when_built():
+    # no coding that is not a Dyck path exists to report a path or an area
+    for labels, message in ((((), (1, 2)), "diagonal"), (((1, 1), ()), "partition"),
+                            (((1,), ()), "partition"), (((1,), (3,)), "partition"),
+                            (((2,), (1,), (1,)), "partition"), (((1,), (), (2, 3)), "diagonal")):
+        with pytest.raises(ValueError, match=message):
+            DyckCoding(column_labels=labels)
+    coding = DyckCoding(column_labels=((2,), (1,)))
+    assert (coding.path, coding.area, dyck_decode(coding)) == ("NENE", 0, (2, 1))
+
+
 def test_pref_sequence_validation():
     seq = PrefSequence(values=(1, 3, 2), m=4)
     assert seq.n == 3

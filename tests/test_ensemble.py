@@ -30,7 +30,7 @@ from parkfn import (
 from parkfn import ensemble, sample, stats
 from parkfn.core import inconvenience
 from parkfn.enumeration import CapacityError, count_pf, enumerate_pf, first_counts, gf_closed_form
-from parkfn.ensemble import sample_blocks
+from parkfn.ensemble import EQUIDISTRIBUTED_FEATURES, sample_blocks
 from parkfn.sample import (
     sample_parking_function,
     sample_uniform_function,
@@ -846,6 +846,83 @@ def test_type_census_matches_the_scans():
         assert not stats.compares_only(feature), feature
 
 
+def test_type_census_is_built_once_per_n(monkeypatch):
+    # every standard feature and weak peak at one n reads one census; only
+    # the last n is kept
+    ensemble._type_census.cache_clear()
+    built = []
+    original = ensemble._table_arrangement_blocks
+    monkeypatch.setattr(ensemble, "_table_arrangement_blocks",
+                        lambda blocks, n: built.append(n) or original(blocks, n))
+    for n in (6, 6, 5):
+        for feature in EQUIDISTRIBUTED_FEATURES:
+            exact_equidistribution(n, feature)
+        for i in range(2, n):
+            weak_peak_check(n, i)
+    assert built == [6, 5]
+
+
+def test_type_census_keeps_its_guards():
+    # a cached census bypasses neither the limit nor the int64 check
+    assert exact_equidistribution(8, "descent-pattern").equal
+    assert ensemble._type_census.cache_info().currsize == 1
+    with pytest.raises(CapacityError):
+        exact_equidistribution(8, "descent-pattern", limit=7)
+    with pytest.raises(CapacityError):
+        weak_peak_check(8, 3, limit=7)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ensemble._type_rows(0, 8)
+
+
+def test_type_census_is_read_only(monkeypatch):
+    blocks, pf_weights, fn_weights = ensemble._type_census(5)
+    for array in (*blocks, pf_weights, fn_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # a kernel that writes into a cached block is refused ...
+    kernel = statistic_kernel("descent-pattern", 5)
+
+    def scribbles_on_the_census(block, n, m):
+        ensemble._type_census(n)[0][0][0] = 0
+        return kernel(block, n, m)
+
+    monkeypatch.setattr(ensemble, "statistic_kernel", lambda name, n: scribbles_on_the_census)
+    with pytest.raises(ValueError, match="read-only"):
+        exact_equidistribution(5, "descent-pattern")
+
+    # ... and one that writes into the block it is given writes into its own copy
+    def scribbles_on_its_block(block, n, m):
+        values = kernel(block, n, m)
+        block[:] = 1
+        return values
+
+    monkeypatch.setattr(ensemble, "statistic_kernel", lambda name, n: scribbles_on_its_block)
+    assert exact_equidistribution(5, "descent-pattern").equal
+    monkeypatch.undo()
+    assert exact_equidistribution(5, "descent-pattern").equal
+    assert not exact_equidistribution(5, "strict-peak@2").equal
+    _values, pf_weights, _fn_weights = ensemble._type_scores("inversions", 5, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        pf_weights += 1
+
+
+def test_type_census_reports_cold_and_warm():
+    for n in range(1, 8):
+        features = [*EQUIDISTRIBUTED_FEATURES, "longest-run>=", "repeats"]
+        features += [f"{peak}@{i}" for peak in ("strict-peak", "mixed-chain", "weak-peak")
+                     for i in range(2, n)]
+        features += [e for e, size in (("2>1<3", 3), ("non-disjoint-chain", 5)) if n >= size]
+        for feature in features:
+            ensemble._type_census.cache_clear()
+            cold = exact_equidistribution(n, feature)
+            warm = exact_equidistribution(n, feature)
+            assert (cold.equal, repr(cold.witness)) == (warm.equal, repr(warm.witness)), (n, feature)
+            assert cold == warm
+        for i in range(2, n):
+            ensemble._type_census.cache_clear()
+            assert weak_peak_check(n, i) == weak_peak_check(n, i), (n, i)
+
+
 def test_equidistribution_positive_features():
     for n in range(2, 6):
         for feature in ("descent-pattern", "equality-pattern",
@@ -1167,8 +1244,10 @@ def test_sorted_blocks_are_the_sorted_rows_in_order():
 
 
 def test_profile_census_edges():
-    # counts past int64 are refused before any block is built
+    # counts past int64 are refused before any block is built, and before
+    # the type census is built or read
     built = []
+    census = ensemble._type_census.cache_info()
     original = ensemble._sorted_blocks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ensemble, "_sorted_blocks",
@@ -1181,9 +1260,12 @@ def test_profile_census_edges():
         for feature in ("species", "descent-pattern"):
             with pytest.raises(ValueError, match="int64"):
                 exact_equidistribution(16, feature, limit=16)
+        with pytest.raises(ValueError, match="int64"):
+            weak_peak_check(16, 3, limit=16)
         with pytest.raises(CapacityError):
             exact_equidistribution(9, "species")
         assert not built
+        assert ensemble._type_census.cache_info() == census
     # the max-discrepancy law of PF_10 from its 16796 sorted rows, in blocks
     # of at most BLOCK_ELEMENTS values: 0 on the 10! permutations, 9 on 1^10
     sizes = []
