@@ -11,6 +11,7 @@ from __future__ import annotations
 import marshal
 import math
 import operator
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -49,6 +50,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n < 1 or self.count < 1:
             raise ValueError("n and count must be >= 1")
+        _check_streams(self.count)
         if not 0 <= self.seed < _U64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.ensemble not in ENSEMBLES:
@@ -194,26 +196,46 @@ def _block_rows(n: int) -> int:
     return max(1, BLOCK_ELEMENTS // n)
 
 
+def _check_streams(count: int) -> None:
+    """Sample i is drawn from stream i, and stream indices lie in [0, 2^64):
+    a count past the last stream is refused before any draw."""
+    if count > _U64:
+        raise ValueError(f"count must be at most 2^64, one stream per sample; got {count}")
+
+
 def sample_blocks(n: int, count: int, seed: int, ensemble: str = "pf") -> Iterator[np.ndarray]:
     """Samples 0..count-1 of an experiment, a block of rows at a time: sample
     i is drawn from stream i and, on pf, shifted into PF_n.  All blocks share
     one buffer (large-n rows reuse its pages), so use each before the next."""
     if count < 0:
         raise ValueError("count must be >= 0")
+    _check_streams(count)
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    pf = ensemble == "pf"
-    for block in _draws(n, count, seed, n + 1 if pf else _codomain(ensemble, n)):
-        yield shift_block(block, n) if pf else block
+    yield from _blocks(_rows(n, seed, ensemble, ensemble == "pf"), n, count)
 
 
-def _draws(n: int, count: int, seed: int, high: int) -> Iterator[np.ndarray]:
-    """Rows 0..count-1 of an experiment's draws on [1, high]^n, a block of
-    rows at a time, all in one buffer."""
+def _rows(n: int, seed: int, ensemble: str,
+          shift: bool) -> Callable[[int, int, np.ndarray], np.ndarray]:
+    """rows(start, stop, out): samples start..stop-1 of an experiment's draws
+    on the ensemble's codomain ([n+1]^n on pf), in the first rows of `out`,
+    shifted into PF_n when `shift`."""
+    high = n + 1 if ensemble == "pf" else _codomain(ensemble, n)
+
+    def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        block = draw_block(seed, start, stop, n, high, out=out)
+        return shift_block(block, n) if shift else block
+
+    return rows
+
+
+def _blocks(rows: Callable, n: int, count: int) -> Iterator[np.ndarray]:
+    """The blocks of `rows` over samples 0..count-1, `_block_rows(n)` rows at
+    a time, all in one buffer."""
     step = _block_rows(n)
     buffer = np.empty((min(step, count), n), dtype=np.int64)
     for start in range(0, count, step):
-        yield draw_block(seed, start, min(start + step, count), n, high, out=buffer)
+        yield rows(start, min(start + step, count), buffer)
 
 
 def _check_rows(total: int) -> None:
@@ -382,27 +404,71 @@ def _type_scores(feature: str, n: int, limit: int) -> tuple[np.ndarray, np.ndarr
     return values, pf_weights, fn_weights
 
 
-def _sample_source(config: ExperimentConfig) -> tuple[Iterator[np.ndarray], Callable]:
-    """(blocks, kernel) for `run_experiment`.  On pf, a statistic in
-    RAW_DRAW_STATISTICS scores the raw draws of [n+1]^n: its kernel reads
-    the statistic of each shifted row from the draw and the walk that finds
-    the shift, so the row is never shifted.  Any other statistic scores the
-    rows of `sample_blocks`."""
-    n, count, seed = config.n, config.count, config.seed
+def _sample_source(config: ExperimentConfig) -> tuple[Callable, Callable]:
+    """(rows, kernel) for `run_experiment`, rows as from `_rows`.  On pf, a
+    statistic in RAW_DRAW_STATISTICS scores the raw draws of [n+1]^n: its
+    kernel reads the statistic of each shifted row from the draw and the
+    walk that finds the shift, so the row is never shifted.  Any other
+    statistic scores the rows of `sample_blocks`."""
+    n, seed, ensemble = config.n, config.seed, config.ensemble
     # by name, not by kernel, as in `_exhaustive_source`
-    if config.ensemble == "pf" and config.statistic in st.RAW_DRAW_STATISTICS:
-        return _draws(n, count, seed, n + 1), st.RAW_DRAW_STATISTICS[config.statistic]
-    return sample_blocks(n, count, seed, config.ensemble), statistic_kernel(config.statistic, n)
+    raw = ensemble == "pf" and config.statistic in st.RAW_DRAW_STATISTICS
+    kernel = (st.RAW_DRAW_STATISTICS[config.statistic] if raw
+              else statistic_kernel(config.statistic, n))
+    return _rows(n, seed, ensemble, ensemble == "pf" and not raw), kernel
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig) -> Histogram:
     """Sample `count` functions, one stream per sample index, and histogram
-    the named statistic.  Deterministic for a given seed."""
-    blocks, kernel = _sample_source(config)
-    n = config.n
+    the named statistic.  Deterministic for a given seed: one-row blocks
+    (n > BLOCK_ELEMENTS / 2) are scored on two threads when the process may
+    run on two CPUs (`_paired_census`), with the bins of one thread."""
+    rows, kernel = _sample_source(config)
+    n, count = config.n, config.count
     m = _codomain(config.ensemble, n)
+    if _block_rows(n) == 1 and count > 1 and _cpu_count() > 1:
+        bins = _paired_census(kernel, rows, count, n, m)
+    else:
+        bins = _census(kernel, _blocks(rows, n, count), n, m)
     return Histogram(n=n, statistic=config.statistic, ensemble=config.ensemble,
-                     seed=config.seed, bins=_census(kernel, blocks, n, m))
+                     seed=config.seed, bins=bins)
+
+
+def _paired_census(kernel: Callable, rows: Callable, count: int, n: int,
+                   m: int) -> dict[Hashable, int]:
+    """`_census` of the one-row blocks of `rows` over samples 0..count-1,
+    scored on two threads: this one scores the even rows and one helper the
+    odd rows, each in its own row buffer.  numpy releases the GIL in the
+    long calls of a row (the Philox words, the bound, the walk's bincount
+    and cumsum), so the two rows of a pair overlap.  Each pair is tallied in
+    row order once both rows are scored, so at most one row waits, the bins
+    and their order are those of one thread, and the first failing row's
+    exception is raised.  The helper is joined before this returns or
+    raises."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    even, odd = np.empty((2, 1, n), dtype=np.int64)
+
+    def score(start: int, out: np.ndarray) -> Iterable[tuple[Hashable, int]]:
+        return _distinct(kernel(rows(start, start + 1, out), n, m))
+
+    def scored(helper: ThreadPoolExecutor) -> Iterator[Iterable[tuple[Hashable, int]]]:
+        for start in range(0, count, 2):
+            pending = helper.submit(score, start + 1, odd) if start + 1 < count else None
+            yield score(start, even)
+            if pending is not None:
+                yield pending.result()
+
+    with ThreadPoolExecutor(1, thread_name_prefix="parkfn-odd-rows") as helper:
+        return _tally(scored(helper))
 
 
 def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
@@ -424,9 +490,15 @@ def _census(kernel: Callable, blocks: Iterator[np.ndarray], n: int, m: int,
     in order of first occurrence.  With `weigh`, row r of a block counts
     weigh(block)[r] times.  Each block is counted in numpy, and only its
     distinct values become Python values."""
+    return _tally(_distinct(kernel(block, n, m), None if weigh is None else weigh(block))
+                  for block in blocks)
+
+
+def _tally(distincts: Iterable[Iterable[tuple[Hashable, int]]]) -> dict[Hashable, int]:
+    """The (value, count) pairs of each block, as from `_distinct`, summed
+    into one dict keyed in order of first occurrence."""
     bins: dict[Hashable, int] = {}
-    for block in blocks:
-        distinct = _distinct(kernel(block, n, m), None if weigh is None else weigh(block))
+    for distinct in distincts:
         if not bins:  # the first block hashes each key once (tuples cache no hash)
             bins.update(distinct)
             continue

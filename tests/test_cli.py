@@ -363,6 +363,14 @@ def test_sample_rejects_out_of_range_seed(capsys):
         assert code == EXIT_USAGE and "seed" in err
 
 
+def test_sample_refuses_a_count_past_the_last_stream(capsys):
+    # one stream per sample, indexed in [0, 2^64): refused before any draw,
+    # for a histogram and for raw functions alike
+    for stat in (("--stat", "first"), ()):
+        code, out, err = run_cli(capsys, "sample", "--n", "5", "--count", str(2**64 + 1), *stat)
+        assert code == EXIT_USAGE and "2^64" in err and not out, stat
+
+
 def test_dist_maxwell_takes_x_in_its_name(capsys):
     code, out, _ = run_cli(capsys, "dist", "--dist", "maxwell@0.5", "--max", "1.0")
     assert code == EXIT_OK

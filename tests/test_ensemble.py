@@ -5,6 +5,8 @@ import json
 import math
 import re
 import statistics
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, islice, permutations, product
@@ -153,13 +155,140 @@ def test_raw_draw_statistics_score_the_shifted_rows():
             assert list(bins.items()) == list(rows.items()), (n, stat)
 
 
+# From n = 32,769 a block is one row, and with two CPUs `run_experiment`
+# scores the odd rows on a helper thread: every raw-draw statistic, row
+# kernels on shifted rows, and fn1's tuple-valued and walk statistics.
+ONE_ROW_N = 32_769
+ONE_ROW_CASES = tuple(dict.fromkeys(
+    [(stat, "pf") for stat in stats.RAW_DRAW_STATISTICS]
+    + [(stat, "pf") for stat in ("lucky", "inversions", "species", "descent-pattern")]
+    + [("species", "fn1"), ("scaled-max-discrepancy", "fn1")]))
+ONE_ROW_COUNTS = (1, 2, 3, 5)
+
+
+@pytest.fixture(scope="module")
+def one_row_censuses():
+    # one thread's census of the rows of `sample_blocks`, for each case and
+    # count; the O(n^2) inversions kernel takes 0.4 s a row at this n, so it
+    # runs two rows, one on each thread
+    n = ONE_ROW_N
+    censuses = {}
+    for stat, ensemble_name in ONE_ROW_CASES:
+        m = n + 1 if ensemble_name == "fn1" else n
+        for count in (2,) if stat == "inversions" else ONE_ROW_COUNTS:
+            blocks = sample_blocks(n, count, 11, ensemble_name)
+            bins = ensemble._census(statistic_kernel(stat, n), blocks, n, m)
+            censuses[stat, ensemble_name, count] = list(bins.items())
+    return censuses
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_one_row_blocks_keep_one_threads_bins(monkeypatch, one_row_censuses, cpus):
+    assert ensemble._block_rows(ONE_ROW_N) == 1
+    assert ensemble._block_rows(ONE_ROW_N - 1) == 2
+    monkeypatch.setattr(ensemble, "_cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    for (stat, ensemble_name, count), census in one_row_censuses.items():
+        bins = run_experiment(ExperimentConfig(n=ONE_ROW_N, count=count, seed=11,
+                                               ensemble=ensemble_name, statistic=stat)).bins
+        assert list(bins.items()) == census, (stat, ensemble_name, count)
+        assert threading.active_count() == threads
+    # the helper scores rows only when the process may run on two CPUs
+    on_main = []
+    first = STATISTICS["first"]
+
+    def recording_first(block, n, m):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return first(block, n, m)
+
+    monkeypatch.setitem(STATISTICS, "first", recording_first)
+    run_experiment(ExperimentConfig(n=ONE_ROW_N, count=4, seed=11, ensemble="fn"))
+    assert sorted(on_main) == ([False, False, True, True] if cpus > 1 else [True] * 4)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("failing", [(1,), (2,), (2, 3), (3, 4)])
+def test_a_failing_one_row_block_raises_from_run_experiment(monkeypatch, cpus, failing):
+    # row 1 is the helper's, row 2 the caller's: the first failing row's
+    # exception is raised, with its type and message, and no thread is left
+    n = ONE_ROW_N
+    rows = {row: sample.draw_block(11, row, row + 1, n, n) for row in failing}
+    first = STATISTICS["first"]
+
+    def failing_first(block, n, m):
+        for row, values in rows.items():
+            if np.array_equal(block, values):
+                raise ZeroDivisionError(f"row {row}")
+        return first(block, n, m)
+
+    monkeypatch.setitem(STATISTICS, "first", failing_first)
+    monkeypatch.setattr(ensemble, "_cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match=f"^row {min(failing)}$"):
+        run_experiment(ExperimentConfig(n=n, count=5, seed=11, ensemble="fn"))
+    assert threading.active_count() == threads
+
+
+def test_concurrent_experiments_keep_one_threads_bins(monkeypatch):
+    # three callers, each with its helper: six threads on at most two CPUs,
+    # switching every microsecond; a row handed to the wrong census, or
+    # tallied twice, changes the bins
+    monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+    n, count = ONE_ROW_N, 9
+    expected = {}
+    for seed in (1, 2, 3):
+        blocks = sample_blocks(n, count, seed, "fn")
+        expected[seed] = list(ensemble._census(STATISTICS["first"], blocks, n, n).items())
+    results = {}
+
+    def experiment(seed):
+        config = ExperimentConfig(n=n, count=count, seed=seed, ensemble="fn")
+        results[seed] = list(run_experiment(config).bins.items())
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=experiment, args=(seed,)) for seed in expected]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+    assert threading.active_count() == threads
+
+
+def test_count_past_the_last_stream_is_refused():
+    # sample i is drawn from stream i, and stream indices lie in [0, 2^64):
+    # 2^64 samples are accepted, one more is refused before any draw
+    ExperimentConfig(n=5, count=2**64, seed=1)
+    step = ensemble._block_rows(5)
+    first_block = next(sample_blocks(5, 2**64, 1))
+    assert np.array_equal(first_block, next(sample_blocks(5, step, 1)))
+    with pytest.raises(ValueError, match=r"2\^64"):
+        ExperimentConfig(n=5, count=2**64 + 1, seed=1)
+    with pytest.raises(ValueError, match=r"2\^64"):
+        next(sample_blocks(5, 2**64 + 1, 1))
+
+
+def _binomial_law(trials: int, p: float, offset: int = 0) -> dict[int, float]:
+    """Bin(trials, p) shifted by offset, in floats: each term from the last,
+    so that no term needs a big integer; terms below the float range are 0."""
+    pmf = {offset: (1 - p) ** trials}
+    for k in range(trials):
+        pmf[offset + k + 1] = pmf[offset + k] * (trials - k) / (k + 1) * (p / (1 - p))
+    return pmf
+
+
 def test_sampled_statistics_match_their_exact_laws():
     # the KS distance between the sampled and exact CDFs of N samples stays
     # below sqrt(ln(2/alpha) / (2N)) but with probability alpha (the DKW
     # inequality with Massart's constant; the bound is conservative for a
     # discrete law)
-    count, alpha = 20_000, 1e-6
-    bound = math.sqrt(math.log(2 / alpha) / (2 * count))
+    alpha = 1e-6
     cases = [("max-discrepancy", 7, ensemble_name,
               exhaustive_histogram(7, "max-discrepancy", ensemble_name).bins)
              for ensemble_name in ensemble.ENSEMBLES]
@@ -177,7 +306,16 @@ def test_sampled_statistics_match_their_exact_laws():
               for name in ("pf", "fn1")]
     chains = (m - 1) * m // 2 * (m * (m + 1) // 2)
     cases.append(("1<3;2>=4", 100, "pf", {True: chains, False: m**4 - chains}))
-    for stat, n, ensemble_name, exact in cases:
+    cases = [(*case, 20_000) for case in cases]
+    # one-row blocks, on two threads where two CPUs are free: repeats and
+    # ones - 1 follow Bin(n - 1, 1/(n + 1)), gf_closed_form's (q + n)^(n-1)
+    # over (n + 1)^(n-1), in floats.  A draw scored unshifted has
+    # P(ones = 0) near 1/e, not 0.
+    n = ONE_ROW_N
+    cases += [("repeats", n, "pf", _binomial_law(n - 1, 1 / (n + 1)), 1_000),
+              ("ones", n, "pf", _binomial_law(n - 1, 1 / (n + 1), offset=1), 1_000)]
+    for stat, n, ensemble_name, exact, count in cases:
+        bound = math.sqrt(math.log(2 / alpha) / (2 * count))
         sampled = run_experiment(ExperimentConfig(n=n, count=count, seed=2024,
                                                   ensemble=ensemble_name,
                                                   statistic=stat)).bins
