@@ -56,6 +56,7 @@ class ExperimentConfig:
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         statistic_kernel(self.statistic, self.n)
+        _check_defined(self.statistic, self.ensemble, self.n)
 
 
 @dataclass
@@ -319,6 +320,16 @@ def _arrangement_counts(rows: np.ndarray) -> np.ndarray:
     return math.factorial(rows.shape[1]) // places
 
 
+def _check_defined(statistic: str, ensemble: str, n: int) -> None:
+    """lucky parks the cars, so it is defined on parking functions alone: it
+    is refused up front on an ensemble that holds any other function,
+    whichever rows a seed would draw.  Those are fn1 at every n and fn from
+    n = 2 on; [1]^1 is PF_1."""
+    if statistic == "lucky" and ensemble != "pf" and (ensemble, n) != ("fn", 1):
+        raise ValueError(f"lucky requires a parking function, and ensemble {ensemble} "
+                         f"holds other functions at n = {n}")
+
+
 def _exhaustive_source(statistic: str, n: int, ensemble: str,
                        limit: int) -> tuple[Iterator[np.ndarray], Optional[Callable]]:
     """(blocks, weigh) for `_census` of a statistic over every row of PF_n
@@ -327,11 +338,16 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
     the Catalan(n) nondecreasing rows with entry j at most j, or the
     C(n + m - 1, n) nondecreasing rows over [1, m].  Every row count that
     passes the int64 guard has n <= 16, so those weights and their sums are
-    exact in int64.  Any other statistic scans all rows, unweighted.
-    Raises ValueError for an unknown ensemble and `CapacityError` for
-    n > limit, and checks the row count, before any block is built."""
+    exact in int64.  A name that only compares entries
+    (`stats.compares_only`) scores each weak-order type once (`_type_rows`),
+    weighted by the ensemble's rows of that type.  Any other statistic
+    scans all rows, unweighted.  Raises ValueError for an unknown ensemble
+    and for lucky where it is not defined (`_check_defined`), and
+    `CapacityError` for n > limit, and checks the row count, before any
+    block is built."""
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
+    _check_defined(statistic, ensemble, n)
     check_enumeration_size(n, limit)
     pf = ensemble == "pf"
     m = _codomain(ensemble, n)
@@ -340,42 +356,91 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
     if statistic in st.ORDER_FREE_STATISTICS:
         _check_rows(count_pf(n) if pf else m**n)
         return _sorted_blocks(n, range(1, n + 1) if pf else [m] * n), _arrangement_counts
+    if st.compares_only(statistic):
+        blocks, census = _type_rows(n, limit)
+        return blocks, _in_row_order(census.type_weights(ensemble))
     return (pf_blocks(n, limit) if pf else function_blocks(n, m)), None
 
 
-def _type_rows(n: int, limit: int) -> tuple[Iterator[np.ndarray], np.ndarray, np.ndarray]:
-    """(blocks, pf_weights, fn_weights): each weak-order type of length n
-    once, as the rows of column-major int64 blocks, and the number of rows
-    of PF_n and of [n+1]^n of each type, in the order of the rows.  A type
-    is a row whose values are 1..k for some k, the row of ranks shared by
-    every function that orders its entries alike; there are Fubini(n) of
-    them (541 at n = 5, 47,293 at n = 7).
+def _in_row_order(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """`weigh` for `_census` of blocks that hold the rows of `weights` in
+    order: each call returns the weights of the next block's rows."""
+    start = 0
+
+    def weigh(block: np.ndarray) -> np.ndarray:
+        nonlocal start
+        start += block.shape[0]
+        return weights[start - block.shape[0]:start]
+
+    return weigh
+
+
+@dataclass(frozen=True)
+class _TypeCensus:
+    """The weak-order types of length n, keyed by composition (see
+    `_type_census`); every array is read-only.
+
+    blocks: the types as row-major uint8 blocks, the types of each
+        composition in one run, the compositions in the order of their keys.
+    arrangements, starts: the length of each composition's run and the row
+        where it starts.
+    weights: each ensemble's rows of one type of each composition, S_PF(c)
+        on pf and C(m, k) on [m]^n for a composition of k parts.
+    gaps: C(n + 1, k) - (n + 1) S_PF(c), the fn1 weight less n + 1 times
+        the pf weight: a law is the same on both when its gaps sum to 0."""
+
+    blocks: tuple[np.ndarray, ...]
+    arrangements: np.ndarray
+    starts: np.ndarray
+    weights: dict[str, np.ndarray]
+    gaps: np.ndarray
+
+    def type_weights(self, ensemble: str) -> np.ndarray:
+        """The ensemble's rows of each type, in the order of the types."""
+        return self.weights[ensemble].repeat(self.arrangements)
+
+    def holding(self, mask: np.ndarray) -> np.ndarray:
+        """The number of types of each composition where a mask over the
+        types holds: a Bernoulli feature's rows of an ensemble are this
+        times its weights."""
+        return np.add.reduceat(mask, self.starts, dtype=np.int64)
+
+
+def _type_rows(n: int, limit: int) -> tuple[Iterator[np.ndarray], _TypeCensus]:
+    """(blocks, census): each weak-order type of length n once, as the rows
+    of column-major int64 blocks, and the census they come from
+    (`_TypeCensus`), whose weights count each type's rows in PF_n, [n]^n and
+    [n+1]^n.  A type is a row whose values are 1..k for some k, the row of
+    ranks shared by every function that orders its entries alike; there are
+    Fubini(n) of them (541 at n = 5, 47,293 at n = 7) in 2^(n-1)
+    compositions.
 
     The census is built once per n (`_type_census`) and only the last n is
-    kept, so every feature and weak peak at one n reads the same rows; each
-    call still copies them block by block into fresh int64 blocks.  Raises
-    `CapacityError` for n > limit, and checks that the counts fit in int64,
-    before the census is built or read."""
+    kept, so every feature, statistic and weak peak at one n reads the same
+    rows; each call still copies them block by block into fresh int64
+    blocks.  Raises `CapacityError` for n > limit, and checks that the
+    counts fit in int64, before the census is built or read."""
     check_enumeration_size(n, limit)
     _check_rows((n + 1) ** n)
-    blocks, pf_weights, fn_weights = _type_census(n)
-    return (np.asfortranarray(block, dtype=np.int64) for block in blocks), pf_weights, fn_weights
+    census = _type_census(n)
+    return (np.asfortranarray(block, dtype=np.int64) for block in census.blocks), census
 
 
 @lru_cache(maxsize=1)
-def _type_census(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The read-only census behind `_type_rows`: the types as the row-major
-    uint8 blocks of `_table_arrangement_blocks`, and their int64 weights.
-    Unchecked: `_type_rows` guards n.
+def _type_census(n: int) -> _TypeCensus:
+    """The read-only census behind `_type_rows`.  Unchecked: `_type_rows`
+    guards n.
 
     The composition rows (1, a_2, ..., a_n) with steps a_{j+1} - a_j of 0
     or 1 are the sorted types, one per key sum_j (a_{j+2} - a_{j+1}) 2^j,
-    and `_table_arrangement_blocks` arranges each into its types.  A type's
-    functions to [m] replace 1..k by k increasing values, so [n+1]^n holds
-    C(n + 1, k) of each type with k values.  Sorting is a bijection from the
-    parking functions of one type onto the sorted PF_n rows whose ties fall
-    where the type's do (PF_n is closed under rearrangement), so PF_n holds
-    as many of each type as `_sorted_blocks` has sorted rows with its key."""
+    and `_table_arrangement_blocks` arranges each into its types, in order.
+    A type's functions to [m] replace 1..k by k increasing values, so [m]^n
+    holds C(m, k) of each type with k values.  Sorting is a bijection from
+    the parking functions of one type onto the sorted PF_n rows whose ties
+    fall where the type's do (PF_n is closed under rearrangement), so PF_n
+    holds as many of each type as `_sorted_blocks` has sorted rows with its
+    key.  Every weight is at least 1: the composition row is itself a sorted
+    parking function, and k <= n <= m."""
     keys = 1 << (n - 1)
     bits = 1 << np.arange(n - 1)
     compositions = np.ones((keys, n), dtype=np.int64)
@@ -384,24 +449,27 @@ def _type_census(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray
     pf_weights = np.zeros(keys, dtype=np.int64)
     for block in _sorted_blocks(n, range(1, n + 1)):
         pf_weights += np.bincount((block[:, 1:] > block[:, :-1]) @ bits, minlength=keys)
-    fn_weights = np.array([math.comb(n + 1, k) for k in range(n + 1)])[compositions[:, -1]]
+    weights = {"pf": pf_weights}
+    for ensemble in ("fn", "fn1"):
+        m = _codomain(ensemble, n)
+        weights[ensemble] = np.array([math.comb(m, k) for k in range(n + 1)])[compositions[:, -1]]
     arrangements = _arrangement_counts(compositions)
+    starts = np.cumsum(arrangements) - arrangements
     blocks = tuple(_table_arrangement_blocks([compositions], n))
-    pf_weights, fn_weights = np.repeat(pf_weights, arrangements), np.repeat(fn_weights, arrangements)
-    for array in (*blocks, pf_weights, fn_weights):
+    gaps = weights["fn1"] - (n + 1) * pf_weights
+    for array in (*blocks, arrangements, starts, *weights.values(), gaps):
         array.setflags(write=False)
-    return blocks, pf_weights, fn_weights
+    return _TypeCensus(blocks, arrangements, starts, weights, gaps)
 
 
-def _type_scores(feature: str, n: int, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, pf_weights, fn_weights): a feature that only compares
-    entries (`stats.compares_only`) scored on each row of `_type_rows`, with
-    the row's counts on PF_n and on [n+1]^n.  Raises ValueError for a name
+def _type_scores(feature: str, n: int, limit: int) -> tuple[np.ndarray, _TypeCensus]:
+    """(values, census): a feature that only compares entries
+    (`stats.compares_only`) scored on each row of `_type_rows`, and the
+    census of the rows.  Raises ValueError for a name
     `stats.statistic_kernel` refuses before it checks the size."""
     kernel = statistic_kernel(feature, n)
-    blocks, pf_weights, fn_weights = _type_rows(n, limit)
-    values = np.concatenate([kernel(block, n, n + 1) for block in blocks])
-    return values, pf_weights, fn_weights
+    blocks, census = _type_rows(n, limit)
+    return np.concatenate([kernel(block, n, n + 1) for block in blocks]), census
 
 
 def _sample_source(config: ExperimentConfig) -> tuple[Callable, Callable]:
@@ -474,11 +542,15 @@ def _paired_census(kernel: Callable, rows: Callable, count: int, n: int,
 def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
                          limit: int = DEFAULT_ENUM_LIMIT) -> Histogram:
     """Exact histogram of a statistic over all of PF_n or an all-functions
-    ensemble; counts are exact integers.  Raises ValueError for an ensemble
-    not in ENSEMBLES and `CapacityError` for n > limit on every ensemble,
-    before any block is built."""
-    blocks, weigh = _exhaustive_source(statistic, n, ensemble, limit)
+    ensemble; counts are exact integers, and no bin counts 0.  The rows come
+    from `_exhaustive_source`: the sorted rows for an order-free statistic,
+    the weak-order types for a name that only compares entries (each type
+    scored once), else every row.  Raises ValueError for a name
+    `stats.statistic_kernel` refuses, for an ensemble not in ENSEMBLES and
+    for lucky where it is not defined, and `CapacityError` for n > limit on
+    every ensemble, before any block is built."""
     kernel = statistic_kernel(statistic, n)
+    blocks, weigh = _exhaustive_source(statistic, n, ensemble, limit)
     m = _codomain(ensemble, n)
     return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
                      bins=_census(kernel, blocks, n, m, weigh))
@@ -636,18 +708,25 @@ EQUIDISTRIBUTED_FEATURES = ("descent-pattern", "equality-pattern", "weak-descent
 def exact_equidistribution(n: int, feature: str,
                            limit: int = DEFAULT_ENUM_LIMIT) -> EquidistributionReport:
     """Whether a feature has the same exact law on PF_n as on all functions
-    [n] -> [n+1], after scaling by n + 1.  A feature that only compares
-    entries (`stats.compares_only`) is scored once per weak-order type, each
-    type weighted by its number of rows in either ensemble (`_type_rows`);
-    an order-free statistic on the sorted rows; any other on every row of
-    both.  The feature is any name `stats.statistic_kernel` takes:
-    "longest-run>=", "strict-peak@3" or a chain expression such as
-    "1<3;2>=4"; the report keeps the name as given."""
+    [n] -> [n+1], after scaling by n + 1, from the rows that
+    `_exhaustive_source` picks.  A feature that only compares entries
+    (`stats.compares_only`) is scored once per weak-order type, in one pass:
+    each type weighted by its composition's gap, its rows in [n+1]^n less
+    n + 1 times its rows in PF_n (`_type_rows`).  An order-free statistic
+    reads the sorted rows and any other every row, of both ensembles.  The
+    feature is any name `stats.statistic_kernel` takes: "longest-run>=",
+    "strict-peak@3" or a chain expression such as "1<3;2>=4"; the report
+    keeps the name as given."""
     if st.compares_only(feature):
-        values, pf_weights, fn_weights = _type_scores(feature, n, limit)
-        # the laws agree exactly when each value's fn - (n + 1) pf count is 0
-        gaps = _distinct(values, fn_weights - (n + 1) * pf_weights)
-        unequal = [v for v, gap in gaps if gap]
+        values, census = _type_scores(feature, n, limit)
+        # the laws agree exactly when each value's gaps sum to 0
+        if values.dtype.kind == "b":
+            # both ensembles hold (n + 1)^n rows once scaled, so the gap of
+            # False is minus that of True, and False prints first
+            unequal = [False] if census.holding(values) @ census.gaps else []
+        else:
+            gaps = census.gaps.repeat(census.arrangements)
+            unequal = [v for v, gap in _distinct(values, gaps) if gap]
     else:
         kernel = statistic_kernel(feature, n)
         # both sources check their size before either census starts
@@ -675,8 +754,9 @@ def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeak
     [n+1]^n, exactly, from the weak-order types (`_type_rows`); they are
     equidistributed when the second count is n + 1 times the first (see
     `stats._PEAKS`)."""
-    holds, pf_weights, fn_weights = _type_scores(f"weak-peak@{i}", n, limit)
-    pf_count, f_count = int(pf_weights[holds].sum()), int(fn_weights[holds].sum())
+    holds, census = _type_scores(f"weak-peak@{i}", n, limit)
+    holding = census.holding(holds)
+    pf_count, f_count = (int(holding @ census.weights[side]) for side in ("pf", "fn1"))
     return WeakPeakReport(n=n, position=i, equal=f_count == (n + 1) * pf_count,
                           pf_count=pf_count, f_count=f_count)
 

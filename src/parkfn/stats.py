@@ -67,11 +67,12 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # the per-function API scores one function as a one-row block.
 #
 # A kernel's result does not depend on the block's memory order.  Sampled
-# blocks are row-major; the exhaustive sources (`ensemble.pf_blocks`,
-# `function_blocks`, for ORDER_FREE_STATISTICS the sorted rows of
-# `enumeration._sorted_blocks`, and for COMPARISON_STATISTICS the weak-order
-# types of `ensemble._type_rows`) are column-major and tall, at up to
-# 65536 // n rows a block.
+# blocks are row-major; the exhaustive sources that `ensemble._exhaustive_source`
+# picks by name (for ORDER_FREE_STATISTICS the sorted rows of
+# `enumeration._sorted_blocks`, for the names of `compares_only` the
+# weak-order types of `ensemble._type_rows`, and for the rest every row of
+# `ensemble.pf_blocks` or `function_blocks`) are column-major and tall, at
+# up to 65536 // n rows a block.
 # Numpy loops along the short row axis of such a block one row at a time,
 # so a few kernels work column by column, with n vector passes over all
 # rows, once the block has enough rows to pay for the passes: `lucky` from
@@ -279,8 +280,9 @@ ORDER_FREE_STATISTICS = frozenset({"area", "scaled-area", "ones", "species",
 
 # The statistics that only compare entries, so that a row scores as its
 # weak-order type does (each value replaced by its rank among the row's
-# distinct values): `ensemble.exact_equidistribution` scores the types only
-# (`ensemble._type_rows`; see `compares_only`).
+# distinct values): their exact laws (`ensemble.exhaustive_histogram` on
+# every ensemble, `exact_equidistribution`) score each type once, weighted
+# by its rows in the ensemble (`ensemble._type_rows`; see `compares_only`).
 COMPARISON_STATISTICS = frozenset({"repeats", "descents", "descent-pattern", "inversions",
                                    *(name for name in STATISTICS
                                      if name.startswith("longest-run"))})

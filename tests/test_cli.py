@@ -118,6 +118,19 @@ def test_sample_fn_ensemble(capsys):
         assert values == sample_uniform_function(3, 4, split_stream(2, int(idx))).values
 
 
+def test_sample_and_compare_refuse_lucky_off_pf(capsys):
+    # refused for every seed, not only for one whose draws do not park
+    for seed, ensemble_name in product(("0", "1"), ("fn", "fn1")):
+        code, out, err = run_cli(capsys, "sample", "--n", "2", "--count", "1", "--seed", seed,
+                                 "--stat", "lucky", "--ensemble", ensemble_name)
+        assert (code, out) == (EXIT_USAGE, ""), (seed, ensemble_name)
+        assert err == ("error: lucky requires a parking function, and ensemble "
+                       f"{ensemble_name} holds other functions at n = 2\n")
+    code, out, err = run_cli(capsys, "compare", "--n", "4", "--feature", "lucky")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: lucky requires a parking function")
+
+
 def test_stats_subcommand(capsys):
     code, out, _ = run_cli(capsys, "stats", "--pf", "1,3,5,3,1")
     assert code == EXIT_OK

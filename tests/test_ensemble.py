@@ -84,6 +84,34 @@ def test_config_validation():
             ExperimentConfig(n=3, count=1, seed=seed)
 
 
+def test_lucky_is_refused_off_pf_up_front(monkeypatch):
+    # lucky parks the cars, so it is defined on parking functions alone.  On
+    # an ensemble that holds other functions it is refused before any draw
+    # or block, whatever the seed would draw: at n = 2 on fn, seed 0 draws
+    # only parking functions and seed 1 does not.
+    message = "lucky requires a parking function, and ensemble fn1? holds other functions"
+    blocks = []
+    original = ensemble._pf_rows
+    monkeypatch.setattr(ensemble, "_pf_rows",
+                        lambda n: (blocks.append(b.shape) or b for b in original(n)))
+    for ensemble_name, n in (("fn", 2), ("fn", 8), ("fn1", 1), ("fn1", 2), ("fn1", 8)):
+        for seed in (0, 1):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(n=n, count=1, seed=seed, ensemble=ensemble_name,
+                                 statistic="lucky")
+        with pytest.raises(ValueError, match=message):
+            exhaustive_histogram(n, "lucky", ensemble_name)
+    # the fn1 side of the comparison is refused before PF_8 is scanned
+    with pytest.raises(ValueError, match=message):
+        exact_equidistribution(8, "lucky")
+    assert not blocks
+    # [1]^1 is PF_1, so there lucky is defined on every draw
+    for seed in (0, 1):
+        config = ExperimentConfig(n=1, count=3, seed=seed, ensemble="fn", statistic="lucky")
+        assert run_experiment(config).bins == {1: 3}
+    assert exhaustive_histogram(1, "lucky", "fn").bins == {1: 1}
+
+
 def test_config_stores_plain_int_sizes():
     # numpy ints become Python ints: the shift and the JSON output see ints
     config = ExperimentConfig(n=np.int64(3), count=np.int64(3), seed=np.uint64(1))
@@ -306,6 +334,12 @@ def test_sampled_statistics_match_their_exact_laws():
               for name in ("pf", "fn1")]
     chains = (m - 1) * m // 2 * (m * (m + 1) // 2)
     cases.append(("1<3;2>=4", 100, "pf", {True: chains, False: m**4 - chains}))
+    # comparison statistics at n = 8, against their exact laws on the
+    # weak-order types: pf repeats from the raw draws, the rest from the
+    # shifted rows, and fn1 draws as they are
+    cases += [(stat, 8, name, exhaustive_histogram(8, stat, name).bins)
+              for stat in ("inversions", "descents", "repeats", "longest-run")
+              for name in ("pf", "fn1")]
     cases = [(*case, 20_000) for case in cases]
     # one-row blocks, on two threads where two CPUs are free: repeats and
     # ones - 1 follow Bin(n - 1, 1/(n + 1)), gf_closed_form's (q + n)^(n-1)
@@ -774,10 +808,10 @@ def test_bin_keys_are_plain_python_values():
         expected = KEY_TYPES.get(stat, int)
         for ensemble_name in ensemble.ENSEMBLES:
             for n in (1, 3, 40):
-                config = ExperimentConfig(n=n, count=50, seed=3, ensemble=ensemble_name,
-                                          statistic=stat)
                 try:
-                    hist = run_experiment(config)
+                    hist = run_experiment(ExperimentConfig(n=n, count=50, seed=3,
+                                                           ensemble=ensemble_name,
+                                                           statistic=stat))
                 except ValueError:  # lucky off PF_n
                     assert stat == "lucky" and ensemble_name != "pf"
                     continue
@@ -957,27 +991,41 @@ def test_ks_distance_to_limit():
             ks_distance_to_limit(h, lambda t: t)
 
 
+def _comparison_features(n):
+    """The sweep of names that only compare entries, at n."""
+    features = [*sorted(stats.COMPARISON_STATISTICS), "equality-pattern", "weak-descent-pattern"]
+    features += [f"{peak}@{i}" for peak in ("strict-peak", "mixed-chain", "weak-peak")
+                 for i in range(2, n)]
+    features += [e for e, size in (("1<3;2>=4", 4), ("2>1<3>4", 4),
+                                   ("non-disjoint-chain", 5)) if n >= size]
+    return features
+
+
 def test_type_census_matches_the_scans():
     # each comparison feature's law on the weak-order types, weighted by
-    # either ensemble's count of each type, is its law over every row
+    # each ensemble's count of each type, is its law over every row: as a
+    # dict, with the same key types, no bin of count 0 and the same JSON
     for n in range(1, 7):
-        features = [*stats.COMPARISON_STATISTICS, "equality-pattern", "weak-descent-pattern"]
-        features += [f"{peak}@{i}" for peak in ("strict-peak", "mixed-chain", "weak-peak")
-                     for i in range(2, n)]
-        features += [e for e, size in (("1<3;2>=4", 4), ("2>1<3>4", 4),
-                                       ("non-disjoint-chain", 5)) if n >= size]
+        features = _comparison_features(n)
         assert all(stats.compares_only(feature) for feature in features)
         for feature in features:
             kernel = statistic_kernel(feature, n)
-            values, *weights = ensemble._type_scores(feature, n, n)
-            scans = (ensemble.pf_blocks(n), ensemble.function_blocks(n, n + 1))
-            for blocks, weight in zip(scans, weights):
-                scan = ensemble._census(kernel, blocks, n, n + 1)
-                types = {v: c for v, c in ensemble._distinct(values, weight) if c}
-                assert types == scan, (n, feature)
-                assert [type(v) for v in types] == [type(v) for v in scan], (n, feature)
-    assert [ensemble._type_scores("repeats", n, n)[0].size for n in range(1, 8)] == \
+            for ensemble_name in ensemble.ENSEMBLES:
+                label = (n, feature, ensemble_name)
+                m = n + 1 if ensemble_name == "fn1" else n
+                blocks = (ensemble.pf_blocks(n) if ensemble_name == "pf"
+                          else ensemble.function_blocks(n, m))
+                scan = Histogram(n=n, statistic=feature, ensemble=ensemble_name, seed=None,
+                                 bins=ensemble._census(kernel, blocks, n, m))
+                types = exhaustive_histogram(n, feature, ensemble_name)
+                assert types.bins == scan.bins, label
+                assert sorted(map(repr, types.bins)) == sorted(map(repr, scan.bins)), label
+                assert all(types.bins.values()), label
+                assert types.to_json_dict() == scan.to_json_dict(), label
+    census = [ensemble._type_rows(n, n)[1] for n in range(1, 8)]
+    assert [int(c.arrangements.sum()) for c in census] == \
         [1, 3, 13, 75, 541, 4683, 47293]  # the Fubini numbers
+    assert [c.arrangements.size for c in census] == [2 ** (n - 1) for n in range(1, 8)]
     # the other features score every row or the sorted rows
     for feature in ("first", "area", "lucky", "kmax", "ones", "species", "max-discrepancy",
                     "scaled-max-discrepancy", "forced-gap"):
@@ -985,8 +1033,8 @@ def test_type_census_matches_the_scans():
 
 
 def test_type_census_is_built_once_per_n(monkeypatch):
-    # every standard feature and weak peak at one n reads one census; only
-    # the last n is kept
+    # every standard feature, weak peak and exact law of a comparison
+    # statistic at one n reads one census; only the last n is kept
     ensemble._type_census.cache_clear()
     built = []
     original = ensemble._table_arrangement_blocks
@@ -997,6 +1045,9 @@ def test_type_census_is_built_once_per_n(monkeypatch):
             exact_equidistribution(n, feature)
         for i in range(2, n):
             weak_peak_check(n, i)
+        for stat in ("repeats", "inversions", "weak-peak@3"):
+            for ensemble_name in ensemble.ENSEMBLES:
+                exhaustive_histogram(n, stat, ensemble_name)
     assert built == [6, 5]
 
 
@@ -1008,20 +1059,27 @@ def test_type_census_keeps_its_guards():
         exact_equidistribution(8, "descent-pattern", limit=7)
     with pytest.raises(CapacityError):
         weak_peak_check(8, 3, limit=7)
+    for ensemble_name in ensemble.ENSEMBLES:
+        with pytest.raises(CapacityError):
+            exhaustive_histogram(8, "repeats", ensemble_name, limit=7)
     with pytest.raises(ValueError, match="n must be >= 1"):
         ensemble._type_rows(0, 8)
 
 
 def test_type_census_is_read_only(monkeypatch):
-    blocks, pf_weights, fn_weights = ensemble._type_census(5)
-    for array in (*blocks, pf_weights, fn_weights):
+    census = ensemble._type_census(5)
+    for array in (*census.blocks, census.arrangements, census.starts, *census.weights.values(),
+                  census.gaps):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+    # one weight per composition on each side, not one per type
+    assert {side: w.size for side, w in census.weights.items()} == \
+        {"pf": 16, "fn": 16, "fn1": 16}
     # a kernel that writes into a cached block is refused ...
     kernel = statistic_kernel("descent-pattern", 5)
 
     def scribbles_on_the_census(block, n, m):
-        ensemble._type_census(n)[0][0][0] = 0
+        ensemble._type_census(n).blocks[0][0] = 0
         return kernel(block, n, m)
 
     monkeypatch.setattr(ensemble, "statistic_kernel", lambda name, n: scribbles_on_the_census)
@@ -1039,9 +1097,12 @@ def test_type_census_is_read_only(monkeypatch):
     monkeypatch.undo()
     assert exact_equidistribution(5, "descent-pattern").equal
     assert not exact_equidistribution(5, "strict-peak@2").equal
-    _values, pf_weights, _fn_weights = ensemble._type_scores("inversions", 5, 5)
+    _values, census = ensemble._type_scores("inversions", 5, 5)
     with pytest.raises(ValueError, match="read-only"):
-        pf_weights += 1
+        census.weights["pf"] += 1
+    # per-type weights are built per call, so a caller may write to its own
+    assert census.type_weights("pf").flags.writeable
+    assert exhaustive_histogram(5, "inversions").bins == _scan_census("inversions", "pf", 5)
 
 
 def test_type_census_reports_cold_and_warm():
@@ -1059,6 +1120,12 @@ def test_type_census_reports_cold_and_warm():
         for i in range(2, n):
             ensemble._type_census.cache_clear()
             assert weak_peak_check(n, i) == weak_peak_check(n, i), (n, i)
+        for stat in ("repeats", "descent-pattern", "longest-run>="):
+            for ensemble_name in ensemble.ENSEMBLES:
+                ensemble._type_census.cache_clear()
+                cold = exhaustive_histogram(n, stat, ensemble_name)
+                warm = exhaustive_histogram(n, stat, ensemble_name)
+                assert list(cold.bins.items()) == list(warm.bins.items()), (n, stat, ensemble_name)
 
 
 def test_equidistribution_positive_features():
@@ -1130,8 +1197,7 @@ def test_n_fence_is_equidistributed():
             kernel = statistic_kernel("2>1<3>4", n)
             assert sum(np.count_nonzero(kernel(b, n, n + 1))
                        for b in ensemble.pf_blocks(n)) == pf_count
-        holds, pf_weights, _fn_weights = ensemble._type_scores("2>1<3>4", n, n)
-        assert pf_weights[holds].sum() == pf_count
+        assert exhaustive_histogram(n, "2>1<3>4", limit=n).bins[True] == pf_count
         assert exact_equidistribution(n, "2>1<3>4").equal, n
         assert not exact_equidistribution(n, "2>1<3").equal, n
 
@@ -1330,13 +1396,15 @@ def test_exhaustive_histogram_matches_enumerated_census():
         for ensemble_name in ensemble.ENSEMBLES:
             block = _enumerated(ensemble_name, n)
             m = n + 1 if ensemble_name == "fn1" else n
+            parks = all(is_parking_function(row) for row in block.tolist())
+            assert parks == (ensemble_name == "pf" or (ensemble_name, n) == ("fn", 1))
             for stat, kernel in STATISTICS.items():
-                try:
-                    expected = Counter(_to_python(kernel(block, n, m)))
-                except ValueError:  # lucky off PF_n
-                    with pytest.raises(ValueError):
+                if stat == "lucky" and not parks:
+                    # refused before any block, not when a row fails to park
+                    with pytest.raises(ValueError, match="holds other functions"):
                         exhaustive_histogram(n, stat, ensemble_name)
                     continue
+                expected = Counter(_to_python(kernel(block, n, m)))
                 got = exhaustive_histogram(n, stat, ensemble_name).bins
                 assert got == expected, (n, ensemble_name, stat)
 
@@ -1400,6 +1468,11 @@ def test_profile_census_edges():
                 exact_equidistribution(16, feature, limit=16)
         with pytest.raises(ValueError, match="int64"):
             weak_peak_check(16, 3, limit=16)
+        # the type census holds the weights of [17]^16 too: no exact law of
+        # a comparison statistic at n = 16, on any ensemble
+        for ensemble_name in ensemble.ENSEMBLES:
+            with pytest.raises(ValueError, match="int64"):
+                exhaustive_histogram(16, "repeats", ensemble_name, limit=16)
         with pytest.raises(CapacityError):
             exact_equidistribution(9, "species")
         assert not built
