@@ -22,10 +22,7 @@ from .sample import (
     split_stream,
 )
 from .stats import (
-    Chain,
-    ChainPoset,
     ShuffleDecomposition,
-    chain_monotone,
     descent_pattern,
     descents,
     inversions,

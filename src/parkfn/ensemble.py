@@ -662,10 +662,24 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 # --- distances ------------------------------------------------------------
 
+def _law(p, name: str) -> dict:
+    """A Histogram's probabilities, or a dict that is already a law: values
+    >= 0 summing to 1 within 1e-9.  A dict of counts is refused, not
+    normalized, with a ValueError that names the argument."""
+    if isinstance(p, Histogram):
+        return p.probabilities()
+    law = dict(p)
+    # negated as a whole, so that a NaN is refused too
+    if not (all(v >= 0 for v in law.values()) and abs(math.fsum(law.values()) - 1) <= 1e-9):
+        raise ValueError(f"{name} is not a probability law: its values must be >= 0 "
+                         "and sum to 1 within 1e-9 (pass a Histogram for counts)")
+    return law
+
+
 def tv_distance(p, q) -> float:
-    """Total variation distance: half the L1 distance after normalizing."""
-    p_probs = p.probabilities() if isinstance(p, Histogram) else dict(p)
-    q_probs = q.probabilities() if isinstance(q, Histogram) else dict(q)
+    """Total variation distance, half the L1 distance between two laws, each
+    a Histogram or a dict of probabilities (`_law`)."""
+    p_probs, q_probs = _law(p, "p"), _law(q, "q")
     if not p_probs or not q_probs:
         raise ValueError("empty distribution")
     support = set(p_probs) | set(q_probs)

@@ -300,10 +300,13 @@ _AIRY_TAIL_SCALE = 72 * math.sqrt(6 / math.pi)
 # The double sum keeps about 16 - log10(sum |term| / |sum|) digits, and the
 # expansion's truncation error shrinks as x grows.  Against the series summed
 # in mpmath, the sum is off by 2.3e-12 at 1.6, 1.9e-11 at 1.7 and 9.1e-9 at
-# 2.03, the expansion by 1.8e-12, 3.4e-13 and 4.6e-15.  On a 0.001 grid the
-# expansion is the closer at every point from 1.659 to 2.03 but 1.713 and
-# 1.773; below 1.7 the sum is off by at most 1.9e-11 (at 1.689).
-_AIRY_TAIL_X = 1.7
+# 2.03, the expansion by 1.8e-12, 3.4e-13 and 4.6e-15 (relative errors).  On
+# a 0.001 grid the expansion is the closer at every point from 1.659 to 2.03
+# but 1.713 and 1.773.  From 1.66 on it is off by at most 6.5e-13 (at 1.66,
+# 4.0e-13 at 1.69), where the sum is off by up to 1.9e-11 (at 1.689).  Below
+# 1.66 the sum is off by at most 9.1e-12 (at 1.659); the expansion is closer
+# at 26 of the 30 points from 1.63 but off by up to 1.1e-12 there.
+_AIRY_TAIL_X = 1.66
 
 
 def airy_area_density(x: float) -> float:

@@ -535,31 +535,6 @@ class Chain:
             raise ValueError("chain positions are 1-based")
 
 
-@dataclass(frozen=True)
-class ChainPoset:
-    """Disjoint chains over positions, one relation per chain: the
-    hypothesis of the equidistribution theorem.
-
-    Mixed relations within a chain are rejected by construction (they break
-    equidistribution between the ensembles): `ChainPoset(parse_chains(e))`
-    constructs exactly when the expression e meets the hypothesis.
-    """
-
-    chains: tuple[Chain, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for chain in self.chains:
-            for p in chain.positions:
-                if p in seen:
-                    raise ValueError("chains must be position-disjoint")
-                seen.add(p)
-
-    @property
-    def positions(self) -> set[int]:
-        return {p for c in self.chains for p in c.positions}
-
-
 # A chain expression's relation symbols, the two-character ones first.
 _LINK = re.compile(r"(<=|>=|<|>|=)")
 
@@ -595,20 +570,6 @@ def _chains_hold(block: np.ndarray, chains: Sequence[Chain]) -> np.ndarray:
         for a, b in zip(chain.positions, chain.positions[1:]):
             holds &= op(block[:, a - 1], block[:, b - 1])
     return holds
-
-
-def _check_chain_positions(chains: Sequence[Chain], n: int) -> None:
-    """ValueError unless every chain position lies in [1, n]."""
-    beyond = max((p for c in chains for p in c.positions), default=0)
-    if beyond > n:
-        raise ValueError(f"chain position {beyond} is beyond n = {n}")
-
-
-def chain_monotone(seq: Sequence[int], poset: ChainPoset) -> bool:
-    """True iff every chain's relation holds along consecutive chain positions."""
-    block, _m = row_block(seq)
-    _check_chain_positions(poset.chains, block.shape[1])
-    return _chains_hold(block, poset.chains)[0].tolist()
 
 
 # --- every name: statistics and features ------------------------------------
@@ -671,10 +632,9 @@ def statistic_kernel(name: str, n: int) -> Callable:
         raise ValueError(f"unknown feature {name!r}: no statistic, pattern, alias "
                          "or chain expression has that name")
     chains = parse_chains(expression)
-    try:
-        _check_chain_positions(chains, n)
-    except ValueError as exc:
-        raise ValueError(f"feature {name!r}: {exc}") from None
+    beyond = max(p for c in chains for p in c.positions)
+    if beyond > n:
+        raise ValueError(f"feature {name!r}: chain position {beyond} is beyond n = {n}")
     return lambda block, n, m: _chains_hold(block, chains)
 
 

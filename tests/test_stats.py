@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given, strategies as st_h
 
 from parkfn import (
-    Chain,
-    ChainPoset,
     PrefSequence,
-    chain_monotone,
     descent_pattern,
     descents,
     find_valid_shift,
@@ -29,7 +26,8 @@ from parkfn import (
     value_counts,
 )
 from parkfn.enumeration import enumerate_pf
-from parkfn.stats import descent_pattern_statistic, longest_run_statistic, parse_chains
+from parkfn.stats import (Chain, descent_pattern_statistic, longest_run_statistic, parse_chains,
+                          row_block, statistic_kernel)
 
 EXAMPLE = (1, 3, 5, 3, 1)
 
@@ -79,15 +77,14 @@ def test_out_of_domain_inputs_raise_value_error():
         "scaled_area(())": lambda: scaled_area(()),
         "longest_run(())": lambda: longest_run(()),
         "max_discrepancy((3, 1))": lambda: max_discrepancy((3, 1)),
-        "chain_monotone((1, 2), chain (1, 3))":
-            lambda: chain_monotone((1, 2), ChainPoset((Chain((1, 3), "<"),))),
+        "statistic_kernel('1<3', 2)": lambda: statistic_kernel("1<3", 2),
         "descent_pattern((1, 2), '!')": lambda: descent_pattern((1, 2), "!"),
         "longest_run((1, 2), '!')": lambda: longest_run((1, 2), "!"),
         "descent_pattern_statistic('!')": lambda: descent_pattern_statistic("!"),
         "longest_run_statistic('!')": lambda: longest_run_statistic("!"),
     }
     # the error names what is out of the domain
-    messages = {"chain_monotone((1, 2), chain (1, 3))": "position 3"}
+    messages = {"statistic_kernel('1<3', 2)": "position 3"}
     messages.update((label, "unknown relation") for label in cases if "'!'" in label)
     for label, call in cases.items():
         with pytest.raises(ValueError, match=messages.get(label)):
@@ -98,7 +95,6 @@ def test_out_of_domain_inputs_raise_value_error():
 def test_public_statistics_match_oracles():
     # every function [n] -> [n+1] for n <= 4: the one-row kernel calls give the
     # oracles' values, of the same types
-    poset = ChainPoset((Chain((1, 2), "<="),))
     for n in range(1, 5):
         for f in product(range(1, n + 2), repeat=n):
             pairs = [
@@ -116,7 +112,9 @@ def test_public_statistics_match_oracles():
                 if relation != "=":
                     pairs.append((longest_run(f, relation), oracles.longest_run(f, relation)))
             if n >= 2:
-                pairs.append((chain_monotone(f, poset), oracles.chain_monotone(f, [((1, 2), "<=")])))
+                block, m = row_block(f)
+                pairs.append((statistic_kernel("1<=2", n)(block, n, m)[0].tolist(),
+                              oracles.chain_monotone(f, [((1, 2), "<=")])))
             if max(f) <= n:
                 pairs += [(max_discrepancy(f), oracles.max_discrepancy(f)),
                           (species(f), oracles.species(f))]
@@ -201,8 +199,6 @@ def test_chain_validation():
     # position 0 would read the last coordinate through negative indexing
     with pytest.raises(ValueError, match="1-based"):
         Chain((0, 2), "<")
-    with pytest.raises(ValueError, match="disjoint"):
-        ChainPoset((Chain((1, 2), "<"), Chain((2, 3), "<")))
 
 
 def test_parse_chains():
@@ -213,12 +209,7 @@ def test_parse_chains():
                                        Chain((3, 4), ">"))
     assert parse_chains("1<2<3;4<2<5") == (Chain((1, 2, 3), "<"), Chain((4, 2, 5), "<"))
     assert parse_chains("12=3;4>=5") == (Chain((12, 3), "="), Chain((4, 5), ">="))
-    # ChainPoset takes exactly the expressions that meet the theorem's
-    # hypothesis: position-disjoint chains, one relation each
-    assert ChainPoset(parse_chains("1<3;2>=4>=5")).positions == {1, 2, 3, 4, 5}
-    for expression in ("2<3>4", "1<2;2<3", "1<2<3;4<2<5", "1<2;3<=1"):
-        with pytest.raises(ValueError, match="disjoint"):
-            ChainPoset(parse_chains(expression))
+    assert parse_chains("1<2>1") == (Chain((1, 2), "<"), Chain((2, 1), ">"))
     # a malformed expression is named in the error
     for expression in ("", "1<", "1<1", "0<2", "1<2;", "1~2", "a<b",
                        ";", "3", "1<2;3", "<2", "1<<2", "1=<2", "1 <2", "1<2<1",
@@ -227,13 +218,21 @@ def test_parse_chains():
             parse_chains(expression)
 
 
-def test_chain_monotone():
-    poset = ChainPoset((Chain((1, 3), "<"), Chain((2, 4), ">=")))
-    assert poset.positions == {1, 2, 3, 4}
-    assert chain_monotone((1, 5, 2, 5), poset)
-    assert chain_monotone((1, 5, 2, 4), poset)
-    assert not chain_monotone((2, 5, 2, 5), poset)
-    assert not chain_monotone((1, 5, 2, 6), poset)
+def test_chain_expressions_through_statistic_kernel():
+    # a chain is refused or accepted as a name as parse_chains does it, with
+    # the expression and the reason in the message
+    for expression, reason in (("1<2<1", "distinct"), ("1<1", "distinct"), ("0<2", "1-based")):
+        with pytest.raises(ValueError, match=f"^chain expression {re.escape(repr(expression))}: "
+                                             f".*{reason}"):
+            statistic_kernel(expression, 4)
+    # one function is scored by name, on its one-row block
+    for expression, f, holds in (("1<2>1", (1, 2), True), ("1<2>1", (2, 2), False),
+                                 ("2>1<3>4", (1, 2, 3, 2), True), ("2>1<3>4", (1, 2, 3, 3), False),
+                                 ("1<3;2>=4", (1, 5, 2, 5), True), ("1<3;2>=4", (1, 5, 2, 4), True),
+                                 ("1<3;2>=4", (2, 5, 2, 5), False), ("1<3;2>=4", (1, 5, 2, 6), False)):
+        block, m = row_block(f)
+        assert statistic_kernel(expression, len(f))(block, len(f), m)[0].tolist() is holds, \
+            (expression, f)
 
 
 def test_lucky_counts_match_outcome_exhaustive():
