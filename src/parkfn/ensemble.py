@@ -334,17 +334,15 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
                        limit: int) -> tuple[Iterator[np.ndarray], Optional[Callable]]:
     """(blocks, weigh) for `_census` of a statistic over every row of PF_n
     (ensemble "pf") or of [m]^n.  A statistic in ORDER_FREE_STATISTICS
-    scores only the sorted rows, each counted `_arrangement_counts` times:
-    the Catalan(n) nondecreasing rows with entry j at most j, or the
-    C(n + m - 1, n) nondecreasing rows over [1, m].  Every row count that
-    passes the int64 guard has n <= 16, so those weights and their sums are
-    exact in int64.  A name that only compares entries
-    (`stats.compares_only`) scores each weak-order type once (`_type_rows`),
-    weighted by the ensemble's rows of that type.  Any other statistic
-    scans all rows, unweighted.  Raises ValueError for an unknown ensemble
-    and for lucky where it is not defined (`_check_defined`), and
-    `CapacityError` for n > limit, and checks the row count, before any
-    block is built."""
+    scores only the sorted rows, each counted as many times as it has
+    arrangements (`_sorted_source`).  Every row count that passes the int64
+    guard has n <= 16, so those weights and their sums are exact in int64.
+    A name that only compares entries (`stats.compares_only`) scores each
+    weak-order type once (`_type_rows`), weighted by the ensemble's rows of
+    that type.  Any other statistic scans all rows, unweighted.  Raises
+    ValueError for an unknown ensemble and for lucky where it is not defined
+    (`_check_defined`), and `CapacityError` for n > limit, and checks the
+    row count, before any block is built."""
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     _check_defined(statistic, ensemble, n)
@@ -355,7 +353,7 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
     # perfbench's traced runs) takes the same path and gives the same bins
     if statistic in st.ORDER_FREE_STATISTICS:
         _check_rows(count_pf(n) if pf else m**n)
-        return _sorted_blocks(n, range(1, n + 1) if pf else [m] * n), _arrangement_counts
+        return _sorted_source(n, ensemble)
     if st.compares_only(statistic):
         blocks, census = _type_rows(n, limit)
         return blocks, _in_row_order(census.type_weights(ensemble))
@@ -373,6 +371,48 @@ def _in_row_order(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return weights[start - block.shape[0]:start]
 
     return weigh
+
+
+def _sorted_source(n: int, ensemble: str) -> tuple[Iterator[np.ndarray], Callable]:
+    """(blocks, weigh) for `_census` of the nondecreasing rows of PF_n (the
+    Catalan(n) rows with entry j at most j) or of [m]^n (the
+    C(n + m - 1, n) rows over [1, m]), each weighed by its number of
+    arrangements.  Rows that fit in one block of `_sorted_blocks` are read
+    from `_sorted_census`; more are unranked, weighed and dropped block by
+    block, so memory stays at one block either way.  Nothing is built before
+    the first block is read.  Unchecked: `_exhaustive_source` guards n."""
+    pf = ensemble == "pf"
+    m = _codomain(ensemble, n)
+    rows = math.comb(2 * n, n) // (n + 1) if pf else math.comb(n + m - 1, n)
+    if rows * n > BLOCK_ELEMENTS:
+        return _sorted_blocks(n, range(1, n + 1) if pf else [m] * n), _arrangement_counts
+
+    def blocks() -> Iterator[np.ndarray]:
+        yield _sorted_census(n, ensemble)[0]
+
+    return blocks(), lambda block: _sorted_census(n, ensemble)[1]
+
+
+@lru_cache(maxsize=3)
+def _sorted_census(n: int, ensemble: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, weights): the one block of `_sorted_blocks` that holds the
+    sorted rows of a `_sorted_source` ensemble, and each row's number of
+    arrangements (`_arrangement_counts`), both read-only.  Unchecked: only
+    `_sorted_source` calls it, and only for rows that fit in one block.
+
+    Kept for three (n, ensemble) pairs, each at most BLOCK_ELEMENTS values
+    and a weight per row, for callers that read one ensemble's sorted rows
+    more than once: `parkfn compare --n N` reads PF_N's twice
+    (`_type_census` and `species`), `parkfn verify --n-max 7` reads those
+    of six PF_n 16 times, and a loop over the three ensembles at one n
+    keeps all three."""
+    pf = ensemble == "pf"
+    m = _codomain(ensemble, n)
+    rows, = _sorted_blocks(n, range(1, n + 1) if pf else [m] * n)
+    weights = _arrangement_counts(rows)
+    rows.setflags(write=False)
+    weights.setflags(write=False)
+    return rows, weights
 
 
 @dataclass(frozen=True)
@@ -438,16 +478,16 @@ def _type_census(n: int) -> _TypeCensus:
     holds C(m, k) of each type with k values.  Sorting is a bijection from
     the parking functions of one type onto the sorted PF_n rows whose ties
     fall where the type's do (PF_n is closed under rearrangement), so PF_n
-    holds as many of each type as `_sorted_blocks` has sorted rows with its
-    key.  Every weight is at least 1: the composition row is itself a sorted
-    parking function, and k <= n <= m."""
+    holds as many of each type as `_sorted_source` has sorted PF_n rows
+    with its key.  Every weight is at least 1: the composition row is itself
+    a sorted parking function, and k <= n <= m."""
     keys = 1 << (n - 1)
     bits = 1 << np.arange(n - 1)
     compositions = np.ones((keys, n), dtype=np.int64)
     np.cumsum((np.arange(keys)[:, None] & bits) > 0, axis=1, out=compositions[:, 1:])
     compositions[:, 1:] += 1
     pf_weights = np.zeros(keys, dtype=np.int64)
-    for block in _sorted_blocks(n, range(1, n + 1)):
+    for block in _sorted_source(n, "pf")[0]:
         pf_weights += np.bincount((block[:, 1:] > block[:, :-1]) @ bits, minlength=keys)
     weights = {"pf": pf_weights}
     for ensemble in ("fn", "fn1"):
@@ -584,9 +624,12 @@ def _distinct(values: np.ndarray,
     """(value, count) of each distinct entry of a 1-D array, or of each
     distinct row of a 2-D one as a tuple of ints, in order of first
     occurrence; with int64 `weights`, the count of a value is the sum of its
-    entries' weights.  `np.unique` sorts one key per entry (`_row_keys` for
-    rows) with a stable sort, so narrowing the keys (`_sort_keys`) changes
-    its speed but not which entry comes first."""
+    entries' weights.  One key per entry (`_row_keys` for rows) is sorted
+    with a stable sort, so narrowing the keys (`_sort_keys`) changes its
+    speed but not which entry comes first.  A value's count is the length of
+    its run of equal sorted keys, or with weights the run's sum, in int64
+    (np.bincount would add them as float64).  NaN keys are each their own
+    value, as they are as dict keys."""
     if values.ndim == 2:
         rows, width = values.shape
         if not rows or not width:  # no min() of no rows, no zero-width np.void
@@ -594,13 +637,21 @@ def _distinct(values: np.ndarray,
         keys = _row_keys(values)
     else:
         keys = values
+    keys = _sort_keys(keys)
+    by_key = keys.argsort(kind="stable")
+    sorted_keys = keys[by_key]
+    # the run starts, and the end of the last run (no run in no keys)
+    bounds = np.empty(keys.size + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    # `!=`, not np.not_equal: np.void keys have no ufunc loop
+    bounds[1:-1] = sorted_keys[1:] != sorted_keys[:-1]
+    bounds = np.flatnonzero(bounds)
+    starts = bounds[:-1]
+    first = by_key[starts]
     if weights is None:
-        _keys, first, counts = np.unique(_sort_keys(keys), return_index=True, return_counts=True)
-    else:  # summed in int64: np.bincount would add the weights as float64
-        _keys, first, inverse = np.unique(_sort_keys(keys), return_index=True,
-                                          return_inverse=True)
-        counts = np.zeros(first.size, dtype=np.int64)
-        np.add.at(counts, inverse, weights)
+        counts = bounds[1:] - starts
+    else:
+        counts = np.add.reduceat(weights[by_key], starts, dtype=np.int64)
     order = np.argsort(first)
     distinct = values[first[order]].tolist()
     if values.ndim == 2:

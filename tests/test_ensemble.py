@@ -890,6 +890,44 @@ def test_distinct_passes_bool_and_float_keys_unchanged():
     assert list(ensemble._distinct(rows)) == list(Counter(map(tuple, rows.tolist())).items())
 
 
+def test_weighted_distinct_matches_a_dict_sum():
+    # each key's weights summed along its run of sorted keys, against a
+    # dict of Python ints: weights just below 2^62, which float64 rounds,
+    # and at most two per key, so that each sum fits in int64
+    rng = np.random.default_rng(62)
+    narrowed = np.repeat(rng.permutation(1000) * 37, 2)  # spans < 2^16: uint16 keys
+    rng.shuffle(narrowed)
+    cases = [
+        np.array([3, -1, 3, 7, -1, 0]),
+        np.array([True, False, False, True]),
+        narrowed,
+        np.array([[1, 2, 3], [0, 0, 1], [1, 2, 3], [2, 1, 0], [0, 0, 1]]),  # bit fields
+        rng.integers(0, 300, size=(9, 12)).repeat(2, axis=0)[rng.permutation(18)],  # np.void
+        np.array([[-1, 2], [5, -1], [-1, 2]]),  # signed: np.void
+    ]
+    assert ensemble._row_keys(cases[3]).dtype == np.int64
+    assert ensemble._sort_keys(narrowed).dtype == np.uint16
+    for values in cases[4:]:
+        assert ensemble._row_keys(values).dtype.kind == "V"
+    for values in cases:
+        weights = (1 << 62) - 1 - rng.integers(0, 1 << 20, size=len(values)) * 2
+        assert all(int(float(w)) != w for w in weights.tolist())
+        keys = map(tuple, values.tolist()) if values.ndim == 2 else values.tolist()
+        expected = {}
+        for key, weight in zip(keys, weights.tolist()):
+            expected[key] = expected.get(key, 0) + weight
+        got = list(ensemble._distinct(values, weights))
+        assert got == list(expected.items()), values.dtype
+        assert [type(k) for k, _c in got] == [type(k) for k in expected]
+        assert all(type(c) is int for _k, c in got)
+        if values.ndim == 2:
+            assert all(type(x) is int for k, _c in got for x in k)
+    # no rows, no pairs, as from the unweighted count
+    for empty in (np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)):
+        assert list(ensemble._distinct(empty, np.empty(0, dtype=np.int64))) == []
+        assert list(ensemble._distinct(empty)) == []
+
+
 @st_h.composite
 def multisets(draw):
     """Ints, floats or both, drawn from a small pool so that values repeat.
@@ -1547,9 +1585,10 @@ def test_sorted_blocks_are_the_sorted_rows_in_order():
 
 def test_profile_census_edges():
     # counts past int64 are refused before any block is built, and before
-    # the type census is built or read
+    # either census is built or read
     built = []
     census = ensemble._type_census.cache_info()
+    sorted_census = ensemble._sorted_census.cache_info()
     original = ensemble._sorted_blocks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ensemble, "_sorted_blocks",
@@ -1573,14 +1612,54 @@ def test_profile_census_edges():
             exact_equidistribution(9, "species")
         assert not built
         assert ensemble._type_census.cache_info() == census
+        assert ensemble._sorted_census.cache_info() == sorted_census
+    # the sorted rows are read-only and shared by every call at one
+    # (n, ensemble): a warm call gives the cold call's bins in its order
+    for n in range(1, 7):
+        for ensemble_name in ensemble.ENSEMBLES:
+            rows, weights = ensemble._sorted_census(n, ensemble_name)
+            assert rows.dtype == weights.dtype == np.int64
+            assert rows.flags.f_contiguous and weights.shape == rows.shape[:1]
+            for array in (rows, weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+            for stat in sorted(stats.ORDER_FREE_STATISTICS):
+                ensemble._sorted_census.cache_clear()
+                cold = exhaustive_histogram(n, stat, ensemble_name).bins
+                warm = exhaustive_histogram(n, stat, ensemble_name).bins
+                assert list(warm.items()) == list(cold.items()), (n, stat, ensemble_name)
+                assert warm == _scan_census(stat, ensemble_name, n), (n, stat, ensemble_name)
+    # kept for three (n, ensemble): the order-free laws of the three
+    # ensembles at one n, read twice, unrank each ensemble's rows once, and
+    # the type census reads PF_n's from the same entry
+    ensemble._sorted_census.cache_clear()
+    ensemble._type_census.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble, "_sorted_blocks",
+                      lambda n, caps: built.append((n, caps[0])) or original(n, caps))
+        for _ in range(2):
+            for ensemble_name in ensemble.ENSEMBLES:
+                exhaustive_histogram(5, "area", ensemble_name)
+        exhaustive_histogram(5, "repeats")
+    assert sorted(built) == [(5, 1), (5, 5), (5, 6)]
+    # only rows that fit in one block are kept: [8]^8 has 6435 sorted rows
+    # (51,480 values), [9]^8 12,870 (102,960), which are streamed as before
+    before = ensemble._sorted_census.cache_info()
+    exhaustive_histogram(8, "area", "fn")
+    assert ensemble._sorted_census.cache_info().misses == before.misses + 1
+    before = ensemble._sorted_census.cache_info()
+    exhaustive_histogram(8, "area", "fn1")
+    assert ensemble._sorted_census.cache_info() == before
     # the max-discrepancy law of PF_10 from its 16796 sorted rows, in blocks
     # of at most BLOCK_ELEMENTS values: 0 on the 10! permutations, 9 on 1^10
+    # (an opt-in size keeps no census)
     sizes = []
     kernel = STATISTICS["max-discrepancy"]
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(STATISTICS, "max-discrepancy",
                       lambda block, n, m: sizes.append(block.size) or kernel(block, n, m))
         bins = exhaustive_histogram(10, "max-discrepancy", limit=10).bins
+    assert ensemble._sorted_census.cache_info() == before
     assert sum(bins.values()) == 11**9
     assert (bins[0], bins[9], len(bins)) == (math.factorial(10), 1, 10)
     assert len(sizes) > 1 and max(sizes) <= ensemble.BLOCK_ELEMENTS
