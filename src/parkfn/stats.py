@@ -79,13 +79,16 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # 64 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below 64), `longest-run` from
 # 512 (_RUN_COLUMN_ROWS) and the bit-field keys of `ensemble._census` from
 # 4096 (its _KEYS_COLUMN_ROWS).  `_census` also narrows its sort keys from
-# 1024 keys (`ensemble._NARROW_KEYS`).  Wide
-# blocks (the Monte Carlo samples at n >= 100) keep the row forms.  The
-# cutovers were timed on C- and Fortran-ordered random blocks with 3-60
-# columns (numpy 2.4, one core of a shared 2-core Xeon): both costs grow
-# with n, so the crossover sits at a row count.  `species` has only its row
-# form: exhaustive counts score it on the sorted rows alone, and a column
-# form saved about 1% of `run_experiment` on tall sampled blocks (n = 5-15).
+# 1024 keys (`ensemble._NARROW_KEYS`).  Wide blocks (the Monte Carlo samples
+# at n >= 100) keep the row forms, but for `lucky`: from 8 rows and 512 cars
+# at n below 256 it parks one car in every row with one add on a Python int
+# that holds all the rows (`_lucky_bits`; its cutovers are timed beside
+# _LUCKY_COLUMN_ROWS).  The column cutovers were timed on C- and
+# Fortran-ordered random blocks with 3-60 columns (numpy 2.4, one core of a
+# shared 2-core Xeon): both costs grow with n, so the crossover sits at a
+# row count.  `species` has only its row form: exhaustive counts score it on
+# the sorted rows alone, and a column form saved about 1% of `run_experiment`
+# on tall sampled blocks (n = 5-15).
 
 def _stat_first(block, n, m):
     return block[:, 0]
@@ -107,17 +110,53 @@ def _stat_scaled_area(block, n, m):
     return _scaled_area(block.sum(axis=1), n)
 
 
-# The bitmask sweep of `lucky` beats the row loop from 64 rows at every n it
-# serves (at 32 rows it is 1.0-1.4 times the loop's time, at 64 rows 0.5-0.8).
+# `lucky` has three forms, picked by the block's shape:
+# - the bitmask sweep (`_lucky_columns`, each row's spots in an int64) from
+#   64 rows, for n + 1 and m below 64.  It beats the row loop there at every
+#   n it serves (at 32 rows it is 1.0-1.4 times the loop's time, at 64 rows
+#   0.5-0.8);
+# - the bit-parallel int (`_lucky_bits`, every row's spots in one Python int)
+#   from 8 rows and 512 cars (rows x n), for n below 256;
+# - the row loop (`_lucky_rows`) for the rest: few rows or cars, and n from
+#   256, such as one-row blocks and 4 rows at n = 10^4.
+# The loop's time over the int form's on random PF blocks (the median over 5
+# blocks, 2 of them column-major, of the best of 11 runs of 20 calls; numpy
+# 2.4, one core of a shared 2-core Xeon):
+#     rows \ n    32    48    64   100   150   200   255
+#         6     0.73  0.88  0.91  1.02  0.99  1.00  0.92
+#         7     0.84  0.98  1.04  1.14  1.14  1.08  1.03
+#         8     0.87  1.05  1.16  1.25  1.26  1.18  1.06
+#        16     1.79  1.94  2.04  2.05  1.85  1.57  1.13
+# and, row-major and best of 9, at 16-32 columns (where 8 rows read
+# 0.64-0.75 and 16 rows 1.14-1.99) and on more rows and wider blocks:
+#     rows \ n          16    32    64   100   200   256   400   600  1000
+#        100          3.32  3.36  3.69  2.88  1.90  1.62  1.52  1.50  0.88
+#        65536 // n   7.55  6.51  5.30  4.29  2.61  2.21  1.65  1.25  0.93
+# On 8 rows the int form stays near parity from n = 200 to 400 (0.8-1.2
+# over repeated runs) and loses from n = 600 (0.7-0.8), hence n below 256.
+# The sweep takes 1.1-2.8 times the int form's time on 64-128 rows at
+# n = 8-62, and 0.35-0.5 times on 1024 rows, the exhaustive sources' tall
+# blocks.
 _LUCKY_COLUMN_ROWS = 64
+_LUCKY_BITS_ROWS = 8
+_LUCKY_BITS_CARS = 512
+_LUCKY_BITS_N = 256
+_LUCKY_BITS_CHUNK = 1 << 16  # bytes of car masks a chunk: below glibc's mmap threshold
 
 
 def _stat_lucky(block, n, m):
-    if block.shape[0] >= _LUCKY_COLUMN_ROWS and max(n + 1, m) < 64:
+    rows = block.shape[0]
+    if rows >= _LUCKY_COLUMN_ROWS and max(n + 1, m) < 64:
         return _lucky_columns(block, n)
-    # core.park without its outcome: park each row and count the cars
-    # whose preferred spot is free; nxt[s] leads to the first free spot >= s
-    # (path halving), and n + 1 stays free as the overflow sentinel.
+    if rows >= _LUCKY_BITS_ROWS and rows * n >= _LUCKY_BITS_CARS and n < _LUCKY_BITS_N:
+        return _lucky_bits(block, n, m)
+    return _lucky_rows(block, n)
+
+
+def _lucky_rows(block, n):
+    """`_stat_lucky` row by row: `core.park` without its outcome, counting
+    the cars whose preferred spot is free.  nxt[s] leads to the first free
+    spot >= s (path halving), and n + 1 stays free as the overflow sentinel."""
     counts = []
     for row in block.tolist():
         nxt = list(range(n + 2))
@@ -160,6 +199,40 @@ def _lucky_columns(block, n):
     if (occupied != full).any():
         raise ValueError("lucky requires a parking function")
     return lucky
+
+
+def _lucky_bits(block, n, m):
+    """`_stat_lucky` car by car over all rows at once, with every row's spots
+    in one Python int: row r holds bits [8wr, 8w(r + 1)), w bytes enough for
+    every value, and bit s of its field is set once spot s is taken.  Adding
+    the cars' bits 1 << p to the taken spots carries each one over the taken
+    spots from p to the first free one, so one add parks a car in every row,
+    and a car is lucky iff its own bit is set in the sum.  Spot 0 and those
+    past n are guards: an overflowing car sets one (or carries past one that
+    is set) and bits are never cleared, so the int ends as exactly the spots
+    1..n of every row iff every row is a parking function."""
+    rows = block.shape[0]
+    w = max(n + 1, m) // 8 + 1
+    size = rows * w
+    step = max(1, _LUCKY_BITS_CHUNK // size)  # columns a chunk
+    fields = np.arange(0, size, w)[:, None]
+    occupied = lucky = 0
+    for start in range(0, n, step):
+        cols = block[:, start:start + step]
+        end = cols.shape[1] * size
+        # one little-endian int per car: the bytes of its bit in each row
+        masks = np.zeros(end, dtype=np.uint8)
+        masks[(cols >> 3) + (np.arange(0, end, size) + fields)] = np.left_shift(1, cols & 7)
+        view = memoryview(masks)
+        for i in range(0, end, size):
+            add = int.from_bytes(view[i:i + size], "little")
+            parked = occupied + add
+            lucky |= add & parked
+            occupied |= parked
+    if occupied != int.from_bytes(((2 << n) - 2).to_bytes(w, "little") * rows, "little"):
+        raise ValueError("lucky requires a parking function")
+    lucky_fields = np.frombuffer(lucky.to_bytes(size, "little"), dtype=np.uint8).reshape(rows, w)
+    return np.unpackbits(lucky_fields, axis=1).sum(axis=1, dtype=np.int64)
 
 
 def _stat_repeats(block, n, m):

@@ -520,6 +520,27 @@ def test_lucky_kernel_matches_parking_process(case):
             STATISTICS["lucky"](np.array(funcs, dtype=np.int64), n, n)
 
 
+@pytest.mark.parametrize("n", [6, 62, 126, 254])
+def test_every_lucky_form_refuses_an_overflow_in_any_row(n):
+    # n + 2 is a multiple of 8, so each row of the int form is whole bytes
+    # and spot n + 1, its one guard past n, is the top bit of the row.  A row
+    # of all n overflows n - 1 times, carrying into the next row's spots (or,
+    # as the last row, past the top of the int); the other row overflows once.
+    forms = [stats._lucky_rows, lambda block, n: stats._lucky_bits(block, n, n)]
+    if n + 1 < 64:
+        forms.append(stats._lucky_columns)
+    pfs = shift_block(np.random.default_rng(n).integers(1, n + 2, size=(9, n)), n)
+    for form in forms:
+        assert form(pfs, n).tolist() == [oracles.lucky(f) for f in pfs.tolist()]
+    once = np.r_[n, n, 1:n - 1]
+    for row, at in ((np.full(n, n), 4), (np.full(n, n), 9), (once, 4), (once, 9)):
+        block = np.insert(pfs, at, row, axis=0)
+        for form in forms:
+            for b in (block, np.asfortranarray(block)):
+                with pytest.raises(ValueError, match="^lucky requires a parking function$"):
+                    form(b, n)
+
+
 @given(function_blocks(), st_h.data())
 def test_order_free_statistics_ignore_the_order_of_values(case, data):
     # exhaustive counts score only the sorted rows of these statistics
@@ -1718,14 +1739,15 @@ def test_weak_peak_check_matches_enumerated_census():
 
 
 # Row counts at and just below the cutover of each kernel's column form (and
-# 2048, a tall block for the row forms), and further out on both sides; n at
-# the column forms' limits on n (n + 1 and m below 64 for lucky), while the
-# block stays near the size of a block of the exhaustive sources.
-_CUTOVERS = (stats._LUCKY_COLUMN_ROWS, stats._RUN_COLUMN_ROWS, 2048,
+# of lucky's int form; 2048, a tall block for the row forms), and further out
+# on both sides; n at the forms' limits on n (n + 1 and m below 64 for lucky's
+# column form, n below 256 for its int form), while the block stays near the
+# size of a block of the exhaustive sources.
+_CUTOVERS = (stats._LUCKY_BITS_ROWS, stats._LUCKY_COLUMN_ROWS, stats._RUN_COLUMN_ROWS, 2048,
              ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
 _CUTOVER_ROWS = sorted({1, 9} | {c + d for c in _CUTOVERS for d in (-1, 0)}
                        | {2 * max(_CUTOVERS)})
-_CUTOVER_N = (1, 2, 3, 4, 6, 8, 15, 16, 62, 63)
+_CUTOVER_N = (1, 2, 3, 4, 6, 8, 15, 16, 62, 63, 64, 255, 256)
 
 
 @st_h.composite
@@ -1747,7 +1769,9 @@ def _tall_block(rows, n, ensemble_name, seed):
 
 # each column form next to its limit: the tuple keys, lucky at n = 62 and
 # 63, longest-run; a tall block of PF_7, and tall blocks of the shift at
-# n = 15 and 16
+# n = 15 and 16.  lucky's int form next to its limits: 8 rows at n = 64
+# (512 cars) against 7 rows and against 8 rows at n = 63 (504 cars), on pf
+# and fn1, and n = 255 against 256
 @example((ensemble._KEYS_COLUMN_ROWS, 4, "fn1", 1))
 @example((2048, 7, "pf", 7))
 @example((1024, 15, "pf", 2))
@@ -1755,6 +1779,13 @@ def _tall_block(rows, n, ensemble_name, seed):
 @example((stats._LUCKY_COLUMN_ROWS, 62, "pf", 4))
 @example((stats._LUCKY_COLUMN_ROWS, 63, "pf", 5))
 @example((stats._RUN_COLUMN_ROWS, 8, "fn", 6))
+@example((stats._LUCKY_BITS_ROWS, 64, "pf", 8))
+@example((stats._LUCKY_BITS_ROWS, 64, "fn1", 9))
+@example((stats._LUCKY_BITS_ROWS - 1, 64, "pf", 10))
+@example((stats._LUCKY_BITS_ROWS, 63, "pf", 11))
+@example((stats._LUCKY_BITS_ROWS, 255, "pf", 12))
+@example((stats._LUCKY_BITS_ROWS, 255, "fn1", 13))
+@example((stats._LUCKY_BITS_ROWS, 256, "pf", 14))
 @settings(max_examples=12, deadline=None)
 @given(tall_shapes())
 def test_column_forms_match_oracles_in_either_memory_order(shape):
