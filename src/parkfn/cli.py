@@ -10,8 +10,10 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import accumulate, islice, product, repeat, takewhile
 from typing import Iterator, Optional, Sequence, TextIO
+
+import numpy as np
 
 from . import __version__, ensemble, enumeration, stats
 from .core import PrefSequence, dyck_encode, park, queue_profile
@@ -232,7 +234,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     ("ks_vs_bridge_max",
                      ensemble.ks_distance_to_limit(hist, limits.bridge_max_cdf))]
         else:
-            uniform = {j: 1 / n for j in range(1, n + 1)}
+            m = ensemble._codomain(ens, n)  # fn1's first value is uniform on [1, n+1]
+            uniform = {j: 1 / m for j in range(1, m + 1)}
             rows = [("tv_first_vs_uniform", ensemble.tv_distance(hist, uniform))]
         meta = _metadata(seed=seed, n=n, count=count, ensemble=ens)
         _emit_rows(args, ("comparison", "value"), rows, meta)
@@ -285,10 +288,11 @@ def _identities(n_max: int) -> Iterator[tuple[str, str, object, object]]:
         yield (f"k_pi_law sums to 1 n={n}", f"enumerate op=k_pi_law n={n}",
                sum(enumeration.k_pi_law(n, k) for k in range(1, n + 1)), 1)
     for n in range(1, min(n_max, 4) + 1):
-        # every function [n] -> [n+1], shifted: each parking function n+1 times
-        shifted = (shift_block(block, n).tolist() for block in ensemble.function_blocks(n, n + 1))
+        # every function [n] -> [n+1] (at most 625), shifted: each parking
+        # function n+1 times
+        every = np.array(list(product(range(1, n + 2), repeat=n)), dtype=np.int64)
         yield (f"sampler shift exactness n={n}", f"sample op=shift_block n={n}",
-               Counter(map(tuple, chain.from_iterable(shifted))),
+               Counter(map(tuple, shift_block(every, n).tolist())),
                dict.fromkeys(enumeration.enumerate_pf(n), n + 1))
     for n in range(2, min(n_max, 5) + 1):
         # the witness is the first value whose counts differ: none when equal

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import stats as st
 from .core import BLOCK_ELEMENTS
-from .enumeration import (DEFAULT_ENUM_LIMIT, _pf_rows, _sorted_blocks,
+from .enumeration import (DEFAULT_ENUM_LIMIT, _leading_splits, _pf_rows, _sorted_blocks,
                           _table_arrangement_blocks, check_enumeration_size, count_pf)
 from .sample import _U64, draw_block, shift_block
 # ensemble.STATISTICS is the registry dict itself, so that patching one of its
@@ -246,59 +246,6 @@ def _check_rows(total: int) -> None:
         raise ValueError(f"{total} rows do not fit in int64 row indices")
 
 
-def _fill_digits(column: np.ndarray, start: int, run: int, cycle: np.ndarray) -> None:
-    """Fill the contiguous `column` with rows start, start+1, ... of the
-    digit column whose row i holds cycle[(i // run) % len(cycle)]: the
-    partial runs at either end, then the whole runs as a (runs, run) view,
-    broadcast from the cycle in at most three slices."""
-    m, size = cycle.size, column.size
-    first, last = start // run, (start + size - 1) // run  # the runs it meets
-    head = min(size, (first + 1) * run - start)
-    column[:head] = cycle[first % m]
-    if last == first:
-        return
-    tail = start + size - last * run
-    column[size - tail:] = cycle[last % m]
-    whole = last - first - 1
-    if not whole:
-        return
-    runs = column[head:size - tail].reshape(whole, run)
-    phase = (first + 1) % m
-    lead = min(whole, -phase % m)  # runs before the cycle starts over
-    if lead:
-        runs[:lead] = cycle[phase:phase + lead, None]
-    cycles = (whole - lead) // m
-    if cycles:
-        runs[lead:lead + cycles * m].reshape(cycles, m, run)[:] = cycle[:, None]
-    rest = whole - lead - cycles * m
-    if rest:
-        runs[whole - rest:] = cycle[:rest, None]
-
-
-def function_blocks(n: int, m: int) -> Iterator[np.ndarray]:
-    """All m^n functions [n] -> [m], in the order of
-    `itertools.product(range(1, m + 1), repeat=n)`, as column-major int64
-    blocks of at most BLOCK_ELEMENTS values: row i holds the n base-m digits
-    of i, most significant first, plus one.  Column j is runs of m^(n-1-j)
-    equal digits cycling through 1..m, so each column is copied from that
-    cycle (`_fill_digits`), without a division."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    total = m**n
-    _check_rows(total)
-    step = _block_rows(n)
-    cycle = np.arange(1, m + 1, dtype=np.int64)
-    runs = [m ** (n - 1 - j) for j in range(n)]
-
-    def digits(start: int) -> np.ndarray:
-        block = np.empty((n, min(step, total - start)), dtype=np.int64)
-        for column, run in zip(block, runs):
-            _fill_digits(column, start, run, cycle)
-        return block.T
-
-    return map(digits, range(0, total, step))
-
-
 def pf_blocks(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[np.ndarray]:
     """Each parking function of size n once, in the order of
     `enumerate_pf`, one per row of column-major int64 blocks."""
@@ -333,31 +280,45 @@ def _check_defined(statistic: str, ensemble: str, n: int) -> None:
 def _exhaustive_source(statistic: str, n: int, ensemble: str,
                        limit: int) -> tuple[Iterator[np.ndarray], Optional[Callable]]:
     """(blocks, weigh) for `_census` of a statistic over every row of PF_n
-    (ensemble "pf") or of [m]^n.  A statistic in ORDER_FREE_STATISTICS
-    scores only the sorted rows, each counted as many times as it has
-    arrangements (`_sorted_source`).  Every row count that passes the int64
-    guard has n <= 16, so those weights and their sums are exact in int64.
-    A name that only compares entries (`stats.compares_only`) scores each
-    weak-order type once (`_type_rows`), weighted by the ensemble's rows of
-    that type.  Any other statistic scans all rows, unweighted.  Raises
-    ValueError for an unknown ensemble and for lucky where it is not defined
-    (`_check_defined`), and `CapacityError` for n > limit, and checks the
-    row count, before any block is built."""
+    (ensemble "pf") or of [m]^n, picked by name:
+    - a name that only compares entries (`stats.compares_only`) scores each
+      weak-order type once (`_type_rows`), weighted by the ensemble's rows
+      of that type;
+    - a name that reads all n entries in order on PF_n (`lucky`) scans every
+      row of `pf_blocks`, unweighted;
+    - any other name reads its first p = `stats.ordered_prefix` entries in
+      order and the rest as a multiset.  It scores the sorted rows
+      (`_sorted_source`), each split by its first p entries
+      (`enumeration._leading_splits`: every choice of them in order, the
+      rest left sorted), and counts a split row as many times as its sorted
+      rest has arrangements.  At p = 0 these are the sorted rows and
+      `_sorted_source`'s weights, with no split.
+    Every row count that passes the int64 guard has n <= 16, so the weights
+    and their sums are exact in int64 and every value fits the uint8 rows
+    that are split.  Raises ValueError for an unknown
+    ensemble and for lucky where it is not defined (`_check_defined`), and
+    `CapacityError` for n > limit, and checks the row count, before any
+    block is built."""
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     _check_defined(statistic, ensemble, n)
     check_enumeration_size(n, limit)
     pf = ensemble == "pf"
-    m = _codomain(ensemble, n)
     # by name, not by kernel: a registry entry replaced by a wrapper (as in
     # perfbench's traced runs) takes the same path and gives the same bins
-    if statistic in st.ORDER_FREE_STATISTICS:
-        _check_rows(count_pf(n) if pf else m**n)
-        return _sorted_source(n, ensemble)
     if st.compares_only(statistic):
         blocks, census = _type_rows(n, limit)
         return blocks, _in_row_order(census.type_weights(ensemble))
-    return (pf_blocks(n, limit) if pf else function_blocks(n, m)), None
+    prefix = st.ordered_prefix(statistic, n)
+    if pf and prefix == n:
+        return pf_blocks(n, limit), None
+    _check_rows(count_pf(n) if pf else _codomain(ensemble, n) ** n)
+    blocks, weigh = _sorted_source(n, ensemble)
+    if not prefix:
+        return blocks, weigh
+    splits = (np.asfortranarray(rows, dtype=np.int64) for block in blocks
+              for rows in _leading_splits(np.ascontiguousarray(block, dtype=np.uint8), 0, prefix))
+    return splits, lambda rows: _arrangement_counts(rows[:, prefix:])
 
 
 def _in_row_order(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -377,10 +338,12 @@ def _sorted_source(n: int, ensemble: str) -> tuple[Iterator[np.ndarray], Callabl
     """(blocks, weigh) for `_census` of the nondecreasing rows of PF_n (the
     Catalan(n) rows with entry j at most j) or of [m]^n (the
     C(n + m - 1, n) rows over [1, m]), each weighed by its number of
-    arrangements.  Rows that fit in one block of `_sorted_blocks` are read
-    from `_sorted_census`; more are unranked, weighed and dropped block by
-    block, so memory stays at one block either way.  Nothing is built before
-    the first block is read.  Unchecked: `_exhaustive_source` guards n."""
+    arrangements: the order-free laws' rows, and the rows that
+    `_exhaustive_source` splits by their leading entries for the others.
+    Rows that fit in one block of `_sorted_blocks` are read from
+    `_sorted_census`; more are unranked, weighed and dropped block by block,
+    so memory stays at one block either way.  Nothing is built before the
+    first block is read.  Unchecked: `_exhaustive_source` guards n."""
     pf = ensemble == "pf"
     m = _codomain(ensemble, n)
     rows = math.comb(2 * n, n) // (n + 1) if pf else math.comb(n + m - 1, n)
@@ -404,7 +367,7 @@ def _sorted_census(n: int, ensemble: str) -> tuple[np.ndarray, np.ndarray]:
     and a weight per row, for callers that read one ensemble's sorted rows
     more than once: `parkfn compare --n N` reads PF_N's twice
     (`_type_census` and `species`), `parkfn verify --n-max 7` reads those
-    of six PF_n 16 times, and a loop over the three ensembles at one n
+    of six PF_n 22 times, and a loop over the three ensembles at one n
     keeps all three."""
     pf = ensemble == "pf"
     m = _codomain(ensemble, n)
@@ -583,9 +546,10 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
                          limit: int = DEFAULT_ENUM_LIMIT) -> Histogram:
     """Exact histogram of a statistic over all of PF_n or an all-functions
     ensemble; counts are exact integers, and no bin counts 0.  The rows come
-    from `_exhaustive_source`: the sorted rows for an order-free statistic,
-    the weak-order types for a name that only compares entries (each type
-    scored once), else every row.  Raises ValueError for a name
+    from `_exhaustive_source`: the weak-order types for a name that only
+    compares entries (each type scored once), every row of PF_n for lucky,
+    else the sorted rows split by the entries the name reads in order
+    (`stats.ordered_prefix`).  Raises ValueError for a name
     `stats.statistic_kernel` refuses, for an ensemble not in ENSEMBLES and
     for lucky where it is not defined, and `CapacityError` for n > limit on
     every ensemble, before any block is built."""
@@ -777,8 +741,8 @@ def exact_equidistribution(n: int, feature: str,
     `_exhaustive_source` picks.  A feature that only compares entries
     (`stats.compares_only`) is scored once per weak-order type, in one pass:
     each type weighted by its composition's gap, its rows in [n+1]^n less
-    n + 1 times its rows in PF_n (`_type_rows`).  An order-free statistic
-    reads the sorted rows and any other every row, of both ensembles.  The
+    n + 1 times its rows in PF_n (`_type_rows`).  Any other name reads the
+    split sorted rows of both ensembles (`_exhaustive_source`).  The
     feature is any name `stats.statistic_kernel` takes: "longest-run>=",
     "strict-peak@3" or a chain expression such as "1<3;2>=4"; the report
     keeps the name as given."""

@@ -68,11 +68,11 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 #
 # A kernel's result does not depend on the block's memory order.  Sampled
 # blocks are row-major; the exhaustive sources that `ensemble._exhaustive_source`
-# picks by name (for ORDER_FREE_STATISTICS the sorted rows of
-# `enumeration._sorted_blocks`, for the names of `compares_only` the
-# weak-order types of `ensemble._type_rows`, and for the rest every row of
-# `ensemble.pf_blocks` or `function_blocks`) are column-major and tall, at
-# up to 65536 // n rows a block.
+# picks by name (for the names of `compares_only` the weak-order types of
+# `ensemble._type_rows`, for `lucky` on PF_n every row of
+# `ensemble.pf_blocks`, and for the rest the sorted rows of
+# `enumeration._sorted_blocks`, split by their first `ordered_prefix`
+# entries) are column-major and tall, at up to 65536 // n rows a block.
 # Numpy loops along the short row axis of such a block one row at a time,
 # so a few kernels work column by column, with n vector passes over all
 # rows, once the block has enough rows to pay for the passes: `lucky` from
@@ -345,11 +345,22 @@ STATISTICS: dict[str, Callable] = {
 }
 
 
-# The statistics whose value depends only on the multiset of a function's
-# values, so that every arrangement of a sorted row scores as the row does:
-# exhaustive counts score the sorted rows only (`ensemble._exhaustive_source`).
-ORDER_FREE_STATISTICS = frozenset({"area", "scaled-area", "ones", "species",
-                                   "max-discrepancy", "scaled-max-discrepancy"})
+# The names whose kernel reads only its first p entries in order and the
+# rest as a multiset, so that every arrangement of the rest scores alike:
+# p = 0 for the order-free statistics, 1 for `first` and `kmax` (f_1 and the
+# multiset of f_2..f_n), 2 for forced-gap; every other name reads all n.
+_ORDERED_PREFIXES = {"area": 0, "scaled-area": 0, "ones": 0, "species": 0,
+                     "max-discrepancy": 0, "scaled-max-discrepancy": 0,
+                     "first": 1, "kmax": 1, "forced-gap": 2}
+
+
+def ordered_prefix(name: str, n: int) -> int:
+    """The number of leading entries of a function [n] -> [m] whose order the
+    kernel of a name reads; it reads the entries after them as a multiset.
+    Exact laws score the sorted rows split by that many entries
+    (`ensemble._exhaustive_source`)."""
+    return min(n, _ORDERED_PREFIXES.get(name, n))
+
 
 # The statistics that only compare entries, so that a row scores as its
 # weak-order type does (each value replaced by its rank among the row's

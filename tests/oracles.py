@@ -12,8 +12,9 @@ from itertools import count, product
 from typing import Iterator, Optional, Sequence
 
 import mpmath
+import numpy as np
 
-from parkfn.core import ParkingFunction, PrefSequence, park, queue_profile
+from parkfn.core import BLOCK_ELEMENTS, ParkingFunction, PrefSequence, park, queue_profile
 from parkfn.enumeration import DEFAULT_ENUM_LIMIT, check_enumeration_size
 from parkfn.limits import _AIRY_ZEROS
 from parkfn.stats import _RELATIONS, value_counts
@@ -23,6 +24,18 @@ def all_functions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All m^n functions [n] -> [m] in lexicographic order, the order of
     `itertools.product`; the brute-force canonical-ensemble oracle."""
     return product(range(1, m + 1), repeat=n)
+
+
+def function_blocks(n: int, m: int) -> Iterator[np.ndarray]:
+    """All m^n functions [n] -> [m] in the order of `all_functions`, as
+    column-major int64 blocks of at most BLOCK_ELEMENTS values: row i holds
+    the base-m digits of i (`np.unravel_index`), most significant first,
+    plus one."""
+    total = m**n
+    step = max(1, BLOCK_ELEMENTS // n)
+    for start in range(0, total, step):
+        digits = np.unravel_index(np.arange(start, min(start + step, total)), (m,) * n)
+        yield (np.array(digits, dtype=np.int64) + 1).T
 
 
 def sorted_profiles(n: int) -> Iterator[tuple[int, ...]]:

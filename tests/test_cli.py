@@ -511,6 +511,18 @@ def test_compare_tv(capsys):
     assert 0 <= value < 0.5
 
 
+def test_compare_tv_reads_the_ensembles_codomain(capsys):
+    # the first value is uniform on [1, n+1] on fn1: against uniform on
+    # [1, n] it would read about 1/11 at n = 10; the first value of a
+    # parking function is not uniform
+    distances = {}
+    for ens in ("pf", "fn1"):
+        code, out, _ = run_cli(capsys, "compare", "--n", "10", "--tv", "--ensemble", ens)
+        assert code == EXIT_OK
+        distances[ens] = float(out.splitlines()[-1].split(",")[1])
+    assert distances["fn1"] < 0.03 and distances["pf"] > 0.1, distances
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
     assert code == EXIT_OK

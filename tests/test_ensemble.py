@@ -541,28 +541,52 @@ def test_every_lucky_form_refuses_an_overflow_in_any_row(n):
                     form(b, n)
 
 
+# every registry statistic, and the one feature that is not a comparison
+PREFIX_NAMES = (*STATISTICS, "forced-gap")
+
+
+def _order_free(n):
+    """The registry statistics that read no entry in order."""
+    return {name for name in STATISTICS if stats.ordered_prefix(name, n) == 0}
+
+
 @given(function_blocks(), st_h.data())
 def test_order_free_statistics_ignore_the_order_of_values(case, data):
-    # exhaustive counts score only the sorted rows of these statistics
+    # exhaustive counts score each sorted row split by its first p entries:
+    # permuting the entries from p on keeps every score (at p = n there is
+    # nothing to permute)
     funcs, n, m = case
     block = np.array(funcs, dtype=np.int64)
-    order = data.draw(st_h.permutations(range(n)))
-    for name in stats.ORDER_FREE_STATISTICS:
-        kernel = STATISTICS[name]
+    for name in PREFIX_NAMES:
+        p = stats.ordered_prefix(name, n)
+        if p == n:
+            continue
+        order = list(range(p)) + [p + i for i in data.draw(st_h.permutations(range(n - p)))]
+        kernel = statistic_kernel(name, n)
         assert _to_python(kernel(block[:, order], n, m)) == _to_python(kernel(block, n, m)), name
 
 
 def test_every_other_statistic_has_an_order_witness():
     # PF_4 is closed under permuting positions, so lucky is defined on every
-    # rearrangement; each statistic outside the order-free set scores some
-    # rearrangement of some row differently
-    block = np.array(list(enumerate_pf(4)), dtype=np.int64)
-    assert stats.ORDER_FREE_STATISTICS < set(STATISTICS)
-    for name in set(STATISTICS) - stats.ORDER_FREE_STATISTICS:
-        kernel = statistic_kernel(name, 4)
-        scores = _to_python(kernel(block, 4, 4))
-        assert any(_to_python(kernel(block[:, list(order)], 4, 4)) != scores
-                   for order in permutations(range(4))), name
+    # rearrangement.  For each name that reads p > 0 entries in order, some
+    # rearrangement of the entries from p - 1 on (from n - 2 on at p = n,
+    # since p = n - 1 reads as much) scores some row differently, so no
+    # smaller p would do
+    n = 4
+    block = np.array(list(enumerate_pf(n)), dtype=np.int64)
+    assert _order_free(n) == {"area", "scaled-area", "ones", "species", "max-discrepancy",
+                              "scaled-max-discrepancy"}
+    assert {name: stats.ordered_prefix(name, n) for name in PREFIX_NAMES
+            if 0 < stats.ordered_prefix(name, n) < n} == {"first": 1, "kmax": 1, "forced-gap": 2}
+    for name in PREFIX_NAMES:
+        p = stats.ordered_prefix(name, n)
+        if not p:
+            continue
+        fixed = min(p, n - 1) - 1
+        kernel = statistic_kernel(name, n)
+        scores = _to_python(kernel(block, n, n))
+        assert any(_to_python(kernel(block[:, list(range(fixed)) + list(order)], n, n)) != scores
+                   for order in permutations(range(fixed, n))), name
 
 
 @given(function_blocks(), st_h.data())
@@ -595,8 +619,8 @@ def test_every_other_statistic_has_a_relabelling_witness():
     block = np.array(pfs, dtype=np.int64)
     types = [_weak_order_type(f) for f in pfs]
     assert stats.COMPARISON_STATISTICS < set(STATISTICS)
-    assert not stats.COMPARISON_STATISTICS & stats.ORDER_FREE_STATISTICS
-    for name in set(STATISTICS) - stats.COMPARISON_STATISTICS - stats.ORDER_FREE_STATISTICS:
+    assert not stats.COMPARISON_STATISTICS & _order_free(4)
+    for name in set(STATISTICS) - stats.COMPARISON_STATISTICS - _order_free(4):
         scores = {}
         for t, score in zip(types, _to_python(statistic_kernel(name, 4)(block, 4, 4))):
             scores.setdefault(t, set()).add(score)
@@ -723,9 +747,10 @@ def test_exhaustive_histogram_area():
 def test_exhaustive_histogram_kmax_matches_law():
     from parkfn import k_pi_law
 
-    h = exhaustive_histogram(4, "kmax")
-    for k, count in h.bins.items():
-        assert k_pi_law(4, k) * count_pf(4) == count
+    # from the sorted rows split by f_1, also at n = 8 and an opt-in n = 10
+    for n in (4, 8, 10):
+        h = exhaustive_histogram(n, "kmax", limit=n)
+        assert h.bins == {k: k_pi_law(n, k) * count_pf(n) for k in range(1, n + 1)}, n
 
 
 def test_histogram_json_schema():
@@ -810,7 +835,7 @@ def test_json_bin_order_edges():
 # --- census keys and summaries -------------------------------------------
 
 KEY_TYPES = {"scaled-area": float, "scaled-max-discrepancy": float,
-             "descent-pattern": tuple, "species": tuple}
+             "descent-pattern": tuple, "species": tuple, "forced-gap": bool}
 
 
 def _assert_plain_keys(bins, expected, label):
@@ -846,7 +871,7 @@ def test_bin_keys_are_plain_python_values():
     # chain and forced-gap features count bools
     for feature in ("forced-gap", "strict-peak@2", _expression(POSETS[0])):
         kernel = statistic_kernel(feature, 4)
-        for blocks in (ensemble.pf_blocks(4), ensemble.function_blocks(4, 5)):
+        for blocks in (ensemble.pf_blocks(4), oracles.function_blocks(4, 5)):
             _assert_plain_keys(ensemble._census(kernel, blocks, 4, 5), bool, feature)
 
 
@@ -1087,7 +1112,7 @@ def test_type_census_matches_the_scans():
                 label = (n, feature, ensemble_name)
                 m = n + 1 if ensemble_name == "fn1" else n
                 blocks = (ensemble.pf_blocks(n) if ensemble_name == "pf"
-                          else ensemble.function_blocks(n, m))
+                          else oracles.function_blocks(n, m))
                 scan = Histogram(n=n, statistic=feature, ensemble=ensemble_name, seed=None,
                                  bins=ensemble._census(kernel, blocks, n, m))
                 types = exhaustive_histogram(n, feature, ensemble_name)
@@ -1377,6 +1402,8 @@ def test_equidistribution_negative_controls():
     assert not exact_equidistribution(3, "strict-peak@2").equal
     assert not exact_equidistribution(3, "mixed-chain@2").equal
     assert not exact_equidistribution(2, "forced-gap").equal
+    # from the sorted rows split by f_1 and f_2, on PF_8 and [9]^8
+    assert not exact_equidistribution(8, "forced-gap").equal
     assert not exact_equidistribution(5, "non-disjoint-chain").equal
     with pytest.raises(ValueError):
         exact_equidistribution(3, "palindrome")
@@ -1437,8 +1464,14 @@ def test_first_coordinate_marginal_is_exact():
     # exhaustive first-coordinate histogram equals the closed-form census
     from parkfn import count_first
 
-    h = exhaustive_histogram(5, "first")
-    assert h.bins == {k: count_first(5, k) for k in range(1, 6)}
+    # from the sorted rows split by f_1, also at n = 8 and an opt-in n = 10;
+    # on [m]^n each first value leads m^(n-1) functions
+    for n in (5, 8, 10):
+        h = exhaustive_histogram(n, "first", limit=n)
+        assert h.bins == {k: count_first(n, k) for k in range(1, n + 1)}, n
+        for ensemble_name, m in (("fn", n), ("fn1", n + 1)):
+            bins = exhaustive_histogram(n, "first", ensemble_name, limit=n).bins
+            assert bins == dict.fromkeys(range(1, m + 1), m ** (n - 1)), (n, ensemble_name)
 
 
 # --- block sources against the enumerators --------------------------------
@@ -1479,44 +1512,26 @@ def test_pf_blocks_are_pf_each_once():
         assert all(b.size <= ensemble.BLOCK_ELEMENTS for b in blocks), n
         rows = _rows(blocks)
         assert len(rows) == count_pf(n) and rows == list(oracles.enumerate_pf(n)), n
-
-
-def test_function_blocks_follow_all_functions():
-    for n in range(1, 6):
-        for m in range(1, 6):
-            blocks = list(ensemble.function_blocks(n, m))
-            assert _column_major_int64(blocks), (n, m)
-            assert _rows(blocks) == list(oracles.all_functions(n, m)), (n, m)
-    # many blocks, the last one partial: 21845 rows a block at n = 3
-    blocks = list(ensemble.function_blocks(3, 50))
-    assert len(blocks) == 6 and all(b.size <= ensemble.BLOCK_ELEMENTS for b in blocks)
-    assert _column_major_int64(blocks)
-    assert _rows(blocks) == list(oracles.all_functions(3, 50))
-
-
-def test_block_sources_at_digit_column_edges():
-    # beyond the n, m <= 5 of test_function_blocks_follow_all_functions:
-    # m = 1 (one run per column), and n = 1 over two blocks (runs of one row)
-    for n, m in ((8, 1), (1, 70000)):
-        blocks = list(ensemble.function_blocks(n, m))
-        assert _column_major_int64(blocks)
-        assert _rows(blocks) == list(product(range(1, m + 1), repeat=n)), (n, m)
-    # at n = 8 the runs of the two leading columns (9^7 and 9^6 rows) are
-    # longer than a whole block of 8192 rows
-    first = next(ensemble.function_blocks(8, 9))
-    assert first.flags.f_contiguous and first.shape == (8192, 8)
-    assert _rows([first]) == list(islice(product(range(1, 10), repeat=8), 8192))
     first = next(ensemble.pf_blocks(8))
     assert first.flags.f_contiguous and first.dtype == np.int64
     assert _rows([first]) == list(islice(oracles.enumerate_pf(8), first.shape[0]))
-    # blocks that start and stop mid-run (as at n = 3, m = 50 in
-    # test_function_blocks_follow_all_functions): 32768 rows a block at
-    # n = 2, whose leading runs are 300 rows, and 16384 at n = 4, whose
-    # leading runs are 8000 and 400 rows
-    for n, m in ((2, 300), (4, 20)):
-        blocks = list(ensemble.function_blocks(n, m))
-        assert _column_major_int64(blocks) and len(blocks) > 1
-        assert _rows(blocks) == list(product(range(1, m + 1), repeat=n)), (n, m)
+
+
+def test_function_blocks_follow_all_functions():
+    # the scans' oracle of [m]^n, block for block, against itertools.product
+    for n in range(1, 6):
+        for m in range(1, 6):
+            blocks = list(oracles.function_blocks(n, m))
+            assert _column_major_int64(blocks), (n, m)
+            assert _rows(blocks) == list(oracles.all_functions(n, m)), (n, m)
+    # m = 1, and n = 1 over two blocks
+    for n, m in ((8, 1), (1, 70000)):
+        assert _rows(oracles.function_blocks(n, m)) == list(oracles.all_functions(n, m)), (n, m)
+    # many blocks, the last one partial: 21845 rows a block at n = 3
+    blocks = list(oracles.function_blocks(3, 50))
+    assert len(blocks) == 6 and all(b.size <= ensemble.BLOCK_ELEMENTS for b in blocks)
+    assert _column_major_int64(blocks)
+    assert _rows(blocks) == list(oracles.all_functions(3, 50))
 
 
 def test_block_sources_reject_edges_before_any_block():
@@ -1527,20 +1542,13 @@ def test_block_sources_reject_edges_before_any_block():
         ensemble.pf_blocks(9)
     with pytest.raises(CapacityError):
         exhaustive_histogram(9, "area")
-    for n, m in ((0, 3), (3, 0), (-1, 2)):
-        with pytest.raises(ValueError):
-            ensemble.function_blocks(n, m)
     # m^n beyond int64 would wrap in the row indices
-    for n, m in ((63, 2), (64, 2), (16, 16), (3, 1 << 21)):
-        with pytest.raises(ValueError):
-            ensemble.function_blocks(n, m)
-    with pytest.raises(ValueError):
-        exhaustive_histogram(16, "first", "fn", limit=16)
+    for stat, ensemble_name in (("first", "fn"), ("kmax", "fn1"), ("forced-gap", "fn1")):
+        with pytest.raises(ValueError, match="int64"):
+            exhaustive_histogram(16, stat, ensemble_name, limit=16)
     with pytest.raises(ValueError):  # 18^16 parking functions
         ensemble.pf_blocks(17, limit=17)
-    # the largest sizes that fit still give their first block
-    first = next(ensemble.function_blocks(62, 2))
-    assert _rows([first]) == list(islice(oracles.all_functions(62, 2), first.shape[0]))
+    # the largest size that fits still gives its first block
     first = next(ensemble.pf_blocks(16, limit=16)).tolist()
     assert all(is_parking_function(row) for row in first)
     assert len(set(map(tuple, first))) == len(first)
@@ -1564,26 +1572,44 @@ def test_exhaustive_histogram_matches_enumerated_census():
                 assert got == expected, (n, ensemble_name, stat)
 
 
-def _scan_census(stat, ensemble_name, n):
-    """The census of a registry statistic over every row of the block source."""
+def _scan_censuses(names, ensemble_name, n):
+    """The census of each name over every row of PF_n or of [m]^n (from
+    `oracles.function_blocks`), in one pass over the rows."""
     m = n + 1 if ensemble_name == "fn1" else n
-    blocks = ensemble.pf_blocks(n) if ensemble_name == "pf" else ensemble.function_blocks(n, m)
-    return ensemble._census(STATISTICS[stat], blocks, n, m)
+    blocks = ensemble.pf_blocks(n) if ensemble_name == "pf" else oracles.function_blocks(n, m)
+    kernels = {name: statistic_kernel(name, n) for name in names}
+    bins = {name: Counter() for name in names}
+    for block in blocks:
+        for name, kernel in kernels.items():
+            bins[name].update(dict(ensemble._distinct(kernel(block, n, m))))
+    return {name: dict(counts) for name, counts in bins.items()}
+
+
+def _scan_census(stat, ensemble_name, n):
+    """The census of one name over every row of the ensemble."""
+    return _scan_censuses([stat], ensemble_name, n)[stat]
 
 
 def test_profile_census_matches_the_scan():
-    # order-free statistics are counted over the sorted rows only, weighted by
-    # their arrangements; the block scan is the oracle
-    for stat in sorted(stats.ORDER_FREE_STATISTICS):
-        for ensemble_name in ensemble.ENSEMBLES:
-            for n in range(1, 8):
-                bins = exhaustive_histogram(n, stat, ensemble_name).bins
-                assert bins == _scan_census(stat, ensemble_name, n), (stat, ensemble_name, n)
-                _assert_plain_keys(bins, KEY_TYPES.get(stat, int), (stat, ensemble_name, n))
+    # a name that reads its first p < n entries in order is counted over the
+    # sorted rows split by those entries, each weighted by the arrangements
+    # of its sorted rest, and at p = 0 over the sorted rows alone; the block
+    # scan is the oracle
+    names = [name for name in PREFIX_NAMES if stats.ordered_prefix(name, 8) < 8]
+    assert len(names) == 9
+    for ensemble_name in ensemble.ENSEMBLES:
+        for n in range(1, 8):
+            at_n = [name for name in names if n > 1 or name != "forced-gap"]
+            scans = _scan_censuses(at_n, ensemble_name, n)
+            for name in at_n:
+                label = (name, ensemble_name, n)
+                bins = exhaustive_histogram(n, name, ensemble_name).bins
+                assert bins == scans[name], label
+                _assert_plain_keys(bins, KEY_TYPES.get(name, int), label)
     for n in range(2, 7):
         kernel = STATISTICS["species"]
         pf = ensemble._census(kernel, ensemble.pf_blocks(n), n, n + 1)
-        fn = ensemble._census(kernel, ensemble.function_blocks(n, n + 1), n, n + 1)
+        fn = ensemble._census(kernel, oracles.function_blocks(n, n + 1), n, n + 1)
         witness = next((v for v in sorted(set(pf) | set(fn), key=str)
                         if fn.get(v, 0) != (n + 1) * pf.get(v, 0)), None)
         report = exact_equidistribution(n, "species")
@@ -1644,7 +1670,7 @@ def test_profile_census_edges():
             for array in (rows, weights):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
-            for stat in sorted(stats.ORDER_FREE_STATISTICS):
+            for stat in sorted(_order_free(n)):
                 ensemble._sorted_census.cache_clear()
                 cold = exhaustive_histogram(n, stat, ensemble_name).bins
                 warm = exhaustive_histogram(n, stat, ensemble_name).bins

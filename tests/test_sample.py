@@ -18,7 +18,6 @@ from parkfn import (
     split_stream,
 )
 from parkfn import sample
-from parkfn.ensemble import function_blocks
 from parkfn.enumeration import count_pf
 from parkfn.sample import _walks, draw_block, shift_block
 from parkfn.stats import RAW_DRAW_STATISTICS, STATISTICS
@@ -231,10 +230,10 @@ def _assert_scores_the_shift(block, n, label=None):
 
 
 def test_raw_draw_statistics_match_shifted_rows_exhaustively():
-    # every function [n] -> [n+1], in the column-major blocks of the scan,
+    # every function [n] -> [n+1], in the column-major blocks of the oracle,
     # and each of them as a one-row block up to n = 4
     for n in range(1, 7):
-        for block in function_blocks(n, n + 1):
+        for block in oracles.function_blocks(n, n + 1):
             _assert_scores_the_shift(block, n)
             if n <= 4:
                 for row in block:
