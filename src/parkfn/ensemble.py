@@ -114,7 +114,7 @@ class Histogram:
 
 
 # _STR_RANK[v] is the rank of str(v) among str(0), ..., str(255).
-_STR_RANK = bytes(map(sorted(range(256), key=str).index, range(256)))
+_STR_RANK = np.frombuffer(bytes(map(sorted(range(256), key=str).index, range(256))), dtype=np.uint8)
 
 
 def _str_sorted(items: Iterable, key: Callable = lambda item: item) -> list:
@@ -125,36 +125,45 @@ def _str_sorted(items: Iterable, key: Callable = lambda item: item) -> list:
     byte_keys = _byte_keys(list(map(key, items)))
     if byte_keys is None:
         return sorted(items, key=lambda item: str(key(item)))
-    return [items[i] for i in sorted(range(len(items)), key=byte_keys.__getitem__)]
+    return list(map(items.__getitem__, np.argsort(byte_keys, kind="stable").tolist()))
 
 
-def _byte_keys(keys: list) -> Optional[list[bytes]]:
-    """Sort keys in the order of `str`, or None, for tuples of one length
-    whose entries are ints in [0, 256).  Such strings compare entry by entry
-    as decimal strings: at the first entry that differs, a string that is a
-    prefix of the other is followed by "," or ")", both below any digit.  So
-    `bytes(t).translate(_STR_RANK)` gives their order.
+def _byte_keys(keys: list) -> Optional[np.ndarray]:
+    """Sort keys in the order of `str`, as one bytes array, or None, for
+    tuples of one length whose entries are ints in [0, 256).  Such strings
+    compare entry by entry as decimal strings: at the first entry that
+    differs, a string that is a prefix of the other is followed by "," or
+    ")", both below any digit.  So the entries' ranks under _STR_RANK, as
+    bytes, give their order.
 
     Anything else keeps `str`: other lengths (`(1,)` sorts after `(1, 2)`),
-    entries outside [0, 256) (bytes() raises), scalars, and entries that
-    pass bytes() but print otherwise, such as bools and numpy ints.  The type
-    check runs in C: marshal format 2 writes a tuple as a 5-byte header and
-    an exact int below 2^31 as b"i" and 4 bytes, but a bool as b"T" or b"F"
-    and other ints as something else, or raises."""
-    if not keys or any(type(k) is not tuple for k in keys):
+    entries outside [0, 256), scalars, nested tuples, and entries that print
+    otherwise, such as bools and numpy ints.  One `marshal.dumps` of the
+    list checks the types in C: format 2 writes the list as a 5-byte header,
+    each tuple as b"(" and its 4-byte length, and an exact int below 2^31 as
+    b"i" and 4 bytes, little-endian; a bool is b"T" or b"F", a numpy int a
+    buffer (b"s"), other ints and tuple subclasses something else or a
+    ValueError.  So every key is such a tuple exactly when the bytes are
+    records of that layout whose entries have zero high bytes."""
+    if not keys or type(keys[0]) is not tuple:
         return None
     width = len(keys[0])
-    tags = b"i" * width
-    byte_keys = []
     try:
-        for k in keys:
-            data = marshal.dumps(k, 2)
-            if len(data) != 5 + 5 * width or data[5::5] != tags:
-                return None
-            byte_keys.append(bytes(k).translate(_STR_RANK))
+        data = marshal.dumps(keys, 2)
     except ValueError:
         return None
-    return byte_keys
+    size = 5 + 5 * width
+    if len(data) != 5 + len(keys) * size:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8, offset=5).reshape(len(keys), size)
+    layout = np.frombuffer(b"(" + width.to_bytes(4, "little") + b"i\0\0\0\0" * width, dtype=np.uint8)
+    low = np.full(size, 255, dtype=np.uint8)
+    low[6::5] = 0  # each entry's low byte: any value
+    if ((rows & low) != layout).any():
+        return None
+    # column 1, the width's low byte, is the same in every key: it keeps a
+    # key of width 0 one byte long
+    return np.ascontiguousarray(_STR_RANK[rows[:, 1::5]]).view(f"S{width + 1}").ravel()
 
 
 def _summaries(items: list[tuple[int | float, int]]) -> dict[str, float]:

@@ -203,27 +203,80 @@ def _first_terms(n: int, start: int, stop: int) -> list[int]:
     return terms
 
 
+class _AbelSums:
+    """The running sums of the Abel terms T(s) of `_first_terms` at one n
+    that have been computed so far, from both ends:
+    head[i] = T(0) + ... + T(i - 1) and tail[i] = T(n - i) + ... + T(n - 1).
+
+    A side grows by a new list published in one assignment, never in place,
+    so a caller on another thread reads a consistent list; two callers that
+    grow one side at once may each compute the same terms, and the last to
+    publish wins."""
+
+    __slots__ = ("n", "head", "tail")
+
+    def __init__(self, n: int):
+        self.n, self.head, self.tail = n, [0], [0]
+
+    def head_to(self, i: int) -> list[int]:
+        """The head, at least through head[i]."""
+        head = self.head
+        if len(head) <= i:
+            terms = _first_terms(self.n, len(head) - 1, i)
+            head = self.head = [*head[:-1], *accumulate(terms, initial=head[-1])]
+        return head
+
+    def tail_to(self, i: int) -> list[int]:
+        """The tail, at least through tail[i]."""
+        tail = self.tail
+        if len(tail) <= i:
+            terms = _first_terms(self.n, self.n - i, self.n - len(tail) + 1)
+            tail = self.tail = [*tail[:-1], *accumulate(reversed(terms), initial=tail[-1])]
+        return tail
+
+
+# The sums of the last n whose table may be kept (`_abel_sums`).
+_kept_sums = _AbelSums(0)
+
+
+def _abel_sums(n: int) -> _AbelSums:
+    """The Abel sums of n, kept for one n at a time: later calls at the same
+    n extend them.  They are kept only while n's worst case fits one block,
+    n sums of at most (n - 1) bitlen(n + 1) bits in BLOCK_ELEMENTS int64
+    values (n <= 648); past that a call builds its own and keeps nothing."""
+    global _kept_sums
+    sums = _kept_sums
+    if sums.n != n:
+        sums = _AbelSums(n)
+        if n * (n - 1) * (n + 1).bit_length() <= 64 * BLOCK_ELEMENTS:
+            _kept_sums = sums
+    return sums
+
+
 def count_first(n: int, k: int) -> int:
     """Number of parking functions of size n with first coordinate k:
     sum_{s=0}^{n-k} C(n-1,s) (s+1)^{s-1} (n-s)^{n-s-2}.  For n >= 2 the full
     sum is the k = 1 count 2(n+1)^{n-2}, so the shorter side is summed: a
-    call costs min(k - 1, n - k + 1) terms (`_first_terms`)."""
+    cold call costs min(k - 1, n - k + 1) terms (`_first_terms`), and calls
+    at one n share the running sums of `_abel_sums`, so every k at one n
+    costs at most n terms in all."""
     n, k = index(n), index(k)
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
+    sums = _abel_sums(n)
     if n >= 2 and k - 1 < n - k + 1:
-        return 2 * (n + 1) ** (n - 2) - sum(_first_terms(n, n - k + 1, n))
-    return sum(_first_terms(n, 0, n - k + 1))
+        return 2 * (n + 1) ** (n - 2) - sums.tail_to(k - 1)[k - 1]
+    return sums.head_to(n - k + 1)[n - k + 1]
 
 
 def first_counts(n: int) -> list[int]:
-    """[count_first(n, k) for k in 1..n] from n terms in all: count_first(n, k)
-    is the running sum of the terms s = 0..n-k, so the list is those running
-    sums in reverse."""
+    """[count_first(n, k) for k in 1..n]: count_first(n, k) is the running
+    sum of the terms s = 0..n-k, so the list is the head sums of
+    `_abel_sums` in reverse, a new list each call."""
     n = index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return list(accumulate(_first_terms(n, 0, n)))[::-1]
+    return _abel_sums(n).head_to(n)[n:0:-1]
 
 
 def abel_identity_check(x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:

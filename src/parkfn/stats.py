@@ -268,12 +268,16 @@ def _stat_species(block, n, m):
 def _stat_inversions(block, n, m):
     # Pairs at distance d are compared for all rows at once: memory stays at
     # one block, the work is O(n^2) per row.  Column-major, so that each pass
-    # is one contiguous compare and one add, in the narrowest dtypes: values
-    # in [1, m] fit min_scalar_type(m), and acc[j] counts at most n - 1 pairs.
+    # is one contiguous compare into a reused buffer and one add, in the
+    # narrowest dtypes: values in [1, m] fit min_scalar_type(m), and acc[j]
+    # counts at most n - 1 pairs (uint8 through n = 256, where the add of
+    # the compare's uint8 view needs no cast).
     cols = np.array(block.T, dtype=np.min_scalar_type(m), order="C")
-    acc = np.zeros((n, block.shape[0]), dtype=np.int16 if n < 1 << 15 else np.int32)
+    acc = np.zeros((n, block.shape[0]), dtype=np.min_scalar_type(n - 1))
+    greater = np.empty((n - 1, block.shape[0]), dtype=bool)
     for d in range(1, n):
-        acc[:n - d] += cols[:-d] > cols[d:]
+        np.greater(cols[:-d], cols[d:], out=greater[:n - d])
+        acc[:n - d] += greater[:n - d].view(np.uint8)
     return acc.sum(axis=0, dtype=np.int64)
 
 

@@ -85,6 +85,16 @@ def enumerate_pf(n: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ParkingFun
             yield ParkingFunction._trusted(perm)
 
 
+def count_first(n: int, k: int) -> int:
+    """Number of parking functions of size n with first coordinate k, as
+    the plain Abel sum of C(n-1, s) (s+1)^{s-1} (n-s)^{n-s-2} over
+    s = 0..n-k: one `math.comb` and two powers per term, and nothing kept
+    between calls."""
+    return sum(math.comb(n - 1, s) * (s + 1) ** (s - 1 if s else 0)
+               * (n - s) ** (n - s - 2 if n - s >= 2 else 0)
+               for s in range(n - k + 1))
+
+
 # --- per-function statistics ---------------------------------------------
 
 def repeats(seq: Sequence[int]) -> int:

@@ -467,7 +467,7 @@ def _inversion_edge_rows(n, m, seed):
 
 def test_inversions_kernel_at_dtype_edges():
     # values in [1, m] are compared as uint8 up to m = 255, then uint16 and
-    # uint32; acc counts in int16 up to n = 2^15, then int32
+    # uint32; acc counts in uint8 through n = 256, then uint16
     kernel = STATISTICS["inversions"]
     for m in (255, 256, 65535, 65536, 1 << 20):
         for n in (2, 9, 40):
@@ -475,7 +475,7 @@ def test_inversions_kernel_at_dtype_edges():
             assert _to_python(kernel(block, n, m)) == [oracles.inversions(r)
                                                         for r in block.tolist()]
     assert _to_python(kernel(np.ones((3, 1), dtype=np.int64), 1, 1)) == [0, 0, 0]
-    for n in (100, 1 << 15, (1 << 15) + 1):  # one reversed row: acc[0] = n - 1
+    for n in (100, 255, 256, 257, 1 << 15, (1 << 15) + 1):  # one reversed row: acc[0] = n - 1
         block = np.arange(n, 0, -1, dtype=np.int64)[None, :]
         assert _to_python(kernel(block, n, n)) == [n * (n - 1) // 2]
 
@@ -815,6 +815,27 @@ def _assert_json_bin_order(bins):
 @given(bin_keys())
 def test_json_bin_order_is_str_order(keys):
     _assert_json_bin_order({k: i for i, k in enumerate(keys)})
+
+
+def test_byte_keys_sweep_matches_str_order():
+    # lists of keys (repeats allowed) of widths 0-5, of one width or mixed;
+    # a third of the lists draw entries that print otherwise or leave [0, 256)
+    rng = np.random.default_rng(11)
+    plain = [0, 1, 2, 9, 10, 11, 19, 100, 101, 255]
+    odd = [256, -1, True, np.int64(3), (1,)]
+    for trial in range(3000):
+        pool = plain + odd if trial % 3 == 0 else plain
+        widths = rng.integers(0, 6, 1) if trial % 2 else rng.integers(0, 6, 4)
+        keys = [tuple(pool[i] for i in rng.integers(0, len(pool), rng.choice(widths)))
+                for _ in range(rng.integers(1, 9))]
+        order = list(range(len(keys)))
+        assert ensemble._str_sorted(order, key=keys.__getitem__) == sorted(
+            order, key=lambda i: str(keys[i])), keys
+        byte_ready = len(set(map(len, keys))) == 1 and all(
+            type(x) is int and 0 <= x < 256 for k in keys for x in k)
+        assert (ensemble._byte_keys(keys) is not None) == byte_ready, keys
+    for keys in ([0, 1], [(1,), 2], [(1, 2), [1, 2]], [()], [(), ()]):
+        assert (ensemble._byte_keys(keys) is not None) == (type(keys[-1]) is tuple)
 
 
 def test_json_bin_order_edges():

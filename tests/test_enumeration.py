@@ -1,5 +1,7 @@
 """Exact enumeration, closed-form counts, and generating functions."""
 
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +19,7 @@ from parkfn import (
     count_pf,
     descent_pattern_prob,
     enumerate_pf,
+    enumeration,
     exact_mean_first,
     gf_closed_form,
     gf_statistic,
@@ -160,8 +163,29 @@ def test_count_pf_rejects_empty_size():
             count_pf(n)
 
 
-def test_count_first_matches_census():
+@pytest.fixture
+def empty_table(monkeypatch):
+    """Call it to empty the Abel sums that count_first and first_counts keep."""
+    return lambda: monkeypatch.setattr(enumeration, "_kept_sums", enumeration._AbelSums(0))
+
+
+@pytest.fixture
+def evaluated_terms(monkeypatch):
+    """Each Abel term s that `_first_terms` evaluates from now on, in order."""
+    evaluated = []
+    first_terms = enumeration._first_terms
+
+    def counting(n, start, stop):
+        evaluated.extend(range(start, stop))
+        return first_terms(n, start, stop)
+
+    monkeypatch.setattr(enumeration, "_first_terms", counting)
+    return evaluated
+
+
+def test_count_first_matches_census(empty_table):
     for n in range(1, 7):
+        empty_table()
         census = Counter(pf[0] for pf in enumerate_pf(n))
         for k in range(1, n + 1):
             assert count_first(n, k) == census[k]
@@ -171,15 +195,16 @@ def test_count_first_matches_census():
         count_first(3, 4)
 
 
-def test_first_counts_match_count_first():
-    for n in (*range(1, 41), 150):
-        assert first_counts(n) == [count_first(n, k) for k in range(1, n + 1)], n
-    # k = 1, 2 sum the short side down from the top term, k = n - 1, n the
-    # long side up from s = 0
-    for n in range(41, 301):
+def test_first_counts_match_count_first(empty_table):
+    for n in (*range(1, 41), 150, 300):
+        empty_table()
+        expected = [oracles.count_first(n, k) for k in range(1, n + 1)]
         counts = first_counts(n)
-        for k in (1, 2, n - 1, n):
-            assert count_first(n, k) == counts[k - 1], (n, k)
+        assert counts == expected, n
+        # the list is the caller's: changing it leaves the next call as it was
+        counts[0] += 1
+        counts.append(0)
+        assert first_counts(n) == expected, n
     assert sum(first_counts(300)) == count_pf(300)
     for n in (0, -1):
         with pytest.raises(ValueError):
@@ -214,14 +239,84 @@ def test_count_first_sums_to_total():
         assert sum(count_first(n, k) for k in range(1, n + 1)) == count_pf(n)
 
 
-def test_count_first_matches_direct_sum():
-    # count_first sums the shorter side of the census; the direct sum is the reference
+def _call_orders(n):
+    """k ascending, k descending, and alternating ends (1, n, 2, n - 1, ...)."""
+    ends = [k for pair in zip(range(1, n + 1), range(n, 0, -1)) for k in pair][:n]
+    return list(range(1, n + 1)), list(range(n, 0, -1)), ends
+
+
+def test_count_first_matches_direct_sum(empty_table):
+    # count_first reads running sums kept between calls: every call order,
+    # from an empty table, must give the plain Abel sum of the oracle
     for n in range(1, 61):
-        for k in range(1, n + 1):
-            direct = sum(comb(n - 1, s) * (s + 1) ** (s - 1 if s else 0)
-                         * (n - s) ** (n - s - 2 if n - s >= 2 else 0)
-                         for s in range(n - k + 1))
-            assert count_first(n, k) == direct, (n, k)
+        expected = {k: oracles.count_first(n, k) for k in range(1, n + 1)}
+        for order in _call_orders(n):
+            empty_table()
+            assert {k: count_first(n, k) for k in order} == expected, (n, order)
+    for n in (150, 300):
+        empty_table()
+        assert [count_first(n, k) for k in range(1, n + 1)] == [
+            oracles.count_first(n, k) for k in range(1, n + 1)], n
+
+
+def test_count_first_evaluates_each_term_once(empty_table, evaluated_terms):
+    # a sweep at n = 150 reads 74 tail and 75 head sums, each term once
+    # (summing each k's shorter side afresh took 5,625 terms); later sweeps
+    # in other orders evaluate none
+    n = 150
+    empty_table()
+    for order in _call_orders(n):
+        assert sum(count_first(n, k) for k in order) == count_pf(n)
+        assert len(evaluated_terms) == len(set(evaluated_terms)) == n - 1, order
+    # a cold call costs its shorter side, min(k - 1, n - k + 1) terms
+    for k in (1, 2, 3, 74, 75, 76, 77, 149, 150):
+        empty_table()
+        evaluated_terms.clear()
+        count_first(n, k)
+        assert len(evaluated_terms) == min(k - 1, n - k + 1), k
+
+
+def test_count_first_keeps_sums_while_they_fit_a_block(empty_table, evaluated_terms):
+    # n (n - 1) bitlen(n + 1) <= 64 BLOCK_ELEMENTS holds up to n = 648
+    empty_table()
+    for n, kept in ((648, True), (649, False), (3, True)):
+        for _ in range(2):
+            evaluated_terms.clear()
+            assert count_first(n, 2) == oracles.count_first(n, 2)
+        assert evaluated_terms == ([] if kept else [n - 1]), n
+    evaluated_terms.clear()
+    first_counts(649)
+    first_counts(649)
+    assert len(evaluated_terms) == 2 * 649
+
+
+def test_count_first_from_concurrent_sweeps(empty_table):
+    # threads sweep one fresh n from opposite ends, two on each side, so
+    # they grow both sides and race to publish the same one
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(100, 106):
+            empty_table()
+            expected = [oracles.count_first(n, k) for k in range(1, n + 1)]
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def sweep(i):
+                barrier.wait(timeout=30)
+                ks = range(1, n + 1) if i % 2 else range(n, 0, -1)
+                results[i] = {k: count_first(n, k) for k in ks}
+
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for got in results:
+                assert [got[k] for k in range(1, n + 1)] == expected, n
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_k_pi_law_is_first_coordinate_difference():
