@@ -248,10 +248,13 @@ def _blocks(rows: Callable, n: int, count: int) -> Iterator[np.ndarray]:
         yield rows(start, min(start + step, count), buffer)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _check_rows(total: int) -> None:
     """Row indices and exact counts are int64: a source of more rows than
     int64 holds is refused when it is made, before any block."""
-    if total > np.iinfo(np.int64).max:
+    if total > _INT64_MAX:
         raise ValueError(f"{total} rows do not fit in int64 row indices")
 
 
@@ -477,11 +480,13 @@ def _type_census(n: int) -> _TypeCensus:
 def _type_scores(feature: str, n: int, limit: int) -> tuple[np.ndarray, _TypeCensus]:
     """(values, census): a feature that only compares entries
     (`stats.compares_only`) scored on each row of `_type_rows`, and the
-    census of the rows.  Raises ValueError for a name
+    census of the rows.  The census is one block up to n = 6, whose values
+    are returned as the kernel gives them.  Raises ValueError for a name
     `stats.statistic_kernel` refuses before it checks the size."""
     kernel = statistic_kernel(feature, n)
     blocks, census = _type_rows(n, limit)
-    return np.concatenate([kernel(block, n, n + 1) for block in blocks]), census
+    scores = [kernel(block, n, n + 1) for block in blocks]
+    return (scores[0] if len(scores) == 1 else np.concatenate(scores)), census
 
 
 def _sample_source(config: ExperimentConfig) -> tuple[Callable, Callable]:
@@ -597,16 +602,29 @@ def _distinct(values: np.ndarray,
     """(value, count) of each distinct entry of a 1-D array, or of each
     distinct row of a 2-D one as a tuple of ints, in order of first
     occurrence; with int64 `weights`, the count of a value is the sum of its
-    entries' weights.  One key per entry (`_row_keys` for rows) is sorted
-    with a stable sort, so narrowing the keys (`_sort_keys`) changes its
-    speed but not which entry comes first.  A value's count is the length of
-    its run of equal sorted keys, or with weights the run's sum, in int64
-    (np.bincount would add them as float64).  NaN keys are each their own
-    value, as they are as dict keys."""
+    entries' weights (`_runs`)."""
+    first, counts = _runs(values, weights)
+    order = np.argsort(first)
+    return zip(_python_values(values, first[order]), counts[order].tolist())
+
+
+def _runs(values: np.ndarray,
+          weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(first, counts) over the distinct entries of a 1-D array, or the
+    distinct rows of a 2-D one, in the order of their sort keys: the index
+    of each value's first entry and its count, or with int64 `weights` the
+    sum of its entries' weights.  One key per entry (`_row_keys` for rows)
+    is sorted with a stable sort, so narrowing the keys (`_sort_keys`)
+    changes its speed but not which entry comes first.  A value's count is
+    the length of its run of equal sorted keys, or with weights the run's
+    sum, in int64 (np.bincount would add them as float64).  NaN keys are
+    each their own value, as they are as dict keys."""
     if values.ndim == 2:
         rows, width = values.shape
         if not rows or not width:  # no min() of no rows, no zero-width np.void
-            return [((), rows if weights is None else int(weights.sum()))] if rows else []
+            runs = min(rows, 1)
+            count = rows if weights is None else weights.sum()
+            return np.zeros(runs, dtype=np.intp), np.full(runs, count, dtype=np.int64)
         keys = _row_keys(values)
     else:
         keys = values
@@ -620,16 +638,18 @@ def _distinct(values: np.ndarray,
     bounds[1:-1] = sorted_keys[1:] != sorted_keys[:-1]
     bounds = np.flatnonzero(bounds)
     starts = bounds[:-1]
-    first = by_key[starts]
     if weights is None:
         counts = bounds[1:] - starts
     else:
         counts = np.add.reduceat(weights[by_key], starts, dtype=np.int64)
-    order = np.argsort(first)
-    distinct = values[first[order]].tolist()
-    if values.ndim == 2:
-        distinct = map(tuple, distinct)
-    return zip(distinct, counts[order].tolist())
+    return by_key[starts], counts
+
+
+def _python_values(values: np.ndarray, index: np.ndarray) -> Iterable[Hashable]:
+    """The entries of a 1-D array at the indices as Python scalars, or the
+    rows of a 2-D one as tuples of ints."""
+    picked = values[index].tolist()
+    return map(tuple, picked) if values.ndim == 2 else picked
 
 
 # numpy's stable sort is a radix sort on integers of 8 and 16 bits and a
@@ -673,7 +693,9 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     width = rows.shape[1]
     if low >= 0 and bits * width < 64:
         if rows.shape[0] < _KEYS_COLUMN_ROWS:
-            return rows @ np.left_shift(1, bits * np.arange(width, dtype=np.int64))
+            # cast first: an int8 @ int64 matmul takes twice as long
+            return rows.astype(np.int64, copy=False) @ np.left_shift(
+                1, bits * np.arange(width, dtype=np.int64))
         keys = np.zeros(rows.shape[0], dtype=np.int64)
         for column in rows.T[::-1]:  # column j lands at bit bits * j
             keys <<= bits
@@ -763,8 +785,10 @@ def exact_equidistribution(n: int, feature: str,
             # False is minus that of True, and False prints first
             unequal = [False] if census.holding(values) @ census.gaps else []
         else:
-            gaps = census.gaps.repeat(census.arrangements)
-            unequal = [v for v, gap in _distinct(values, gaps) if gap]
+            # only the values whose gaps do not sum to 0 become Python values:
+            # the witness is the least in str order, whatever their order
+            first, gaps = _runs(values, census.gaps.repeat(census.arrangements))
+            unequal = _python_values(values, first[gaps != 0])
     else:
         kernel = statistic_kernel(feature, n)
         # both sources check their size before either census starts

@@ -208,6 +208,9 @@ class _AbelSums:
     that have been computed so far, from both ends:
     head[i] = T(0) + ... + T(i - 1) and tail[i] = T(n - i) + ... + T(n - 1).
 
+    Once the head reaches head[n] it holds every sum, and the tail is
+    dropped: the kept sums stay within n + 2.
+
     A side grows by a new list published in one assignment, never in place,
     so a caller on another thread reads a consistent list; two callers that
     grow one side at once may each compute the same terms, and the last to
@@ -224,6 +227,8 @@ class _AbelSums:
         if len(head) <= i:
             terms = _first_terms(self.n, len(head) - 1, i)
             head = self.head = [*head[:-1], *accumulate(terms, initial=head[-1])]
+            if len(head) > self.n:
+                self.tail = [0]
         return head
 
     def tail_to(self, i: int) -> list[int]:
@@ -259,14 +264,16 @@ def count_first(n: int, k: int) -> int:
     sum is the k = 1 count 2(n+1)^{n-2}, so the shorter side is summed: a
     cold call costs min(k - 1, n - k + 1) terms (`_first_terms`), and calls
     at one n share the running sums of `_abel_sums`, so every k at one n
-    costs at most n terms in all."""
+    costs at most n terms in all.  A head that already reaches n - k + 1 is
+    read as it is."""
     n, k = index(n), index(k)
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
     sums = _abel_sums(n)
-    if n >= 2 and k - 1 < n - k + 1:
+    i = n - k + 1
+    if n >= 2 and k - 1 < i and len(sums.head) <= i:
         return 2 * (n + 1) ** (n - 2) - sums.tail_to(k - 1)[k - 1]
-    return sums.head_to(n - k + 1)[n - k + 1]
+    return sums.head_to(i)[i]
 
 
 def first_counts(n: int) -> list[int]:

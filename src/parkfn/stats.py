@@ -76,7 +76,8 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # Numpy loops along the short row axis of such a block one row at a time,
 # so a few kernels work column by column, with n vector passes over all
 # rows, once the block has enough rows to pay for the passes: `lucky` from
-# 64 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below 64), `longest-run` from
+# 256 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below 64; from 64 rows below
+# 512 cars, _LUCKY_SWEEP_ROWS), `longest-run` from
 # 512 (_RUN_COLUMN_ROWS) and the bit-field keys of `ensemble._census` from
 # 4096 (its _KEYS_COLUMN_ROWS).  `_census` also narrows its sort keys from
 # 1024 keys (`ensemble._NARROW_KEYS`).  Wide blocks (the Monte Carlo samples
@@ -111,10 +112,11 @@ def _stat_scaled_area(block, n, m):
 
 
 # `lucky` has three forms, picked by the block's shape:
-# - the bitmask sweep (`_lucky_columns`, each row's spots in an int64) from
-#   64 rows, for n + 1 and m below 64.  It beats the row loop there at every
-#   n it serves (at 32 rows it is 1.0-1.4 times the loop's time, at 64 rows
-#   0.5-0.8);
+# - the bitmask sweep (`_lucky_columns`, each row's spots in an int64), for
+#   n + 1 and m below 64: from 256 rows, and from 64 rows on blocks of fewer
+#   than 512 cars, which the int form does not take.  From 64 rows it beats
+#   the row loop at every n it serves (at 32 rows it is 1.0-1.4 times the
+#   loop's time, at 64 rows 0.5-0.8: 22 against 41 us at n = 4);
 # - the bit-parallel int (`_lucky_bits`, every row's spots in one Python int)
 #   from 8 rows and 512 cars (rows x n), for n below 256;
 # - the row loop (`_lucky_rows`) for the rest: few rows or cars, and n from
@@ -134,10 +136,16 @@ def _stat_scaled_area(block, n, m):
 #        65536 // n   7.55  6.51  5.30  4.29  2.61  2.21  1.65  1.25  0.93
 # On 8 rows the int form stays near parity from n = 200 to 400 (0.8-1.2
 # over repeated runs) and loses from n = 600 (0.7-0.8), hence n below 256.
-# The sweep takes 1.1-2.8 times the int form's time on 64-128 rows at
-# n = 8-62, and 0.35-0.5 times on 1024 rows, the exhaustive sources' tall
-# blocks.
-_LUCKY_COLUMN_ROWS = 64
+# The sweep's time and the int form's, in us (best of 7 runs of 20 calls,
+# same machine):
+#     n \ rows     64      128      256      512
+#        8       35/21    37/27    40/39    50/65
+#       32      130/48   137/77  172/142  195/264
+#       62      246/98  257/207  327/350  421/788
+# so the two meet near 256 rows; on 1024 rows, the exhaustive sources' tall
+# blocks, the sweep takes 0.35-0.5 times the int form's time.
+_LUCKY_COLUMN_ROWS = 256
+_LUCKY_SWEEP_ROWS = 64
 _LUCKY_BITS_ROWS = 8
 _LUCKY_BITS_CARS = 512
 _LUCKY_BITS_N = 256
@@ -146,9 +154,10 @@ _LUCKY_BITS_CHUNK = 1 << 16  # bytes of car masks a chunk: below glibc's mmap th
 
 def _stat_lucky(block, n, m):
     rows = block.shape[0]
-    if rows >= _LUCKY_COLUMN_ROWS and max(n + 1, m) < 64:
+    bits = rows >= _LUCKY_BITS_ROWS and rows * n >= _LUCKY_BITS_CARS and n < _LUCKY_BITS_N
+    if max(n + 1, m) < 64 and rows >= (_LUCKY_COLUMN_ROWS if bits else _LUCKY_SWEEP_ROWS):
         return _lucky_columns(block, n)
-    if rows >= _LUCKY_BITS_ROWS and rows * n >= _LUCKY_BITS_CARS and n < _LUCKY_BITS_N:
+    if bits:
         return _lucky_bits(block, n, m)
     return _lucky_rows(block, n)
 

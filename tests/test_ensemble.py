@@ -541,6 +541,19 @@ def test_every_lucky_form_refuses_an_overflow_in_any_row(n):
                     form(b, n)
 
 
+def test_lucky_form_follows_the_block_shape(monkeypatch):
+    # the sweep from 256 rows, and from 64 rows below 512 cars; the int form
+    # from 8 rows and 512 cars at n below 256; else the row loop
+    for form in ("_lucky_columns", "_lucky_bits", "_lucky_rows"):
+        monkeypatch.setattr(stats, form, lambda *args, form=form: form)
+    cases = {(63, 7): "_lucky_rows", (64, 7): "_lucky_columns", (64, 8): "_lucky_bits",
+             (255, 8): "_lucky_bits", (256, 8): "_lucky_columns", (256, 62): "_lucky_columns",
+             (256, 63): "_lucky_bits", (7, 100): "_lucky_rows", (8, 100): "_lucky_bits",
+             (8, 256): "_lucky_rows", (1, 5000): "_lucky_rows"}
+    for (rows, n), form in cases.items():
+        assert stats._stat_lucky(np.ones((rows, n), dtype=np.int64), n, n) == form, (rows, n)
+
+
 # every registry statistic, and the one feature that is not a comparison
 PREFIX_NAMES = (*STATISTICS, "forced-gap")
 
@@ -734,6 +747,48 @@ def test_exact_equidistribution_matches_scalar_census():
             # repr tells a witness True from 1
             assert (report.equal, repr(report.witness)) == (equal, repr(witness)), \
                 (n, feature)
+
+
+def _census_report(kernel, n):
+    """(equal, witness) of `exact_equidistribution` from the census of every
+    row of PF_n and of [n+1]^n."""
+    pf = ensemble._census(kernel, ensemble.pf_blocks(n), n, n + 1)
+    fn = ensemble._census(kernel, oracles.function_blocks(n, n + 1), n, n + 1)
+    unequal = [v for v in {*pf, *fn} if fn.get(v, 0) != (n + 1) * pf.get(v, 0)]
+    witness = min(unequal, key=str, default=None)
+    return witness is None, witness
+
+
+def test_unequal_multi_valued_verdicts_match_the_census(monkeypatch):
+    # no registered multi-valued name is unequal, so the verdict's witness
+    # among the runs of unequal values is checked on a kernel that is: twice
+    # the strict peak at 2 plus the weak peak at n - 1, as one int and as
+    # rows of the two
+    def peaks(block, n, m):
+        return [stats.statistic_kernel(name, n)(block, n, m).astype(np.int64)
+                for name in ("strict-peak@2", f"weak-peak@{n - 1}")]
+
+    def weighted(block, n, m):
+        strict, weak = peaks(block, n, m)
+        return 2 * strict + weak
+
+    kernels = {"sum": weighted, "rows": lambda block, n, m: np.column_stack(peaks(block, n, m))}
+    monkeypatch.setattr(ensemble, "statistic_kernel", lambda name, n: kernels[name])
+    verdicts = []
+    for n in range(3, 8):
+        for name, kernel in kernels.items():
+            report = exact_equidistribution(n, name)
+            expected = _census_report(kernel, n)
+            assert (report.equal, repr(report.witness)) == (expected[0], repr(expected[1])), \
+                (n, name)
+            verdicts.append(report.equal)
+    assert not any(verdicts)
+    # n = 1: the patterns are zero-width rows, one run whose gaps sum to 0
+    monkeypatch.undo()
+    for feature in ("descent-pattern", "equality-pattern", "weak-descent-pattern"):
+        report = exact_equidistribution(1, feature)
+        assert (report.equal, report.witness) == (True, None)
+        assert _census_report(statistic_kernel(feature, 1), 1) == (True, None)
 
 
 def test_exhaustive_histogram_area():
@@ -1790,8 +1845,8 @@ def test_weak_peak_check_matches_enumerated_census():
 # on both sides; n at the forms' limits on n (n + 1 and m below 64 for lucky's
 # column form, n below 256 for its int form), while the block stays near the
 # size of a block of the exhaustive sources.
-_CUTOVERS = (stats._LUCKY_BITS_ROWS, stats._LUCKY_COLUMN_ROWS, stats._RUN_COLUMN_ROWS, 2048,
-             ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
+_CUTOVERS = (stats._LUCKY_BITS_ROWS, stats._LUCKY_SWEEP_ROWS, stats._LUCKY_COLUMN_ROWS,
+             stats._RUN_COLUMN_ROWS, 2048, ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
 _CUTOVER_ROWS = sorted({1, 9} | {c + d for c in _CUTOVERS for d in (-1, 0)}
                        | {2 * max(_CUTOVERS)})
 _CUTOVER_N = (1, 2, 3, 4, 6, 8, 15, 16, 62, 63, 64, 255, 256)
@@ -1815,8 +1870,9 @@ def _tall_block(rows, n, ensemble_name, seed):
 
 
 # each column form next to its limit: the tuple keys, lucky at n = 62 and
-# 63, longest-run; a tall block of PF_7, and tall blocks of the shift at
-# n = 15 and 16.  lucky's int form next to its limits: 8 rows at n = 64
+# 63, lucky's sweep on 64 rows of fewer than 512 cars at n = 7 against 512
+# cars at n = 8, longest-run; a tall block of PF_7, and tall blocks of the
+# shift at n = 15 and 16.  lucky's int form next to its limits: 8 rows at n = 64
 # (512 cars) against 7 rows and against 8 rows at n = 63 (504 cars), on pf
 # and fn1, and n = 255 against 256
 @example((ensemble._KEYS_COLUMN_ROWS, 4, "fn1", 1))
@@ -1825,6 +1881,8 @@ def _tall_block(rows, n, ensemble_name, seed):
 @example((1024, 16, "fn1", 3))
 @example((stats._LUCKY_COLUMN_ROWS, 62, "pf", 4))
 @example((stats._LUCKY_COLUMN_ROWS, 63, "pf", 5))
+@example((stats._LUCKY_SWEEP_ROWS, 7, "pf", 15))
+@example((stats._LUCKY_SWEEP_ROWS, 8, "fn1", 16))
 @example((stats._RUN_COLUMN_ROWS, 8, "fn", 6))
 @example((stats._LUCKY_BITS_ROWS, 64, "pf", 8))
 @example((stats._LUCKY_BITS_ROWS, 64, "fn1", 9))

@@ -290,6 +290,30 @@ def test_count_first_keeps_sums_while_they_fit_a_block(empty_table, evaluated_te
     assert len(evaluated_terms) == 2 * 649
 
 
+def test_kept_sums_stay_within_the_block_bound(empty_table):
+    # the block bound of `_abel_sums` counts n sums: in any order of
+    # count_first calls at n = 648, the largest n it keeps, with first_counts
+    # at the start, the middle or the end, the head and the tail together
+    # never hold more than n + 2 (each side starts at the empty sum)
+    n = 648
+    # the oracle takes seconds at this n: the head sums from a fresh table,
+    # checked by their total and both closed-form ends
+    empty_table()
+    expected = first_counts(n)
+    assert sum(expected) == count_pf(n)
+    assert (expected[0], expected[-1]) == (2 * (n + 1) ** (n - 2), n ** (n - 2))
+    for order in _call_orders(n):
+        for at in (0, n // 2, n):
+            empty_table()
+            for k in (*order[:at], None, *order[at:]):
+                if k is None:
+                    assert first_counts(n) == expected
+                else:
+                    assert count_first(n, k) == expected[k - 1], (k, at)
+                sums = enumeration._kept_sums
+                assert sums.n == n and len(sums.head) + len(sums.tail) <= n + 2, (k, at)
+
+
 def test_count_first_from_concurrent_sweeps(empty_table):
     # threads sweep one fresh n from opposite ends, two on each side, so
     # they grow both sides and race to publish the same one
