@@ -75,16 +75,12 @@ def queue_profiles(block: np.ndarray, top: int) -> np.ndarray:
 # entries) are column-major and tall, at up to 65536 // n rows a block.
 # Numpy loops along the short row axis of such a block one row at a time,
 # so a few kernels work column by column, with n vector passes over all
-# rows, once the block has enough rows to pay for the passes: `lucky` from
-# 256 rows (_LUCKY_COLUMN_ROWS, for n + 1 and m below 64; from 64 rows below
-# 512 cars, _LUCKY_SWEEP_ROWS), `longest-run` from
-# 512 (_RUN_COLUMN_ROWS) and the bit-field keys of `ensemble._census` from
-# 4096 (its _KEYS_COLUMN_ROWS).  `_census` also narrows its sort keys from
-# 1024 keys (`ensemble._NARROW_KEYS`).  Wide blocks (the Monte Carlo samples
-# at n >= 100) keep the row forms, but for `lucky`: from 8 rows and 512 cars
-# at n below 256 it parks one car in every row with one add on a Python int
-# that holds all the rows (`_lucky_bits`; its cutovers are timed beside
-# _LUCKY_COLUMN_ROWS).  The column cutovers were timed on C- and
+# rows, once the block has enough rows to pay for the passes: `longest-run`
+# from 512 (_RUN_COLUMN_ROWS) and the bit-field keys of `ensemble._census`
+# from 4096 (its _KEYS_COLUMN_ROWS).  `_census` also narrows its sort keys
+# from 1024 keys (`ensemble._NARROW_KEYS`).  `lucky` parks one car in every
+# row at once, tall blocks and wide (its cutovers are timed beside
+# _LUCKY_BITS_ROWS).  The column cutovers were timed on C- and
 # Fortran-ordered random blocks with 3-60 columns (numpy 2.4, one core of a
 # shared 2-core Xeon): both costs grow with n, so the crossover sits at a
 # row count.  `species` has only its row form: exhaustive counts score it on
@@ -111,53 +107,31 @@ def _stat_scaled_area(block, n, m):
     return _scaled_area(block.sum(axis=1), n)
 
 
-# `lucky` has three forms, picked by the block's shape:
-# - the bitmask sweep (`_lucky_columns`, each row's spots in an int64), for
-#   n + 1 and m below 64: from 256 rows, and from 64 rows on blocks of fewer
-#   than 512 cars, which the int form does not take.  From 64 rows it beats
-#   the row loop at every n it serves (at 32 rows it is 1.0-1.4 times the
-#   loop's time, at 64 rows 0.5-0.8: 22 against 41 us at n = 4);
-# - the bit-parallel int (`_lucky_bits`, every row's spots in one Python int)
-#   from 8 rows and 512 cars (rows x n), for n below 256;
-# - the row loop (`_lucky_rows`) for the rest: few rows or cars, and n from
-#   256, such as one-row blocks and 4 rows at n = 10^4.
-# The loop's time over the int form's on random PF blocks (the median over 5
-# blocks, 2 of them column-major, of the best of 11 runs of 20 calls; numpy
-# 2.4, one core of a shared 2-core Xeon):
-#     rows \ n    32    48    64   100   150   200   255
-#         6     0.73  0.88  0.91  1.02  0.99  1.00  0.92
-#         7     0.84  0.98  1.04  1.14  1.14  1.08  1.03
-#         8     0.87  1.05  1.16  1.25  1.26  1.18  1.06
-#        16     1.79  1.94  2.04  2.05  1.85  1.57  1.13
-# and, row-major and best of 9, at 16-32 columns (where 8 rows read
-# 0.64-0.75 and 16 rows 1.14-1.99) and on more rows and wider blocks:
-#     rows \ n          16    32    64   100   200   256   400   600  1000
-#        100          3.32  3.36  3.69  2.88  1.90  1.62  1.52  1.50  0.88
-#        65536 // n   7.55  6.51  5.30  4.29  2.61  2.21  1.65  1.25  0.93
-# On 8 rows the int form stays near parity from n = 200 to 400 (0.8-1.2
-# over repeated runs) and loses from n = 600 (0.7-0.8), hence n below 256.
-# The sweep's time and the int form's, in us (best of 7 runs of 20 calls,
-# same machine):
-#     n \ rows     64      128      256      512
-#        8       35/21    37/27    40/39    50/65
-#       32      130/48   137/77  172/142  195/264
-#       62      246/98  257/207  327/350  421/788
-# so the two meet near 256 rows; on 1024 rows, the exhaustive sources' tall
-# blocks, the sweep takes 0.35-0.5 times the int form's time.
-_LUCKY_COLUMN_ROWS = 256
-_LUCKY_SWEEP_ROWS = 64
+# `lucky` has two forms, picked by the block's shape: the bit-parallel int
+# (`_lucky_bits`) from 8 rows and 256 cars (rows x n) at n below 256, and the
+# row loop (`_lucky_rows`) for the rest: few rows or cars, and n from 256,
+# such as one-row blocks and 4 rows at n = 10^4.  The loop's time over the
+# int form's on random PF blocks (the median over 3 blocks, one of them
+# column-major, of the best of 9 runs; numpy 2.4, one core of a shared
+# 2-core Xeon; n = 4-63 are one-uint fields, n from 64 byte fields):
+#     rows \ n      4     8    16    32    63    64   100   200   255   400   600  1000
+#         8      0.80  1.00  1.12  1.36  1.59  1.23  1.23  1.23  1.13  1.14  0.97  0.62
+#        16      1.65  1.97  2.28  2.29  2.64  2.09  2.12  1.63  1.43  1.36  0.99  0.72
+#        64      5.39  5.65  6.40  5.31  6.01  4.33  3.72  2.23  1.90
+#       100      7.62  8.84  8.56  6.81  7.29  5.10  3.76  2.44  2.07  1.87  1.46  0.93
+#   65536 // n  62.7  31.8  18.4  9.90  10.2  5.68  4.58  2.73  2.26  1.65  1.41  0.90
+# On 8 rows the int form reads 0.8-1.2 from n = 200 to 400 over repeated
+# runs and loses from n = 600, hence n below 256.  Below 256 cars its lead
+# falls to parity (8 x 8) or a loss (8 x 4).
 _LUCKY_BITS_ROWS = 8
-_LUCKY_BITS_CARS = 512
+_LUCKY_BITS_CARS = 256
 _LUCKY_BITS_N = 256
 _LUCKY_BITS_CHUNK = 1 << 16  # bytes of car masks a chunk: below glibc's mmap threshold
 
 
 def _stat_lucky(block, n, m):
     rows = block.shape[0]
-    bits = rows >= _LUCKY_BITS_ROWS and rows * n >= _LUCKY_BITS_CARS and n < _LUCKY_BITS_N
-    if max(n + 1, m) < 64 and rows >= (_LUCKY_COLUMN_ROWS if bits else _LUCKY_SWEEP_ROWS):
-        return _lucky_columns(block, n)
-    if bits:
+    if rows >= _LUCKY_BITS_ROWS and rows * n >= _LUCKY_BITS_CARS and n < _LUCKY_BITS_N:
         return _lucky_bits(block, n, m)
     return _lucky_rows(block, n)
 
@@ -184,64 +158,53 @@ def _lucky_rows(block, n):
     return np.array(counts, dtype=np.int64)
 
 
-def _lucky_columns(block, n):
-    """`_stat_lucky` car by car over all rows at once, for n + 1 and the
-    values below 64: bit s of occupied[r] is set once spot s of row r is
-    taken.  A car takes the lowest free spot >= its preference p, the lowest
-    set bit of ~occupied >> p; spots past n are never kept, so an overflowing
-    car leaves one of spots 1..n empty for good."""
-    rows = block.shape[0]
-    full = (2 << n) - 2  # spots 1..n
-    occupied = np.zeros(rows, dtype=np.int64)
-    lucky = np.zeros(rows, dtype=np.int64)
-    free = np.empty(rows, dtype=np.int64)
-    spot = np.empty(rows, dtype=np.int64)
-    for p in block.T:
-        np.invert(occupied, out=free)
-        np.right_shift(free, p, out=free)  # bit 0: spot p itself is free
-        lucky += free & 1
-        np.negative(free, out=spot)
-        spot &= free
-        np.left_shift(spot, p, out=spot)
-        occupied |= spot
-        occupied &= full
-    if (occupied != full).any():
-        raise ValueError("lucky requires a parking function")
-    return lucky
-
-
 def _lucky_bits(block, n, m):
     """`_stat_lucky` car by car over all rows at once, with every row's spots
-    in one Python int: row r holds bits [8wr, 8w(r + 1)), w bytes enough for
-    every value, and bit s of its field is set once spot s is taken.  Adding
-    the cars' bits 1 << p to the taken spots carries each one over the taken
+    in one Python int: row r holds bits [8wr, 8w(r + 1)), a field of w bytes
+    that holds every value, and bit s of its field is set once spot s is
+    taken.  Below 64 values a field is one uint of 1, 2, 4 or 8 bytes, so a
+    car's bits in all rows are one shift; wider fields are bytes with room
+    for spot n + 1, and each bit is scattered into its byte.  Adding the
+    cars' bits 1 << p to the taken spots carries each one over the taken
     spots from p to the first free one, so one add parks a car in every row,
-    and a car is lucky iff its own bit is set in the sum.  Spot 0 and those
-    past n are guards: an overflowing car sets one (or carries past one that
-    is set) and bits are never cleared, so the int ends as exactly the spots
-    1..n of every row iff every row is a parking function."""
+    and a car is lucky iff its own bit is set in the sum.  Spot 0 and any
+    bits past n are guards: an overflowing car sets one (past the top of a
+    field it carries into the next row's spot 0, or past the top of the
+    int) or carries past one that is set, and bits are never cleared, so the
+    int ends as exactly the spots 1..n of every row iff every row is a
+    parking function."""
     rows = block.shape[0]
-    w = max(n + 1, m) // 8 + 1
+    top = max(n, m)
+    one_uint = top < 64
+    # the narrowest uint with a bit for top, or bytes through bit n + 1
+    w = 1 << (top >> 3).bit_length() if one_uint else max(n + 1, m) // 8 + 1
+    field = np.dtype(f"<u{w}" if one_uint else "u1")
     size = rows * w
     step = max(1, _LUCKY_BITS_CHUNK // size)  # columns a chunk
-    fields = np.arange(0, size, w)[:, None]
     occupied = lucky = 0
     for start in range(0, n, step):
         cols = block[:, start:start + step]
-        end = cols.shape[1] * size
-        # one little-endian int per car: the bytes of its bit in each row
-        masks = np.zeros(end, dtype=np.uint8)
-        masks[(cols >> 3) + (np.arange(0, end, size) + fields)] = np.left_shift(1, cols & 7)
-        view = memoryview(masks)
-        for i in range(0, end, size):
+        # one little-endian int per car: its bit in each row's field
+        if one_uint:
+            masks = cols.T.astype(field, order="C")
+            np.left_shift(field.type(1), masks, out=masks)
+        else:  # the bit into its byte of the field
+            end = cols.shape[1] * size
+            at = np.arange(0, end, size) + np.arange(0, size, w)[:, None]
+            masks = np.zeros(end, dtype=np.uint8)
+            masks[(cols >> 3) + at] = np.left_shift(1, cols & 7)
+        view = memoryview(masks).cast("B")
+        for i in range(0, len(view), size):
             add = int.from_bytes(view[i:i + size], "little")
             parked = occupied + add
             lucky |= add & parked
             occupied |= parked
     if occupied != int.from_bytes(((2 << n) - 2).to_bytes(w, "little") * rows, "little"):
         raise ValueError("lucky requires a parking function")
-    lucky_fields = np.frombuffer(lucky.to_bytes(size, "little"), dtype=np.uint8).reshape(rows, w)
-    return np.unpackbits(lucky_fields, axis=1).sum(axis=1, dtype=np.int64)
+    counts = np.bitwise_count(np.frombuffer(lucky.to_bytes(size, "little"), dtype=field))
+    if one_uint:
+        return counts.astype(np.int64)
+    return counts.reshape(rows, w).sum(axis=1, dtype=np.int64)
 
 
 def _stat_repeats(block, n, m):

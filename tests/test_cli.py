@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -521,6 +522,62 @@ def test_compare_tv_reads_the_ensembles_codomain(capsys):
         assert code == EXIT_OK
         distances[ens] = float(out.splitlines()[-1].split(",")[1])
     assert distances["fn1"] < 0.03 and distances["pf"] > 0.1, distances
+
+
+def test_compare_ks(capsys):
+    # both rows are the KS distances of one experiment, and the maximum
+    # discrepancy of a parking function tends to the excursion's maximum,
+    # not the bridge's
+    from parkfn import limits
+    from parkfn.ensemble import ExperimentConfig, ks_distance_to_limit, run_experiment
+
+    code, out, _ = run_cli(capsys, "compare", "--n", "200", "--ks", "--count", "300",
+                           "--seed", "3")
+    assert code == EXIT_OK
+    hist = run_experiment(ExperimentConfig(n=200, count=300, seed=3,
+                                           statistic="scaled-max-discrepancy"))
+    excursion = ks_distance_to_limit(hist, limits.max_discrepancy_cdf)
+    bridge = ks_distance_to_limit(hist, limits.bridge_max_cdf)
+    assert [line for line in out.splitlines() if not line.startswith("#")] == [
+        "comparison,value", f"ks_vs_excursion_max,{excursion}", f"ks_vs_bridge_max,{bridge}"]
+    assert excursion < bridge
+
+
+def _csv_table(out):
+    """(metadata, header, rows) of a CSV table as `cli` writes it."""
+    lines = out.splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+    return meta, header, rows
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--n", "6"),
+    ("enumerate", "--n", "6", "--stat", "lucky"),
+    ("compare", "--n", "5"),
+    ("compare", "--n", "10", "--tv", "--count", "100", "--seed", "5"),
+])
+def test_json_table_matches_csv(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv)
+    meta, header, rows = _csv_table(out)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload.pop("columns") == header
+    assert [[str(x) for x in row] for row in payload.pop("rows")] == rows
+    assert {key: str(value) for key, value in payload.items()} == meta
+
+
+def test_raw_sample_json_matches_csv(capsys):
+    argv = ("sample", "--n", "7", "--count", "5", "--seed", "11", "--ensemble", "fn1")
+    _, out, _ = run_cli(capsys, *argv)
+    meta, header, rows = _csv_table(out)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert header == ["index", "function"]
+    assert [[str(i), f] for i, f in enumerate(payload.pop("functions"))] == rows
+    assert {key: str(value) for key, value in payload.items()} == meta
 
 
 def test_verify_passes(capsys):

@@ -520,15 +520,16 @@ def test_lucky_kernel_matches_parking_process(case):
             STATISTICS["lucky"](np.array(funcs, dtype=np.int64), n, n)
 
 
-@pytest.mark.parametrize("n", [6, 62, 126, 254])
+@pytest.mark.parametrize("n", [6, 7, 8, 15, 16, 31, 32, 62, 63, 64, 126, 254])
 def test_every_lucky_form_refuses_an_overflow_in_any_row(n):
-    # n + 2 is a multiple of 8, so each row of the int form is whole bytes
-    # and spot n + 1, its one guard past n, is the top bit of the row.  A row
-    # of all n overflows n - 1 times, carrying into the next row's spots (or,
-    # as the last row, past the top of the int); the other row overflows once.
+    # n at each edge of the int form's fields.  At 7, 15, 31 and 63 a row is
+    # one uint with no bit past n, so an overflowing car carries into the
+    # next row's spot 0 (or, as the last row, past the top of the int); at
+    # 8, 16, 32 and 64 the field holds bits past n, and at 6 and 62 one bit.
+    # At 126 and 254 the field is whole bytes and spot n + 1, its one guard
+    # past n, is its top bit.  A row of all n overflows n - 1 times; the
+    # other row overflows once.
     forms = [stats._lucky_rows, lambda block, n: stats._lucky_bits(block, n, n)]
-    if n + 1 < 64:
-        forms.append(stats._lucky_columns)
     pfs = shift_block(np.random.default_rng(n).integers(1, n + 2, size=(9, n)), n)
     for form in forms:
         assert form(pfs, n).tolist() == [oracles.lucky(f) for f in pfs.tolist()]
@@ -542,14 +543,13 @@ def test_every_lucky_form_refuses_an_overflow_in_any_row(n):
 
 
 def test_lucky_form_follows_the_block_shape(monkeypatch):
-    # the sweep from 256 rows, and from 64 rows below 512 cars; the int form
-    # from 8 rows and 512 cars at n below 256; else the row loop
-    for form in ("_lucky_columns", "_lucky_bits", "_lucky_rows"):
+    # the int form from 8 rows and 256 cars at n below 256; else the row loop
+    for form in ("_lucky_bits", "_lucky_rows"):
         monkeypatch.setattr(stats, form, lambda *args, form=form: form)
-    cases = {(63, 7): "_lucky_rows", (64, 7): "_lucky_columns", (64, 8): "_lucky_bits",
-             (255, 8): "_lucky_bits", (256, 8): "_lucky_columns", (256, 62): "_lucky_columns",
-             (256, 63): "_lucky_bits", (7, 100): "_lucky_rows", (8, 100): "_lucky_bits",
-             (8, 256): "_lucky_rows", (1, 5000): "_lucky_rows"}
+    cases = {(255, 1): "_lucky_rows", (256, 1): "_lucky_bits", (63, 4): "_lucky_rows",
+             (64, 4): "_lucky_bits", (7, 100): "_lucky_rows", (8, 100): "_lucky_bits",
+             (8, 31): "_lucky_rows", (8, 32): "_lucky_bits", (8, 255): "_lucky_bits",
+             (8, 256): "_lucky_rows", (1024, 256): "_lucky_rows", (1, 5000): "_lucky_rows"}
     for (rows, n), form in cases.items():
         assert stats._stat_lucky(np.ones((rows, n), dtype=np.int64), n, n) == form, (rows, n)
 
@@ -1841,15 +1841,16 @@ def test_weak_peak_check_matches_enumerated_census():
 
 
 # Row counts at and just below the cutover of each kernel's column form (and
-# of lucky's int form; 2048, a tall block for the row forms), and further out
-# on both sides; n at the forms' limits on n (n + 1 and m below 64 for lucky's
-# column form, n below 256 for its int form), while the block stays near the
-# size of a block of the exhaustive sources.
-_CUTOVERS = (stats._LUCKY_BITS_ROWS, stats._LUCKY_SWEEP_ROWS, stats._LUCKY_COLUMN_ROWS,
-             stats._RUN_COLUMN_ROWS, 2048, ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
+# of lucky's int form; 2048, a tall block for the row forms; at n = 1, 255
+# and 256 rows are 255 and 256 cars, the edge of lucky's int form), and
+# further out on both sides; n at the edges of the int form's fields (7/8,
+# 15/16, 31/32, 63/64) and its limit on n (below 256), while the block stays
+# near the size of a block of the exhaustive sources.
+_CUTOVERS = (stats._LUCKY_BITS_ROWS, stats._LUCKY_BITS_CARS, stats._RUN_COLUMN_ROWS, 2048,
+             ensemble._KEYS_COLUMN_ROWS, ensemble._NARROW_KEYS)
 _CUTOVER_ROWS = sorted({1, 9} | {c + d for c in _CUTOVERS for d in (-1, 0)}
                        | {2 * max(_CUTOVERS)})
-_CUTOVER_N = (1, 2, 3, 4, 6, 8, 15, 16, 62, 63, 64, 255, 256)
+_CUTOVER_N = (1, 2, 3, 4, 6, 7, 8, 15, 16, 31, 32, 62, 63, 64, 255, 256)
 
 
 @st_h.composite
@@ -1869,20 +1870,23 @@ def _tall_block(rows, n, ensemble_name, seed):
     return np.minimum(raw, m), raw, m
 
 
-# each column form next to its limit: the tuple keys, lucky at n = 62 and
-# 63, lucky's sweep on 64 rows of fewer than 512 cars at n = 7 against 512
-# cars at n = 8, longest-run; a tall block of PF_7, and tall blocks of the
-# shift at n = 15 and 16.  lucky's int form next to its limits: 8 rows at n = 64
-# (512 cars) against 7 rows and against 8 rows at n = 63 (504 cars), on pf
-# and fn1, and n = 255 against 256
+# each column form next to its limit: the tuple keys, longest-run; a tall
+# block of PF_7, and tall blocks of the shift at n = 15 and 16.  lucky's int
+# form on a tall block at each edge of its fields (PF_7 and n = 15/16 above,
+# 8, 31/32, 63/64 here); next to its car edge, 64 rows at n = 4 (256 cars)
+# against 63 rows (252 cars); next to its row edge, 8 rows at n = 64 against
+# 7 rows, on pf and fn1, and 8 rows at n = 63; and n = 255 against 256
 @example((ensemble._KEYS_COLUMN_ROWS, 4, "fn1", 1))
 @example((2048, 7, "pf", 7))
 @example((1024, 15, "pf", 2))
 @example((1024, 16, "fn1", 3))
-@example((stats._LUCKY_COLUMN_ROWS, 62, "pf", 4))
-@example((stats._LUCKY_COLUMN_ROWS, 63, "pf", 5))
-@example((stats._LUCKY_SWEEP_ROWS, 7, "pf", 15))
-@example((stats._LUCKY_SWEEP_ROWS, 8, "fn1", 16))
+@example((512, 8, "pf", 15))
+@example((128, 31, "pf", 16))
+@example((128, 32, "pf", 17))
+@example((256, 63, "pf", 5))
+@example((256, 64, "pf", 4))
+@example((stats._LUCKY_BITS_CARS // 4, 4, "pf", 18))
+@example((stats._LUCKY_BITS_CARS // 4 - 1, 4, "pf", 19))
 @example((stats._RUN_COLUMN_ROWS, 8, "fn", 6))
 @example((stats._LUCKY_BITS_ROWS, 64, "pf", 8))
 @example((stats._LUCKY_BITS_ROWS, 64, "fn1", 9))
