@@ -15,7 +15,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
@@ -290,9 +290,10 @@ def _check_defined(statistic: str, ensemble: str, n: int) -> None:
 
 
 def _exhaustive_source(statistic: str, n: int, ensemble: str,
-                       limit: int) -> tuple[Iterator[np.ndarray], Optional[Callable]]:
-    """(blocks, weigh) for `_census` of a statistic over every row of PF_n
-    (ensemble "pf") or of [m]^n, picked by name:
+                       limit: int) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """(block, weights) pairs over every row of PF_n (ensemble "pf") or of
+    [m]^n, row r of a block standing for weights[r] rows of the ensemble
+    (for 1 when weights is None), picked by name:
     - a name that only compares entries (`stats.compares_only`) scores each
       weak-order type once (`_type_rows`), weighted by the ensemble's rows
       of that type;
@@ -302,9 +303,8 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
       order and the rest as a multiset.  It scores the sorted rows
       (`_sorted_source`), each split by its first p entries
       (`enumeration._leading_splits`: every choice of them in order, the
-      rest left sorted), and counts a split row as many times as its sorted
-      rest has arrangements.  At p = 0 these are the sorted rows and
-      `_sorted_source`'s weights, with no split.
+      rest left sorted), and weighs a split row by the arrangements of its
+      sorted rest.  At p = 0 these are the pairs of `_sorted_source`.
     Every row count that passes the int64 guard has n <= 16, so the weights
     and their sums are exact in int64 and every value fits the uint8 rows
     that are split.  Raises ValueError for an unknown
@@ -320,60 +320,51 @@ def _exhaustive_source(statistic: str, n: int, ensemble: str,
     # perfbench's traced runs) takes the same path and gives the same bins
     if st.compares_only(statistic):
         blocks, census = _type_rows(n, limit)
-        return blocks, _in_row_order(census.type_weights(ensemble))
+        ends = np.cumsum([block.shape[0] for block in census.blocks[:-1]])
+        return zip(blocks, np.split(census.type_weights(ensemble), ends))
     prefix = st.ordered_prefix(statistic, n)
     if pf and prefix == n:
-        return pf_blocks(n, limit), None
+        return ((block, None) for block in pf_blocks(n, limit))
     _check_rows(count_pf(n) if pf else _codomain(ensemble, n) ** n)
-    blocks, weigh = _sorted_source(n, ensemble)
+    pairs = _sorted_source(n, ensemble)
     if not prefix:
-        return blocks, weigh
-    splits = (np.asfortranarray(rows, dtype=np.int64) for block in blocks
-              for rows in _leading_splits(np.ascontiguousarray(block, dtype=np.uint8), 0, prefix))
-    return splits, lambda rows: _arrangement_counts(rows[:, prefix:])
+        return pairs
+    return ((np.asfortranarray(rows, dtype=np.int64), _arrangement_counts(rows[:, prefix:]))
+            for block, _weights in pairs
+            for rows in _leading_splits(np.ascontiguousarray(block, dtype=np.uint8), 0, prefix))
 
 
-def _in_row_order(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """`weigh` for `_census` of blocks that hold the rows of `weights` in
-    order: each call returns the weights of the next block's rows."""
-    start = 0
-
-    def weigh(block: np.ndarray) -> np.ndarray:
-        nonlocal start
-        start += block.shape[0]
-        return weights[start - block.shape[0]:start]
-
-    return weigh
-
-
-def _sorted_source(n: int, ensemble: str) -> tuple[Iterator[np.ndarray], Callable]:
-    """(blocks, weigh) for `_census` of the nondecreasing rows of PF_n (the
+def _sorted_source(n: int, ensemble: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(block, weights) pairs over the nondecreasing rows of PF_n (the
     Catalan(n) rows with entry j at most j) or of [m]^n (the
     C(n + m - 1, n) rows over [1, m]), each weighed by its number of
     arrangements: the order-free laws' rows, and the rows that
-    `_exhaustive_source` splits by their leading entries for the others.
-    Rows that fit in one block of `_sorted_blocks` are read from
-    `_sorted_census`; more are unranked, weighed and dropped block by block,
-    so memory stays at one block either way.  Nothing is built before the
-    first block is read.  Unchecked: `_exhaustive_source` guards n."""
+    `_exhaustive_source` and `joint_coordinate_bound_check` split by their
+    leading entries for the others.  Rows that fit in one block of
+    `_sorted_blocks` are the one pair of `_sorted_census`; more are
+    unranked, weighed and dropped block by block, so memory stays at one
+    block either way.  Nothing is built before the first pair is read.
+    Unchecked: its callers guard n."""
     pf = ensemble == "pf"
     m = _codomain(ensemble, n)
     rows = math.comb(2 * n, n) // (n + 1) if pf else math.comb(n + m - 1, n)
     if rows * n > BLOCK_ELEMENTS:
-        return _sorted_blocks(n, range(1, n + 1) if pf else [m] * n), _arrangement_counts
+        return ((block, _arrangement_counts(block))
+                for block in _sorted_blocks(n, range(1, n + 1) if pf else [m] * n))
 
-    def blocks() -> Iterator[np.ndarray]:
-        yield _sorted_census(n, ensemble)[0]
+    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        yield _sorted_census(n, ensemble)
 
-    return blocks(), lambda block: _sorted_census(n, ensemble)[1]
+    return pairs()
 
 
 @lru_cache(maxsize=3)
 def _sorted_census(n: int, ensemble: str) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, weights): the one block of `_sorted_blocks` that holds the
-    sorted rows of a `_sorted_source` ensemble, and each row's number of
-    arrangements (`_arrangement_counts`), both read-only.  Unchecked: only
-    `_sorted_source` calls it, and only for rows that fit in one block.
+    """(rows, weights), the one pair `_sorted_source` yields for sorted rows
+    that fit in one block: the block of `_sorted_blocks` that holds them,
+    and each row's number of arrangements (`_arrangement_counts`), both
+    read-only.  Unchecked: only `_sorted_source` calls it, and only for
+    rows that fit in one block.
 
     Kept for three (n, ensemble) pairs, each at most BLOCK_ELEMENTS values
     and a weight per row, for callers that read one ensemble's sorted rows
@@ -462,7 +453,7 @@ def _type_census(n: int) -> _TypeCensus:
     np.cumsum((np.arange(keys)[:, None] & bits) > 0, axis=1, out=compositions[:, 1:])
     compositions[:, 1:] += 1
     pf_weights = np.zeros(keys, dtype=np.int64)
-    for block in _sorted_source(n, "pf")[0]:
+    for block, _weights in _sorted_source(n, "pf"):
         pf_weights += np.bincount((block[:, 1:] > block[:, :-1]) @ bits, minlength=keys)
     weights = {"pf": pf_weights}
     for ensemble in ("fn", "fn1"):
@@ -475,18 +466,6 @@ def _type_census(n: int) -> _TypeCensus:
     for array in (*blocks, arrangements, starts, *weights.values(), gaps):
         array.setflags(write=False)
     return _TypeCensus(blocks, arrangements, starts, weights, gaps)
-
-
-def _type_scores(feature: str, n: int, limit: int) -> tuple[np.ndarray, _TypeCensus]:
-    """(values, census): a feature that only compares entries
-    (`stats.compares_only`) scored on each row of `_type_rows`, and the
-    census of the rows.  The census is one block up to n = 6, whose values
-    are returned as the kernel gives them.  Raises ValueError for a name
-    `stats.statistic_kernel` refuses before it checks the size."""
-    kernel = statistic_kernel(feature, n)
-    blocks, census = _type_rows(n, limit)
-    scores = [kernel(block, n, n + 1) for block in blocks]
-    return (scores[0] if len(scores) == 1 else np.concatenate(scores)), census
 
 
 def _sample_source(config: ExperimentConfig) -> tuple[Callable, Callable]:
@@ -568,20 +547,18 @@ def exhaustive_histogram(n: int, statistic: str, ensemble: str = "pf",
     for lucky where it is not defined, and `CapacityError` for n > limit on
     every ensemble, before any block is built."""
     kernel = statistic_kernel(statistic, n)
-    blocks, weigh = _exhaustive_source(statistic, n, ensemble, limit)
+    pairs = _exhaustive_source(statistic, n, ensemble, limit)
     m = _codomain(ensemble, n)
     return Histogram(n=n, statistic=statistic, ensemble=ensemble, seed=None,
-                     bins=_census(kernel, blocks, n, m, weigh))
+                     bins=_tally(_distinct(kernel(block, n, m), weights)
+                                 for block, weights in pairs))
 
 
-def _census(kernel: Callable, blocks: Iterator[np.ndarray], n: int, m: int,
-            weigh: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> dict[Hashable, int]:
+def _census(kernel: Callable, blocks: Iterable[np.ndarray], n: int, m: int) -> dict[Hashable, int]:
     """Exact count of each kernel value over every row of the blocks, keyed
-    in order of first occurrence.  With `weigh`, row r of a block counts
-    weigh(block)[r] times.  Each block is counted in numpy, and only its
-    distinct values become Python values."""
-    return _tally(_distinct(kernel(block, n, m), None if weigh is None else weigh(block))
-                  for block in blocks)
+    in order of first occurrence.  Each block is counted in numpy, and only
+    its distinct values become Python values."""
+    return _tally(_distinct(kernel(block, n, m)) for block in blocks)
 
 
 def _tally(distincts: Iterable[Iterable[tuple[Hashable, int]]]) -> dict[Hashable, int]:
@@ -769,34 +746,33 @@ def exact_equidistribution(n: int, feature: str,
                            limit: int = DEFAULT_ENUM_LIMIT) -> EquidistributionReport:
     """Whether a feature has the same exact law on PF_n as on all functions
     [n] -> [n+1], after scaling by n + 1, from the rows that
-    `_exhaustive_source` picks.  A feature that only compares entries
-    (`stats.compares_only`) is scored once per weak-order type, in one pass:
-    each type weighted by its composition's gap, its rows in [n+1]^n less
-    n + 1 times its rows in PF_n (`_type_rows`).  Any other name reads the
-    split sorted rows of both ensembles (`_exhaustive_source`).  The
-    feature is any name `stats.statistic_kernel` takes: "longest-run>=",
-    "strict-peak@3" or a chain expression such as "1<3;2>=4"; the report
-    keeps the name as given."""
+    `_exhaustive_source` picks.  The laws agree exactly when each value's
+    gaps sum to 0, a row's gap being its rows in [n+1]^n less n + 1 times
+    its rows in PF_n.  A feature that only compares entries
+    (`stats.compares_only`) is scored once per weak-order type, in one pass,
+    each type's gap that of its composition (`_type_rows`).  Any other name
+    sums the weights of the pairs of [n+1]^n and minus n + 1 times those of
+    PF_n, one block at a time.  The feature is any name
+    `stats.statistic_kernel` takes: "longest-run>=", "strict-peak@3" or a
+    chain expression such as "1<3;2>=4"; the report keeps the name as
+    given."""
+    kernel = statistic_kernel(feature, n)
     if st.compares_only(feature):
-        values, census = _type_scores(feature, n, limit)
-        # the laws agree exactly when each value's gaps sum to 0
-        if values.dtype.kind == "b":
-            # both ensembles hold (n + 1)^n rows once scaled, so the gap of
-            # False is minus that of True, and False prints first
-            unequal = [False] if census.holding(values) @ census.gaps else []
-        else:
-            # only the values whose gaps do not sum to 0 become Python values:
-            # the witness is the least in str order, whatever their order
-            first, gaps = _runs(values, census.gaps.repeat(census.arrangements))
-            unequal = _python_values(values, first[gaps != 0])
+        blocks, census = _type_rows(n, limit)
+        values = np.concatenate([kernel(block, n, n + 1) for block in blocks])
+        # only the values whose gaps do not sum to 0 become Python values:
+        # the witness is the least in str order, whatever their order
+        first, gaps = _runs(values, census.gaps.repeat(census.arrangements))
+        unequal = _python_values(values, first[gaps != 0])
     else:
-        kernel = statistic_kernel(feature, n)
-        # both sources check their size before either census starts
-        sources = [_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("pf", "fn1")]
-        pf_counts, f_counts = (_census(kernel, blocks, n, n + 1, weigh)
-                               for blocks, weigh in sources)
-        unequal = [v for v in set(pf_counts) | set(f_counts)
-                   if f_counts.get(v, 0) != (n + 1) * pf_counts.get(v, 0)]
+        # both sources check their size before either is read
+        fn1, pf = (_exhaustive_source(feature, n, ensemble, limit) for ensemble in ("fn1", "pf"))
+        signed = ((block, -(n + 1) * (np.ones(block.shape[0], dtype=np.int64)
+                                      if weights is None else weights))
+                  for block, weights in pf)
+        gaps = _tally(_distinct(kernel(block, n, n + 1), weights)
+                      for block, weights in chain(fn1, signed))
+        unequal = [value for value, gap in gaps.items() if gap]
     # one feature's values share one type, so no two of them print alike
     witness = min(unequal, key=str, default=None)
     return EquidistributionReport(n=n, feature=feature, equal=witness is None, witness=witness)
@@ -816,8 +792,9 @@ def weak_peak_check(n: int, i: int, limit: int = DEFAULT_ENUM_LIMIT) -> WeakPeak
     [n+1]^n, exactly, from the weak-order types (`_type_rows`); they are
     equidistributed when the second count is n + 1 times the first (see
     `stats._PEAKS`)."""
-    holds, census = _type_scores(f"weak-peak@{i}", n, limit)
-    holding = census.holding(holds)
+    kernel = statistic_kernel(f"weak-peak@{i}", n)
+    blocks, census = _type_rows(n, limit)
+    holding = census.holding(np.concatenate([kernel(block, n, n + 1) for block in blocks]))
     pf_count, f_count = (int(holding @ census.weights[side]) for side in ("pf", "fn1"))
     return WeakPeakReport(n=n, position=i, equal=f_count == (n + 1) * pf_count,
                           pf_count=pf_count, f_count=f_count)
@@ -844,12 +821,15 @@ def joint_coordinate_bound_check(n: int, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n], got k = {k} for n = {n}")
     total = count_pf(n)
-    # joint counts over the first k coordinates (PF_n is permutation-symmetric),
-    # summed along each axis in place: exact in int64, and the grid is the
-    # one array of its size
+    _check_rows(total)
+    # joint counts over the first k coordinates (PF_n is permutation-symmetric)
+    # from the sorted rows split by them, each split row standing for the
+    # arrangements of its sorted rest, summed along each axis in place:
+    # exact in int64, and the grid is the one array of its size
     counts = np.zeros((n,) * k, dtype=np.int64)
-    for block in pf_blocks(n, limit):
-        np.add.at(counts, tuple(block[:, :k].T - 1), 1)
+    for block, _weights in _sorted_source(n, "pf"):
+        for rows in _leading_splits(np.ascontiguousarray(block, dtype=np.uint8), 0, k):
+            np.add.at(counts, tuple(rows[:, :k].T - 1), _arrangement_counts(rows[:, k:]))
     for axis in range(k):
         np.cumsum(counts, axis=axis, out=counts)
     # the CDF against the product CDF one slab of the first axis at a time,

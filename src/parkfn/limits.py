@@ -102,12 +102,18 @@ def _borel_tail(x: float) -> float:
 
 def first_coordinate_limit(n: int, j: int, side: str = "low") -> float:
     """Large-n coordinate asymptotics: P(pi_1 = j) ~ (1 + Q(j))/n at the low
-    end, P(pi_1 = n - j) ~ (1 - Q(j + 2))/n at the high end."""
+    end, P(pi_1 = n - j) ~ (1 - Q(j + 2))/n at the high end.  Raises
+    ValueError for n < 1, and for j < 1 on the low side or j < 0 on the
+    high side."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if side == "low":
         if j < 1:
             raise ValueError("low side needs j >= 1")
         return (1.0 + borel_tail(j)) / n
     if side == "high":
+        if j < 0:
+            raise ValueError("high side needs j >= 0")
         return (1.0 - borel_tail(j + 2)) / n
     raise ValueError(f"unknown side {side!r}")
 

@@ -1271,7 +1271,7 @@ def test_type_census_is_read_only(monkeypatch):
     monkeypatch.undo()
     assert exact_equidistribution(5, "descent-pattern").equal
     assert not exact_equidistribution(5, "strict-peak@2").equal
-    _values, census = ensemble._type_scores("inversions", 5, 5)
+    _blocks, census = ensemble._type_rows(5, 5)
     with pytest.raises(ValueError, match="read-only"):
         census.weights["pf"] += 1
     # per-type weights are built per call, so a caller may write to its own
@@ -1813,9 +1813,16 @@ def test_traced_registry_takes_the_profile_path(monkeypatch):
 
 
 def test_exact_equidistribution_matches_enumerated_census():
-    for n in range(2, 7):
+    # every feature and every registry statistic but lucky (undefined on
+    # [n+1]^n): the type gaps, the signed sums of the split sorted rows,
+    # their unweighted PF_n scan at n = 1 (first and kmax read all n
+    # entries in order) and the registry's unequal witnesses
+    statistics = [name for name in STATISTICS if name != "lucky"]
+    unequal = set()
+    for n in range(1, 7):
         pf, fn = _enumerated("pf", n), _enumerated("fn1", n)
-        for feature, _chains in _feature_cases(n, POSETS):
+        names = {feature for feature, _chains in _feature_cases(n, POSETS)}
+        for feature in sorted(names.union(statistics)):
             kernel = statistic_kernel(feature, n)
             pf_counts = Counter(_to_python(kernel(pf, n, n + 1)))
             f_counts = Counter(_to_python(kernel(fn, n, n + 1)))
@@ -1825,6 +1832,33 @@ def test_exact_equidistribution_matches_enumerated_census():
             # repr tells a witness True from 1
             assert (report.equal, repr(report.witness)) == (witness is None, repr(witness)), \
                 (n, feature)
+            if not report.equal and feature in statistics:
+                unequal.add(feature)
+    assert unequal == {"first", "kmax", "area", "scaled-area", "ones", "max-discrepancy",
+                       "scaled-max-discrepancy"}
+
+
+def test_only_lucky_scans_pf(monkeypatch):
+    # every other exact path reads the weak-order types or the sorted rows
+    # of PF_n: with the scan refused, each still runs
+    def refused(*args, **kwargs):
+        raise AssertionError("PF_n scanned row by row")
+
+    monkeypatch.setattr(ensemble, "pf_blocks", refused)
+    n = 5
+    for k in range(1, n + 1):
+        joint_coordinate_bound_check(n, k)
+    features = [feature for feature, _chains in _feature_cases(n, POSETS)]
+    for name in [*PREFIX_NAMES, *features]:
+        if name != "lucky":
+            exhaustive_histogram(n, name)
+    for i in range(2, n):
+        weak_peak_check(n, i)
+    for name in [*STATISTICS, *features]:
+        if name != "lucky":
+            exact_equidistribution(n, name)
+    with pytest.raises(AssertionError, match="scanned"):
+        exhaustive_histogram(n, "lucky")
 
 
 def test_weak_peak_check_matches_enumerated_census():

@@ -89,6 +89,15 @@ def test_first_coordinate_limit_corners():
         first_coordinate_limit(n, 0, "low")
     with pytest.raises(ValueError):
         first_coordinate_limit(n, 1, "middle")
+    # a size below 1 is refused, not divided by, and a high-side j below 0
+    # is refused by its own name, not as the j + 2 that borel_tail reads
+    for size, j, side in ((0, 1, "low"), (-5, 2, "low"), (0, 0, "high"), (-1, 3, "high")):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            first_coordinate_limit(size, j, side)
+    for j in (-1, -3):
+        with pytest.raises(ValueError, match="high side needs j >= 0"):
+            first_coordinate_limit(10, j, "high")
+    assert first_coordinate_limit(1, 1, "low") > 0
 
 
 def test_maxwell_density_normalizes():
