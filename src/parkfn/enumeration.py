@@ -7,7 +7,7 @@ rational; floating point never enters.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, chain, permutations, repeat, starmap
 from math import comb, factorial
 from operator import index
@@ -306,6 +306,55 @@ def abel_identity_check(x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fra
     return lhs, rhs
 
 
+# Builds a Fraction from a numerator and a denominator known to be coprime:
+# a classmethod from Python 3.12, the `_normalize` flag before it.
+_coprime_fraction = (getattr(Fraction, "_from_coprime_ints", None)
+                     or partial(Fraction, _normalize=False))
+
+
+def _power_primes(base: int, exponent: int) -> dict[int, int]:
+    """The primes of base**exponent (base >= 1) with their multiplicities,
+    by trial division of base."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= base:
+        while base % p == 0:
+            factors[p] = factors.get(p, 0) + exponent
+            base //= p
+        p += 1
+    if base > 1:
+        factors[base] = exponent
+    return factors
+
+
+def _reduced(num: int, den: int, primes: dict[int, int]) -> Fraction:
+    """Fraction(num, den) for den > 0 whose factorization is `primes`
+    ({p: multiplicity}), without a gcd: the gcd of two integers of many
+    bits costs time quadratic in their length, while each prime p is
+    stripped from num by divisions by p, p^2, p^4, ... while they divide,
+    then by the same powers in reverse, each once: O(log v) divisions for
+    the v factors of p taken out, v at most p's multiplicity in den."""
+    divisor = 1
+    for p, multiplicity in primes.items():
+        powers = []  # p^(2^i) and 2^i for each division that took them
+        q, k = p, 1
+        while k <= multiplicity:
+            quotient, remainder = divmod(num, q)
+            if remainder:
+                break
+            num, multiplicity, divisor = quotient, multiplicity - k, divisor * q
+            powers.append((q, k))
+            q, k = q * q, 2 * k
+        # the factors of p left to take are fewer than the last power tried
+        # holds: one division per power taken, largest first
+        for q, k in reversed(powers):
+            if k <= multiplicity:
+                quotient, remainder = divmod(num, q)
+                if not remainder:
+                    num, multiplicity, divisor = quotient, multiplicity - k, divisor * q
+    return _coprime_fraction(num, den // divisor)
+
+
 def _mean_first_split(x: int, a: int, b: int) -> tuple[int, int, int]:
     """(prod_{i=a+1}^{b} i, sum_{k=a}^{b-1} x^{k-a} prod_{i=k+1}^{b} i,
     x^{b-a}) by binary splitting, with a plain loop at the leaves."""
@@ -331,10 +380,16 @@ def exact_mean_first(n: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Fraction(1)
-    _prod, head, power = _mean_first_split(n + 1, 0, n - 2)
-    total = head + power  # the k = n - 2 term is (n+1)^{n-2}
+    # the root of the splitting, without the product of its halves
+    mid = (n - 2) // 2
+    _p1, t1, x1 = _mean_first_split(n + 1, 0, mid)
+    p2, t2, x2 = _mean_first_split(n + 1, mid, n - 2)
+    power = x1 * x2
+    total = t1 * p2 + x1 * t2 + power  # the k = n - 2 term is (n+1)^{n-2}
     denominator = power * (n + 1)
-    return Fraction((n + 1) * denominator - (n - 1) * total, 2 * denominator)
+    primes = _power_primes(n + 1, n - 1)
+    primes[2] = primes.get(2, 0) + 1
+    return _reduced((n + 1) * denominator - (n - 1) * total, 2 * denominator, primes)
 
 
 def k_pi_law(n: int, k: int) -> Fraction:
@@ -344,7 +399,8 @@ def k_pi_law(n: int, k: int) -> Fraction:
     n, k = index(n), index(k)
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, n]")
-    return Fraction(k * _first_terms(n, n - k, n - k + 1)[0], (n + 1) ** (n - 1))
+    return _reduced(k * _first_terms(n, n - k, n - k + 1)[0], (n + 1) ** (n - 1),
+                    _power_primes(n + 1, n - 1))
 
 
 # --- generating functions -------------------------------------------------
@@ -419,13 +475,14 @@ def descent_pattern_prob(n: int, pattern: Sequence[int]) -> Fraction:
     With descents at s_1 < ... < s_k (and s_0 = 0, s_{k+1} = n), the
     probability is det[C(s_{j+1} - s_i + n, n)] / (n+1)^n.
     """
+    n = index(n)
     pattern = tuple(pattern)
     if len(pattern) != n - 1 or any(e not in (0, 1) for e in pattern):
         raise ValueError("pattern must be a 0/1 sequence of length n-1")
     s = [0] + [i for i, e in enumerate(pattern, start=1) if e == 1] + [n]
     k = len(s) - 2
     matrix = [[comb(s[j + 1] - s[i] + n, n) for j in range(k + 1)] for i in range(k + 1)]
-    return Fraction(_int_det(matrix), (n + 1) ** n)
+    return _reduced(_int_det(matrix), (n + 1) ** n, _power_primes(n + 1, n))
 
 
 def consecutive_blocks(positions: Sequence[int]) -> list[int]:

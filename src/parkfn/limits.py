@@ -217,9 +217,15 @@ _MEAN_PANELS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0)
 _MEAN_NODES = 12
 
 
+@lru_cache(maxsize=None)
+def _mean_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the _MEAN_NODES-point Gauss-Legendre rule."""
+    return np.polynomial.legendre.leggauss(_MEAN_NODES)
+
+
 def excursion_max_mean() -> float:
     """E(M) = integral of the upper tail; equals sqrt(pi/2)."""
-    nodes, weights = np.polynomial.legendre.leggauss(_MEAN_NODES)
+    nodes, weights = _mean_rule()
     total = 0.0
     for lo, hi in zip(_MEAN_PANELS, _MEAN_PANELS[1:]):
         half = (hi - lo) / 2

@@ -218,10 +218,13 @@ def test_exact_counts_take_integer_sizes_only():
     assert first_counts(np.int16(30)) == first_counts(30)
     assert k_pi_law(np.int64(9), np.uint8(4)) == k_pi_law(9, 4)
     assert exact_mean_first(np.int32(40)) == exact_mean_first(40)
+    pattern = (1, 0) * 9 + (1,)
+    assert descent_pattern_prob(np.int64(20), pattern) == descent_pattern_prob(20, pattern)
     assert list(enumerate_pf(np.int64(4), np.int64(4))) == list(enumerate_pf(4))
     for call in (lambda: count_pf(5.5), lambda: count_pf(5.0), lambda: count_first(5.0, 2),
                  lambda: count_first(5, 2.0), lambda: first_counts(5.0),
                  lambda: k_pi_law(5, 2.0), lambda: exact_mean_first(4.0),
+                 lambda: descent_pattern_prob(4.0, (0, 0, 0)),
                  lambda: enumerate_pf(4.0), lambda: enumerate_pf(3, 8.5)):
         with pytest.raises(TypeError):
             call()
@@ -345,7 +348,9 @@ def test_count_first_from_concurrent_sweeps(empty_table):
 
 def test_k_pi_law_is_first_coordinate_difference():
     # P(K_pi = k) = k (count_first(n, k) - count_first(n, k + 1)) / (n+1)^(n-1)
-    for n in range(1, 41):
+    # n + 1 = 64, 81 and 125 are prime powers: the law's numerator keeps
+    # factors of the prime of the denominator
+    for n in [*range(1, 41), 63, 80, 124]:
         for k in range(1, n + 1):
             above = count_first(n, k + 1) if k < n else 0
             assert k_pi_law(n, k) == Fraction(k * (count_first(n, k) - above), count_pf(n)), (n, k)
@@ -382,10 +387,29 @@ def _mean_first_by_recurrence(n):
 
 
 def test_exact_mean_first_matches_recurrence():
-    for n in range(1, 301):
+    # n + 1 = 7^3, 5^4, 3^6, 2^10 and 2*3*5*7*11 past n = 300: high prime
+    # powers and several primes in the denominator 2 (n+1)^(n-1)
+    for n in [*range(1, 301), 342, 624, 728, 1023, 2309, 10_000]:
         assert exact_mean_first(n) == _mean_first_by_recurrence(n), n
     with pytest.raises(ValueError):
         exact_mean_first(0)
+
+
+def test_reduced_equals_fraction_by_gcd():
+    # numerators holding each prime of the denominator up to and past its
+    # multiplicity, beside a cofactor coprime to it or sharing its other primes
+    for base, exponent in ((1024, 3), (343, 5), (2310, 4), (6, 1), (2, 0), (1, 7)):
+        den = 2 * base**exponent
+        primes = enumeration._power_primes(base, exponent)
+        primes[2] = primes.get(2, 0) + 1
+        assert prod(p**m for p, m in primes.items()) == den
+        for p, m in primes.items():
+            for v in range(m + 3):
+                for cofactor in (1, 13, -97 * 2**9 * 3**5 * 11, 0):
+                    num = cofactor * p**v
+                    got, want = enumeration._reduced(num, den, primes), Fraction(num, den)
+                    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                    assert type(got.numerator) is int and type(got.denominator) is int
 
 
 def test_k_pi_law_matches_brute():
